@@ -2,19 +2,23 @@
 
 Within one color class, the two projectors meeting at a vertex commute and
 overlap on that single qubit only, so the operators they induce there
-generate commuting algebras.  On a qubit this leaves three cases: at most
+generate commuting algebras.  Each algebra is classified by the rank of
+the Bloch vectors of the projector's operator-Schmidt factors at v (0
+trivial, 1 abelian, 2 or more full), which leaves these cases: at most
 one projector acts non-trivially (no structure needed), or both act
-through commuting two-dimensional abelian algebras, in which case the
-qubit splits into two orthogonal rank-1 slices shared by both projectors.
+through abelian algebras along one shared axis, in which case the qubit
+splits into two orthogonal rank-1 slices shared by both projectors.
 A vertex of the second kind is called *split*; the slices are labelled 0
 and 1 in a canonical order so that independently produced labellings
 agree.  On qubits each slice is a single state and the two operators act
 on it as scalars, so no residual multiplicity factor survives inside a
-slice; that is what keeps everything downstream one-dimensional.
+slice; that is what keeps everything downstream one-dimensional.  The
+decomposition is deterministic: it draws no random numbers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -60,16 +64,13 @@ class LayerDecomposition:
     color: str
     decomps: dict[Vertex, VertexDecomposition]
 
-    @property
+    @cached_property
     def split_vertices(self) -> frozenset[Vertex]:
         return frozenset(v for v, d in self.decomps.items() if d.split)
 
 
 def vertex_decomposition(
-    incident: list[tuple[Plaquette, LabeledOp]],
-    v: Vertex,
-    tol: float = 1e-9,
-    seed: int = 0,
+    incident: list[tuple[Plaquette, LabeledOp]], v: Vertex
 ) -> VertexDecomposition:
     """Classify the action of the (at most two) same-color projectors at v."""
     if len(incident) > 2:
@@ -78,7 +79,7 @@ def vertex_decomposition(
     kinds = []
     for _, op in incident:
         bs = [b for _, b in operator_schmidt(op, v).terms]
-        cls = algebra_classify(bs, tol=tol, seed=seed)
+        cls = algebra_classify(bs)
         factors.append(bs)
         kinds.append(cls.kind)
 
@@ -92,17 +93,15 @@ def vertex_decomposition(
             f"projectors at {v} act through non-commuting algebras; "
             "the model terms do not commute"
         )
-    # both abelian: their union still commutes elementwise, so one generic
-    # combination yields the shared slice basis
-    basis = common_eigenbasis(factors[0] + factors[1], tol=tol, seed=seed)
+    # both abelian: commuting input puts all their Bloch vectors on one
+    # axis, whose eigenbasis is the shared slice basis
+    basis = common_eigenbasis(factors[0] + factors[1])
     return VertexDecomposition(split=True, basis=basis)
 
 
 def decompose_layers(
     spec: LatticeSpec,
     projectors: Mapping[Plaquette, np.ndarray],
-    tol: float = 1e-9,
-    seed: int = 0,
 ) -> tuple[LayerDecomposition, LayerDecomposition]:
     """Vertex decompositions of the black and the white layer."""
     ops = {
@@ -124,7 +123,7 @@ def decompose_layers(
             if key in cache:
                 split, owner_idx, basis = cache[key]
             else:
-                d = vertex_decomposition(incident, v, tol=tol, seed=seed)
+                d = vertex_decomposition(incident, v)
                 owner_idx = None
                 if d.owner is not None:
                     owner_idx = [p for p, _ in incident].index(d.owner)

@@ -6,6 +6,12 @@ significant tensor factor.  Everything here works on a handful of qubits
 :func:`trace_product_embedded`, which evaluates traces of products of
 locally-supported operators on up to 22 qubits by sweeping basis vectors
 (dense blocks for small systems, sparse matrices beyond).
+
+The algebra a set of 2x2 operators generates is read off the rank of
+their Bloch vectors (the qubit case of the Bravyi-Vyalyi structure
+lemma), so classification and common eigenbases are deterministic.  One
+relative cutoff, NOISE_RTOL, decides what is numerical noise both there
+and in the operator-Schmidt expansion.
 """
 from __future__ import annotations
 
@@ -19,10 +25,15 @@ I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 TRIVIAL = "trivial"
 ABELIAN = "abelian"
 FULL = "full"
+
+# Relative size below which an operator-Schmidt term or a Bloch direction
+# is numerical noise.
+NOISE_RTOL = 1e-9
 
 _DENSE_MAX_QUBITS = 10
 _DENSE_BLOCK_ENTRIES = 1 << 24  # ~268 MB of complex128 per work block
@@ -147,15 +158,20 @@ def herm_eig(mat: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     return w, v
 
 
-def ground_space_projector(mat: np.ndarray, gap_tol: float = 1e-9) -> np.ndarray:
-    """Projector onto the span of eigenvectors near the minimal eigenvalue.
+def ground_band(mat: np.ndarray, gap_tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal eigenvectors (columns) near the minimal eigenvalue.
 
     The ground band is all eigenvalues within gap_tol * (spread + 1) of the
     minimum; the +1 keeps the band nonempty for flat spectra such as h = 0.
     """
     w, v = herm_eig(mat)
     band = gap_tol * (w[-1] - w[0] + 1.0)
-    sel = v[:, w <= w[0] + band]
+    return v[:, w <= w[0] + band]
+
+
+def ground_space_projector(mat: np.ndarray, gap_tol: float = 1e-9) -> np.ndarray:
+    """Projector onto the span of the ground band."""
+    sel = ground_band(mat, gap_tol)
     return sel @ sel.conj().T
 
 
@@ -181,7 +197,7 @@ def operator_schmidt(op: LabeledOp, split) -> OperatorSchmidt:
     t = m.transpose(0, 2, 1, 3).reshape(r * r, 4)
     u, s, vh = np.linalg.svd(t, full_matrices=False)
     terms: list[tuple[LabeledOp, np.ndarray]] = []
-    keep = s > 1e-12 * s[0] if s.size and s[0] > 0 else np.zeros_like(s, dtype=bool)
+    keep = s > NOISE_RTOL * s[0] if s.size and s[0] > 0 else np.zeros_like(s, dtype=bool)
     for i in np.nonzero(keep)[0]:
         c = np.sqrt(s[i])
         a = LabeledOp((c * u[:, i]).reshape(r, r), tuple(rest))
@@ -203,99 +219,56 @@ class AlgebraClass:
     basis: np.ndarray | None = None
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=complex).reshape(-1)
+def _bloch_rank(ops: Sequence[np.ndarray]) -> tuple[int, np.ndarray | None]:
+    """Numerical rank of the real span of the generators' Bloch vectors.
+
+    Each 2x2 B is tr(B)/2 + c.sigma with c_k = tr(sigma_k B)/2; Re c and
+    Im c are the Bloch vectors of its Hermitian and anti-Hermitian parts.
+    Directions below NOISE_RTOL times the largest generator norm are noise.
+    Returns the rank and, when it is 1, the unit axis n of the span.
+    """
+    mats = np.asarray(ops, dtype=complex).reshape(-1, 2, 2)
+    if not len(mats):
+        return 0, None
+    c = np.einsum("kij,mji->mk", _PAULIS, mats) / 2
+    _, s, vt = np.linalg.svd(np.concatenate([c.real, c.imag]))
+    rank = int(np.sum(s > NOISE_RTOL * np.linalg.norm(mats, axis=(1, 2)).max()))
+    return rank, (vt[0] if rank == 1 else None)
 
 
-class _Span:
-    """Orthonormal basis of a subspace of vectorized 2x2 matrices."""
-
-    def __init__(self, tol: float) -> None:
-        self.tol = tol
-        self.basis: list[np.ndarray] = []
-
-    def add(self, m: np.ndarray) -> bool:
-        v = _vec(m)
-        norm = np.linalg.norm(v)
-        if norm <= self.tol:
-            return False
-        for q in self.basis:
-            v = v - (q.conj() @ v) * q
-        resid = np.linalg.norm(v)
-        if resid > self.tol * max(1.0, norm):
-            self.basis.append(v / resid)
-            return True
-        return False
-
-    def mats(self) -> list[np.ndarray]:
-        return [q.reshape(2, 2) for q in self.basis]
-
-    def __len__(self) -> int:
-        return len(self.basis)
+def _axis_basis(n: np.ndarray) -> np.ndarray:
+    _, v = np.linalg.eigh(np.einsum("k,kij->ij", n, _PAULIS))
+    return canonical_basis_pair(v)
 
 
-def algebra_classify(ops: Sequence[np.ndarray], tol: float = 1e-9, seed: int = 0) -> AlgebraClass:
+def algebra_classify(ops: Sequence[np.ndarray]) -> AlgebraClass:
     """Classify the unital *-algebra generated by single-qubit operators.
 
-    The span of {1, ops, adjoints} is closed under products until stable;
-    dimension 1 is trivial, 2 abelian (dimension-2 unital *-closed
-    subalgebras of the 2x2 matrices are automatically commutative), and
-    anything larger generates the full algebra.
+    On a qubit the algebra is fixed by the rank of the generators' Bloch
+    vectors: 0 is trivial, 1 is abelian (diagonal in the eigenbasis of
+    n.sigma), and 2 or more generates the full algebra.
     """
-    span = _Span(tol)
-    span.add(I2)
-    for m in ops:
-        m = np.asarray(m, dtype=complex)
-        span.add(m)
-        span.add(m.conj().T)
-    while len(span) < 4:
-        grew = False
-        basis = span.mats()
-        for a in basis:
-            for b in basis:
-                if span.add(a @ b):
-                    grew = True
-        if not grew:
-            break
-    dim = len(span)
-    if dim == 1:
+    rank, axis = _bloch_rank(ops)
+    if rank == 0:
         return AlgebraClass(TRIVIAL)
-    if dim == 2:
-        return AlgebraClass(ABELIAN, common_eigenbasis(ops, tol=tol, seed=seed))
+    if rank == 1:
+        return AlgebraClass(ABELIAN, _axis_basis(axis))
     return AlgebraClass(FULL)
 
 
-def common_eigenbasis(ops: Sequence[np.ndarray], tol: float = 1e-9, seed: int = 0) -> np.ndarray:
+def common_eigenbasis(ops: Sequence[np.ndarray]) -> np.ndarray:
     """Shared orthonormal eigenbasis of commuting normal 2x2 operators.
 
-    Diagonalizes a generic real combination of the (traceless) Hermitian and
-    anti-Hermitian parts of the generators, redrawing coefficients while the
-    two eigenvalues are closer than 1e-8.  Raises BasisMismatch when some
-    generator is not diagonal in the resulting basis, which signals
-    non-commuting input.
+    Raises BasisMismatch when the generators' Bloch vectors span more than
+    one axis, which signals non-commuting (or non-normal) input, and
+    ValueError when every generator is a scalar.
     """
-    parts: list[np.ndarray] = []
-    for m in ops:
-        m = np.asarray(m, dtype=complex)
-        for h in ((m + m.conj().T) / 2, (m - m.conj().T) / 2j):
-            h = h - (np.trace(h) / 2) * I2
-            norm = frob(h)
-            if norm > tol:
-                parts.append(h / norm)
-    if not parts:
+    rank, axis = _bloch_rank(ops)
+    if rank == 0:
         raise ValueError("no non-scalar generators; eigenbasis is arbitrary")
-    rng = np.random.default_rng(seed)
-    for _ in range(64):
-        combo = sum(c * p for c, p in zip(rng.standard_normal(len(parts)), parts))
-        w, v = np.linalg.eigh(combo)
-        if w[1] - w[0] < 1e-8:
-            continue
-        for m in ops:
-            d = v.conj().T @ np.asarray(m, dtype=complex) @ v
-            if abs(d[0, 1]) + abs(d[1, 0]) > 1e-8 * max(1.0, frob(m)):
-                raise BasisMismatch("generators do not share an eigenbasis")
-        return canonical_basis_pair(v)
-    raise BasisMismatch("could not separate eigenvalues of a generic combination")
+    if rank > 1:
+        raise BasisMismatch("generators do not share an eigenbasis")
+    return _axis_basis(axis)
 
 
 def canonical_state(vec: np.ndarray) -> np.ndarray:
@@ -334,13 +307,6 @@ def commutator_norm(a: LabeledOp, b: LabeledOp) -> float:
     am = embed(a, labels).mat
     bm = embed(b, labels).mat
     return frob(am @ bm - bm @ am)
-
-
-def is_scalar_action(m2: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when a 2x2 operator is a multiple of the identity."""
-    m2 = np.asarray(m2, dtype=complex)
-    traceless = m2 - (np.trace(m2) / 2) * I2
-    return frob(traceless) <= tol * max(frob(m2), 1e-30)
 
 
 # ---------------------------------------------------------------------------

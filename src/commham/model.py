@@ -50,6 +50,8 @@ class CommutingModel:
             m = np.asarray(m, dtype=complex)
             if m.shape != (16, 16):
                 raise ModelError(f"term at {p} has shape {m.shape}, expected 16x16")
+            if not np.isfinite(m).all():
+                raise ModelError(f"term at {p} has non-finite entries")
             if frob(m - m.conj().T) > HERMITICITY_TOL * max(1.0, frob(m)):
                 raise ModelError(f"term at {p} is not Hermitian")
             terms[p] = m
@@ -72,13 +74,23 @@ class CommutationReport:
     violations: list[tuple[Plaquette, Plaquette, float]]
 
 
+def _row_major(p: Plaquette) -> tuple[int, int]:
+    return p[1], p[0]
+
+
 def _intersecting_pairs(model: CommutingModel):
-    plist = lattice.plaquettes(model.spec)
-    corner_sets = {p: set(lattice.corners(model.spec, p)) for p in plist}
-    for i, p in enumerate(plist):
-        for q in plist[i + 1 :]:
-            if corner_sets[p] & corner_sets[q]:
-                yield p, q
+    """Plaquette pairs sharing a corner, each once, in row-major order of
+    (first, second), found through the <= 4 plaquettes at each corner."""
+    spec = model.spec
+    for p in lattice.plaquettes(spec):
+        later = {
+            q
+            for v in lattice.corners(spec, p)
+            for q in lattice.incident_plaquettes(spec, v)
+            if _row_major(q) > _row_major(p)
+        }
+        for q in sorted(later, key=_row_major):
+            yield p, q
 
 
 def check_commuting(model: CommutingModel, tol: float = COMMUTATION_TOL) -> CommutationReport:

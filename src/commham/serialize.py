@@ -75,8 +75,10 @@ def certificate_from_dict(data: dict) -> Certificate:
     def side(name: str) -> dict:
         out = {}
         for key, b in data.get(name, {}).items():
+            if type(b) is not int:  # JSON true and 1.7 are not labels
+                raise FormatError(f"{name}[{key}] = {b!r} is not an integer label")
             x, y = key.split(",")
-            out[(int(x), int(y))] = int(b)
+            out[(int(x), int(y))] = b
         return out
 
     try:

@@ -94,9 +94,9 @@ class PreparedModel:
         return LabeledOp(self.projectors[p], tuple(lattice.corners(self.model.spec, p)))
 
 
-def prepare(model: CommutingModel, gap_tol: float = 1e-9, seed: int = 0) -> PreparedModel:
+def prepare(model: CommutingModel, gap_tol: float = 1e-9) -> PreparedModel:
     projs = ground_projectors(model, gap_tol=gap_tol)
-    black, white = decompose_layers(model.spec, projs, seed=seed)
+    black, white = decompose_layers(model.spec, projs)
     return PreparedModel(model, projs, black, white)
 
 
@@ -117,7 +117,8 @@ def _check_domain(prep: PreparedModel, cert: Certificate) -> None:
                 f"extra={extra} missing={missing}"
             )
         for v, b in labels.items():
-            if b not in (0, 1):
+            # bool is an int subclass, but numpy reads a bool index as a mask
+            if isinstance(b, (bool, np.bool_)) or b not in (0, 1):
                 raise CertificateDomainError(f"{name}[{v}] = {b!r}, must be 0 or 1")
 
 

@@ -10,6 +10,7 @@ from commham.serialize import (
     FormatError,
     load_certificate,
     load_model,
+    model_to_dict,
     save_certificate,
     save_model,
 )
@@ -47,6 +48,14 @@ def test_malformed_model_file(tmp_path):
     path.write_text(json.dumps({"lattice": {"lx": 3}}), encoding="utf-8")
     with pytest.raises(FormatError):
         load_model(path)
+
+
+@pytest.mark.parametrize("label", [True, 1.7, 1.0, "1"])
+def test_certificate_non_integer_label_rejected(tmp_path, label):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"alpha": {"1,1": label}, "beta": {}}), encoding="utf-8")
+    with pytest.raises(FormatError):
+        load_certificate(path)
 
 
 # --------------------------------------------------------------------- CLI
@@ -106,6 +115,16 @@ def test_check_malformed_exit_2(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{truncated")
     assert main(["check", str(path)]) == 2
+
+
+def test_check_non_finite_exit_2(tmp_path, capsys):
+    # JSON NaN loads as a float; it must not reach "commuting: ok"
+    data = model_to_dict(gen_toric(LatticeSpec(3, 3)))
+    data["terms"][0]["matrix"][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert "commuting: ok" not in capsys.readouterr().out
 
 
 def test_verify_reject_exit_1(tmp_path):

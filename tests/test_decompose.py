@@ -12,6 +12,7 @@ from commham.lattice import BLACK, WHITE, LatticeSpec
 from commham.linalg import (
     LabeledOp,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     commutator_norm,
     embed,
@@ -135,6 +136,35 @@ def test_basis_mismatch_raises():
     b = LabeledOp(np.eye(4) + kron(PAULI_X, np.eye(2)) / 2 + kron(PAULI_X, PAULI_X) / 3, (v, (2, 1)))
     with pytest.raises(BasisMismatch):
         vertex_decomposition([((0, 0), a), ((1, 1), b)], v)
+
+
+def test_schmidt_noise_term_does_not_break_split():
+    # both projectors act on v through the axis n; the first also carries an
+    # off-axis operator-Schmidt term at 1.07e-12 of its leading value (as
+    # eigendecomposition noise leaves in rotated-classical 24x24 models).
+    # Its B factor has norm ~1e-6 and must count as noise, not as a second
+    # Bloch direction that would make the algebra full.
+    v = (1, 1)
+    theta, phi = 0.7, 0.3
+    n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    m = np.array([np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)])
+    n_sigma = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+    m_sigma = m[0] * PAULI_X + m[1] * PAULI_Y + m[2] * PAULI_Z
+    clean = (np.eye(4) + kron(PAULI_Z, n_sigma)) / 2
+    noisy = clean + 0.535e-12 * kron(PAULI_X, m_sigma)
+    b = LabeledOp((np.eye(4) + kron(n_sigma, PAULI_Z)) / 2, (v, (2, 1)))
+
+    ref = vertex_decomposition([((0, 0), LabeledOp(clean, ((0, 1), v))), ((1, 1), b)], v)
+    d = vertex_decomposition([((0, 0), LabeledOp(noisy, ((0, 1), v))), ((1, 1), b)], v)
+    assert d.split and ref.split
+    assert np.max(np.abs(d.basis - ref.basis)) < 1e-9
+    plus = (np.eye(2) + n_sigma) / 2
+    assert min(frob(d.slice_projector(k) - plus) for k in (0, 1)) < 1e-9
+
+
+def test_split_vertices_computed_once():
+    black, _ = layer_pair(gen_toric(LatticeSpec(3, 3)))
+    assert black.split_vertices is black.split_vertices
 
 
 def test_factorization_after_full_slice_choice():

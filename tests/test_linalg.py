@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from commham import linalg
 from commham.linalg import (
@@ -207,6 +209,76 @@ def test_classify_rotated_diagonal(seed):
     for col in cls.basis.T:
         overlaps = np.abs(u.conj().T @ col)
         assert max(overlaps) > 1 - 1e-8  # basis states match u's columns
+
+
+def _unitary(theta, phi, chi):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array(
+        [[c, -np.exp(1j * chi) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + chi)) * c]]
+    )
+
+
+_angles = st.tuples(*[st.floats(-np.pi, np.pi, allow_nan=False)] * 3)
+_ints = st.integers(-3, 3)
+_cints = st.builds(complex, _ints, _ints)
+
+
+@st.composite
+def _generators(draw):
+    """1-3 generators: scalars, matrices diagonal in one of two drawn bases,
+    or integer matrices.  Integer coefficients keep every traceless part
+    either zero or of order one; only the basis angles vary continuously."""
+    bases = [_unitary(*draw(_angles)), _unitary(*draw(_angles))]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["scalar", "diagonal", "diagonal", "integer"]))
+        if kind == "scalar":
+            gens.append(draw(_cints) * I2)
+        elif kind == "diagonal":
+            u = bases[draw(st.sampled_from([0, 0, 1]))]
+            gens.append(u @ np.diag([draw(_cints), draw(_cints)]) @ u.conj().T)
+        else:
+            gens.append(np.array([[draw(_cints) for _ in range(2)] for _ in range(2)]))
+    return gens
+
+
+def _reference_kind(gens):
+    """Trivial iff every traceless part vanishes; abelian iff the generators
+    and their adjoints pairwise commute.  Returns None in the band where
+    near-parallel bases make the verdict depend on the cutoff."""
+    if all(frob(m - np.trace(m) / 2 * I2) <= 1e-9 * max(1.0, frob(m)) for m in gens):
+        return TRIVIAL
+    mats = gens + [m.conj().T for m in gens]
+    worst = max(
+        frob(a @ b - b @ a) / max(1.0, frob(a) * frob(b)) for a in mats for b in mats
+    )
+    if 1e-12 < worst < 1e-6:
+        return None
+    return ABELIAN if worst <= 1e-12 else FULL
+
+
+def _same_basis_up_to_phase_and_order(p, q):
+    overlaps = np.abs(p.conj().T @ q)
+    return np.allclose(overlaps, np.eye(2), atol=1e-8) or np.allclose(
+        overlaps, np.eye(2)[::-1], atol=1e-8
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generators(), _angles)
+def test_classify_matches_commutator_reference(gens, angles):
+    want = _reference_kind(gens)
+    assume(want is not None)
+    cls = algebra_classify(gens)
+    assert cls.kind == want
+    w = _unitary(*angles)
+    rotated = algebra_classify([w @ m @ w.conj().T for m in gens])
+    assert rotated.kind == want
+    if want == ABELIAN:
+        for m in gens:
+            d = cls.basis.conj().T @ m @ cls.basis
+            assert abs(d[0, 1]) + abs(d[1, 0]) <= 1e-9 * max(1.0, frob(m))
+        assert _same_basis_up_to_phase_and_order(rotated.basis, w @ cls.basis)
 
 
 # ---------------------------------------------------------- partial_trace

@@ -74,6 +74,28 @@ def test_non_hermitian_rejected():
         CommutingModel(spec, {(0, 0): bad})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_rejected(value):
+    # NaN compares false with everything, so it would pass the Hermiticity check
+    spec = LatticeSpec(2, 2)
+    bad = np.zeros((16, 16), dtype=complex)
+    bad[3, 3] = value
+    with pytest.raises(ModelError, match="non-finite"):
+        CommutingModel(spec, {(0, 0): bad})
+
+
+def test_intersecting_pairs_match_all_pairs_scan():
+    for spec in (LatticeSpec(4, 3), LatticeSpec(4, 4, "periodic"), LatticeSpec(6, 4, "periodic")):
+        plist = lattice.plaquettes(spec)
+        want = [
+            (p, q)
+            for i, p in enumerate(plist)
+            for q in plist[i + 1 :]
+            if set(lattice.corners(spec, p)) & set(lattice.corners(spec, q))
+        ]
+        assert list(model._intersecting_pairs(gen_toric(spec))) == want
+
+
 def test_toric_projectors_match_stabilizers():
     m = gen_toric(LatticeSpec(4, 4, "periodic"))
     projs = ground_projectors(m)

@@ -159,6 +159,21 @@ def test_certificate_domain_errors():
         compute_omega(prep, Certificate({(1, 1): 2}, {(1, 1): 0}))
 
 
+@pytest.mark.parametrize("label", [True, False, np.bool_(True)])
+def test_bool_labels_rejected(label):
+    # numpy reads a bool index as a mask, so bools must not pass as 0/1
+    prep = prepare(gen_toric(LatticeSpec(3, 3)))
+    with pytest.raises(CertificateDomainError):
+        compute_omega(prep, Certificate({(1, 1): label}, {(1, 1): 0}))
+
+
+def test_numpy_integer_labels_accepted():
+    prep = prepare(gen_toric(LatticeSpec(3, 3)))
+    want = compute_omega(prep, Certificate({(1, 1): 1}, {(1, 1): 0}))
+    got = compute_omega(prep, Certificate({(1, 1): np.int64(1)}, {(1, 1): np.int8(0)}))
+    assert got.log2_magnitude == want.log2_magnitude
+
+
 # ------------------------------------------------------------ overlap graph
 
 

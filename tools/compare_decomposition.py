@@ -1,0 +1,181 @@
+"""Compare layer decompositions and certificate values between two source trees.
+
+Run the dump once per tree, then diff the two dumps:
+
+    PYTHONPATH=<old tree>/src python tools/compare_decomposition.py dump old.pkl
+    PYTHONPATH=<new tree>/src python tools/compare_decomposition.py dump new.pkl old.pkl
+    python tools/compare_decomposition.py diff old.pkl new.pkl
+
+The dump prepares a fixed model set (toric, rotated-classical,
+diagonal-field, signed-toric, Haar-conjugated toric and Ising models, and
+rotated-classical 24x24 seeds 0-9) and records, per model, the split flag,
+owner and slice basis of every vertex in both layers, log2 Omega of the
+all-zeros certificate and of three seeded random ones, and the result of an
+exhaustive search (at most 16 label bits) or a two-restart greedy search
+(at most 36 qubits).  Given an older dump, it also evaluates that dump's
+search certificates, so equal certificates are compared on both trees even
+when the searches pick different ones among equal-valued ties.  Dumps are
+pickles that only this script writes and reads.
+"""
+from __future__ import annotations
+
+import pickle
+import sys
+import time
+
+import numpy as np
+
+
+def conjugated(m, seed: int):
+    """m with every term conjugated by one Haar unitary per vertex."""
+    from commham import CommutingModel, corners
+
+    rng = np.random.default_rng(100 + seed)
+    units = {}
+    for v in m.spec.vertices():
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        q, r = np.linalg.qr(z)
+        units[v] = q * (np.diag(r) / np.abs(np.diag(r)))
+    terms = {}
+    for p, h in m.terms.items():
+        u = np.eye(1, dtype=complex)
+        for v in corners(m.spec, p):
+            u = np.kron(u, units[v])
+        t = u @ h @ u.conj().T
+        terms[p] = (t + t.conj().T) / 2
+    return CommutingModel(m.spec, terms)
+
+
+def models():
+    from commham import LatticeSpec, gen_random, gen_rotated_classical, gen_toric
+
+    yield "toric 8x8 open", gen_toric(LatticeSpec(8, 8))
+    yield "toric 8x8 periodic", gen_toric(LatticeSpec(8, 8, "periodic"))
+    yield "toric 5x6 open", gen_toric(LatticeSpec(5, 6))
+    for s in range(20):
+        yield f"rotated 6x6 s{s}", gen_random(LatticeSpec(6, 6), s, "rotated-classical")
+        yield f"diagonal 6x6 s{s}", gen_random(LatticeSpec(6, 6), s, "diagonal-field")
+        yield f"signed 4x4 periodic s{s}", gen_random(LatticeSpec(4, 4, "periodic"), s, "signed-toric")
+    for s in range(10):
+        yield f"haar toric 4x4 s{s}", conjugated(gen_toric(LatticeSpec(4, 4)), s)
+        yield f"haar ising 4x4 s{s}", conjugated(gen_random(LatticeSpec(4, 4), s, "diagonal-field"), s)
+        yield f"rotated 4x4 s{s}", gen_random(LatticeSpec(4, 4), s, "rotated-classical")
+    for s in range(10):
+        yield f"haar toric 6x6 s{s}", conjugated(gen_toric(LatticeSpec(6, 6)), s)
+        yield f"haar ising 5x5 s{s}", conjugated(gen_random(LatticeSpec(5, 5), s, "diagonal-field"), s)
+    for s in range(10):
+        yield f"rotated 24x24 s{s}", gen_rotated_classical(LatticeSpec(24, 24), s)[0]
+
+
+def _omega(verdict):
+    return verdict.omega.zero, verdict.omega.log2_magnitude
+
+
+def dump(out: str, older: str | None = None) -> None:
+    from commham import Certificate, exhaustive_search, greedy_search, prepare, verify
+
+    ref = {}
+    if older:
+        with open(older, "rb") as f:
+            ref = pickle.load(f)
+    res = {}
+    t0 = time.perf_counter()
+    for name, m in models():
+        try:
+            prep = prepare(m)
+        except ValueError as exc:
+            res[name] = ("error", type(exc).__name__)
+            continue
+        layers = {
+            layer.color: {
+                v: (d.split, d.owner, None if d.basis is None else d.basis.copy())
+                for v, d in layer.decomps.items()
+            }
+            for layer in (prep.black, prep.white)
+        }
+        rng = np.random.default_rng(0)
+        certs = [Certificate({v: 0 for v in prep.f_black}, {v: 0 for v in prep.f_white})]
+        for _ in range(3):
+            certs.append(Certificate(
+                {v: int(rng.integers(2)) for v in sorted(prep.f_black)},
+                {v: int(rng.integers(2)) for v in sorted(prep.f_white)},
+            ))
+        omegas = [_omega(verify(prep, c)) for c in certs]
+        search = None
+        if len(prep.f_black) + len(prep.f_white) <= 16:
+            search = exhaustive_search(prep)
+        elif m.n_qubits <= 36:
+            search = greedy_search(prep, restarts=2)
+        found = None
+        if search is not None and search.found:
+            found = ((search.certificate.alpha, search.certificate.beta), _omega(search.verdict))
+        older_found = None
+        r = ref.get(name)
+        if r is not None and r[0] == "ok" and r[3] is not None:
+            older_found = _omega(verify(prep, Certificate(*r[3][0])))
+        res[name] = ("ok", layers, omegas, found, older_found)
+    print(f"dumped {len(res)} models in {time.perf_counter() - t0:.1f} s")
+    with open(out, "wb") as f:
+        pickle.dump(res, f)
+
+
+def diff(old_path: str, new_path: str) -> None:
+    with open(old_path, "rb") as f:
+        old = pickle.load(f)
+    with open(new_path, "rb") as f:
+        new = pickle.load(f)
+    both = nonzero = 0
+    max_basis = max_log2 = 0.0
+    problems, ties = [], []
+
+    def compare_log2(name, a, b, what):
+        nonlocal nonzero, max_log2
+        if a[0] != b[0]:
+            problems.append(f"{name}: {what} zero outcome differs")
+        elif not a[0]:
+            nonzero += 1
+            max_log2 = max(max_log2, abs(a[1] - b[1]))
+
+    for name, ra in old.items():
+        rb = new[name]
+        if ra[0] != "ok" or rb[0] != "ok":
+            print(f"{name}: old {'ok' if ra[0] == 'ok' else ra[1]}, "
+                  f"new {'ok' if rb[0] == 'ok' else rb[1]}")
+            continue
+        both += 1
+        (la, oa, fa), (lb, ob, fb, older_found) = ra[1:4], rb[1:5]
+        for color, decomps in la.items():
+            for v, (split, owner, basis) in decomps.items():
+                split_b, owner_b, basis_b = lb[color][v]
+                if (split, owner) != (split_b, owner_b):
+                    problems.append(f"{name} {color} {v}: split or owner differs")
+                elif basis is not None:
+                    max_basis = max(max_basis, float(np.max(np.abs(basis - basis_b))))
+        for a, b in zip(oa, ob):
+            compare_log2(name, a, b, "certificate")
+        if (fa is None) != (fb is None):
+            problems.append(f"{name}: search found a certificate on one tree only")
+        elif fa is not None:
+            compare_log2(name, fa[1], older_found, "old search certificate")
+            compare_log2(name, fa[1], fb[1], "search optimum")
+            if fa[0] != fb[0]:
+                ties.append(name)
+    print(f"models prepared by both: {both} of {len(old)}")
+    print(f"split sets, owners, zero outcomes: "
+          f"{'identical' if not problems else f'{len(problems)} differences'}")
+    for p in problems:
+        print("  ", p)
+    print(f"non-zero log2 Omega values compared: {nonzero}")
+    print(f"max |slice basis difference| {max_basis:.3g}, "
+          f"max |log2 Omega difference| {max_log2:.3g}")
+    if ties:
+        print(f"searches returning a different certificate of equal value: {', '.join(ties)}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 3 or sys.argv[1] not in ("dump", "diff"):
+        sys.exit(__doc__)
+    if sys.argv[1] == "dump":
+        dump(*sys.argv[2:4])
+    else:
+        diff(sys.argv[2], sys.argv[3])
