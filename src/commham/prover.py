@@ -14,15 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .linalg import CapExceeded, frob, sandwich_site
+from .linalg import CapExceeded
 from .model import CommutingModel
 from .verifier import (
     Certificate,
     OmegaResult,
     PreparedModel,
     Verdict,
+    ZERO_FLOOR,
     _as_prepared,
     compute_omega,
+    log2_exceeds,
     verify,
 )
 
@@ -36,37 +38,21 @@ class SearchResult:
     evaluated: int = 0
 
 
-def _sandwich_zero_tables(prep: PreparedModel, color: str):
-    """For each plaquette of one color: its split corners and, per local
-    slice assignment, whether the sandwiched projector vanishes."""
-    layer = prep.black if color == lattice.BLACK else prep.white
-    tables = []
-    for p in lattice.plaquettes(prep.model.spec):
-        if lattice.plaquette_color(p) != color:
-            continue
-        op = prep.projector_op(p)
-        split = [v for v in op.labels if layer.decomps[v].split]
-        dead = set()
-        for bits in range(1 << len(split)):
-            cur = op
-            for i, v in enumerate(split):
-                label = (bits >> (len(split) - 1 - i)) & 1
-                cur = sandwich_site(cur, v, layer.decomps[v].slice_projector(label))
-            if frob(cur.mat) <= 1e-12:
-                dead.add(bits)
-        tables.append((p, split, dead))
-    return tables
-
-
-def _surviving_assignments(f_sorted: list, tables) -> list[dict]:
+def _surviving_assignments(prep: PreparedModel, color: str) -> list[dict]:
     """Lexicographic scan of one layer's assignments, dropping any whose
-    local bits annihilate some plaquette."""
+    local bits annihilate some plaquette of that color."""
+    f_sorted = sorted(prep.f_black if color == lattice.BLACK else prep.f_white)
     pos = {v: i for i, v in enumerate(f_sorted)}
     n = len(f_sorted)
     compiled = []
-    for p, split, dead in tables:
+    for p in lattice.plaquettes(prep.model.spec):
+        if lattice.plaquette_color(p) != color:
+            continue
+        table = prep.table(p)
+        # big-endian local patterns whose sliced projector vanishes
+        dead = {i for i, norm in enumerate(table.norms.ravel()) if norm <= ZERO_FLOOR}
         if dead:
-            compiled.append(([pos[v] for v in split], dead))
+            compiled.append(([pos[v] for v in table.own_split], dead))
     out = []
     for a in range(1 << n):
         ok = True
@@ -96,12 +82,8 @@ def exhaustive_search(
         raise CapExceeded(
             f"certificate space 2**{bits} exceeds the cap 2**{cap}; raise `cap` to force the scan"
         )
-    alphas = _surviving_assignments(
-        sorted(prep.f_black), _sandwich_zero_tables(prep, lattice.BLACK)
-    )
-    betas = _surviving_assignments(
-        sorted(prep.f_white), _sandwich_zero_tables(prep, lattice.WHITE)
-    )
+    alphas = _surviving_assignments(prep, lattice.BLACK)
+    betas = _surviving_assignments(prep, lattice.WHITE)
     best: tuple[float, Certificate, OmegaResult] | None = None
     evaluated = 0
     for alpha in alphas:
@@ -111,7 +93,7 @@ def exhaustive_search(
             evaluated += 1
             if res.zero:
                 continue
-            if best is None or res.log2_magnitude > best[0]:
+            if best is None or log2_exceeds(res.log2_magnitude, best[0]):
                 best = (res.log2_magnitude, cert, res)
     if best is None:
         return SearchResult(False, evaluated=evaluated)
@@ -121,9 +103,71 @@ def exhaustive_search(
 
 
 def _score(res: OmegaResult) -> tuple[float, int]:
-    nonzero = sum(1 for f in res.factors if f.value is None or f.value > 1e-12)
+    nonzero = sum(1 for f in res.factors if f.value is None or f.value > ZERO_FLOOR)
     log2 = -math.inf if res.zero else res.log2_magnitude
     return (log2, nonzero)
+
+
+def _improves(cand: tuple[float, int], score: tuple[float, int]) -> bool:
+    """A larger log2 beyond the tie tolerance, or a log2 tie with more
+    non-vanishing factors."""
+    if log2_exceeds(cand[0], score[0]):
+        return True
+    return not log2_exceeds(score[0], cand[0]) and cand[1] > score[1]
+
+
+# the score of a certificate that annihilates some plaquette, which is what
+# compute_omega's first stage returns for it
+_ANNIHILATED = (-math.inf, 0)
+
+
+def _slots(prep: PreparedModel) -> list[tuple[str, object]]:
+    """Greedy's label slots: black split vertices, then white, each sorted."""
+    return [("a", v) for v in sorted(prep.f_black)] + [("b", v) for v in sorted(prep.f_white)]
+
+
+def _certificate(slots, bits: np.ndarray) -> Certificate:
+    alpha = {v: int(bits[i]) for i, (layer, v) in enumerate(slots) if layer == "a"}
+    beta = {v: int(bits[i]) for i, (layer, v) in enumerate(slots) if layer == "b"}
+    return Certificate(alpha, beta)
+
+
+def _flip_index(prep: PreparedModel, slots):
+    """Per plaquette, its table and the slots of its own-split corners; per
+    slot, the (at most two) plaquettes whose local pattern it changes."""
+    slot_of = {s: i for i, s in enumerate(slots)}
+    local = {}
+    touches: list[list] = [[] for _ in slots]
+    for p in lattice.plaquettes(prep.model.spec):
+        table = prep.table(p)
+        layer = "a" if table.color == lattice.BLACK else "b"
+        idx = [slot_of[(layer, v)] for v in table.own_split]
+        local[p] = (table, idx)
+        for i in idx:
+            touches[i].append(p)
+    return local, touches
+
+
+def _annihilated(entry, bits: np.ndarray) -> bool:
+    table, idx = entry
+    return table.norms[tuple(int(bits[i]) for i in idx)] <= ZERO_FLOOR
+
+
+def _dead_after_flip(local, touches, dead: set, bits: np.ndarray, i: int) -> set:
+    """The annihilated plaquettes once bits[i] has been flipped, given the
+    set before the flip; only the plaquettes slot i touches can change."""
+    out = dead.difference(touches[i])
+    out.update(p for p in touches[i] if _annihilated(local[p], bits))
+    return out
+
+
+def _evaluate(prep: PreparedModel, slots, bits: np.ndarray, dead: set):
+    """Score and result of the labelling; no compute_omega call when some
+    plaquette is annihilated."""
+    if dead:
+        return _ANNIHILATED, None
+    res = compute_omega(prep, _certificate(slots, bits))
+    return _score(res), res
 
 
 def greedy_search(
@@ -135,21 +179,23 @@ def greedy_search(
     """Single-label hill climbing on the factorized objective.
 
     The objective is log2 of the certificate value with zeros at -inf,
-    tie-broken by the number of non-vanishing factors.  Restart 0 starts
-    from the all-zeros labelling, later restarts from seeded random labels;
-    the result is deterministic given the seed and is re-verified before
-    being returned.
+    tie-broken by the number of non-vanishing factors; a candidate must beat
+    the current score, so the first certificate found wins a tie.  Restart 0
+    starts from the all-zeros labelling, later restarts from seeded random
+    labels; the result is deterministic given the seed and is re-verified
+    before being returned.
+
+    A flip changes the local slice pattern of at most the two same-color
+    plaquettes whose own-split corners hold the flipped vertex, so each
+    restart keeps the set of annihilated plaquettes and updates it from
+    their tables; compute_omega runs only for candidates that annihilate
+    none.
     """
     prep = _as_prepared(m)
-    fb, fw = sorted(prep.f_black), sorted(prep.f_white)
-    slots = [("a", v) for v in fb] + [("b", v) for v in fw]
+    slots = _slots(prep)
+    local, touches = _flip_index(prep, slots)
     rng = np.random.default_rng(seed)
     evaluated = 0
-
-    def build(bits: np.ndarray) -> Certificate:
-        alpha = {v: int(bits[i]) for i, (layer, v) in enumerate(slots) if layer == "a"}
-        beta = {v: int(bits[i]) for i, (layer, v) in enumerate(slots) if layer == "b"}
-        return Certificate(alpha, beta)
 
     for restart in range(max(1, restarts)):
         bits = (
@@ -157,23 +203,24 @@ def greedy_search(
             if restart == 0
             else rng.integers(0, 2, len(slots))
         )
-        res = compute_omega(prep, build(bits))
+        dead = {p for p, entry in local.items() if _annihilated(entry, bits)}
+        score, res = _evaluate(prep, slots, bits, dead)
         evaluated += 1
-        score = _score(res)
         improved = True
         while improved and slots:
             improved = False
             for i in rng.permutation(len(slots)):
                 bits[i] ^= 1
-                cand = compute_omega(prep, build(bits))
+                cand_dead = _dead_after_flip(local, touches, dead, bits, i)
+                cand_score, cand = _evaluate(prep, slots, bits, cand_dead)
                 evaluated += 1
-                if _score(cand) > score:
-                    score, res = _score(cand), cand
+                if _improves(cand_score, score):
+                    score, res, dead = cand_score, cand, cand_dead
                     improved = True
                 else:
                     bits[i] ^= 1
-        if not res.zero:
-            cert = build(bits)
+        if res is not None and not res.zero:
+            cert = _certificate(slots, bits)
             verdict = verify(prep, cert, threshold)
             if verdict.accept:
                 return SearchResult(True, cert, res, verdict, evaluated)

@@ -39,11 +39,20 @@ from .linalg import (
 from .model import CommutingModel, ground_projectors
 
 ZERO_FLOOR = 1e-12
+# log2 values closer than this are equal: certificates of equal value differ
+# only by rounding, and search results must not depend on it
+LOG2_TIE_TOL = 1e-9
 PRUNE_RTOL = 1e-9
 
 VERTEX_OVERLAP = "vertex-overlap"
 COMPONENT = "component"
 FREE_QUBIT = "free-qubit"
+
+
+def log2_exceeds(a: float, b: float) -> bool:
+    """Whether log2 value `a` is larger than `b` beyond the tie tolerance;
+    -inf stands for zero and ties with itself."""
+    return a > b + LOG2_TIE_TOL
 
 
 class CertificateDomainError(ValueError):
@@ -64,23 +73,103 @@ class Certificate:
     beta: dict[Vertex, int]
 
 
+@dataclass(eq=False)
+class PlaquetteTable:
+    """One plaquette's slicing data.
+
+    `norms[b]` is the Frobenius norm of the projector P sandwiched by the
+    slices b at its own-split corners, for every local pattern b at once.
+    In the slice frame U, the Kronecker product over the corners of the
+    own-layer slice basis at own-split corners and the identity elsewhere,
+    slicing keeps the block of U^dag P U whose rows and columns lie in
+    pattern b, and U is unitary.  Sliced ops and effective states are
+    memoized per local pattern in `sliced` and `effective`.
+    """
+
+    color: str
+    corners: tuple[Vertex, ...]
+    own_split: tuple[Vertex, ...]
+    other_only: tuple[Vertex, ...]
+    own: LayerDecomposition
+    projector: np.ndarray
+    norms: np.ndarray
+    sliced: dict = field(default_factory=dict)
+    effective: dict = field(default_factory=dict)
+
+    def own_bits(self, cert: Certificate) -> tuple[int, ...]:
+        labels = cert.alpha if self.color == BLACK else cert.beta
+        return tuple(labels[v] for v in self.own_split)
+
+    def sliced_op(self, bits: tuple[int, ...]) -> LabeledOp:
+        """The projector sandwiched by the slices `bits` at its own-split
+        corners."""
+        op = self.sliced.get(bits)
+        if op is None:
+            picks = dict(zip(self.own_split, bits))
+            pi = _corner_kron([
+                self.own.decomps[v].slice_projector(picks[v]) if v in picks else _ID2
+                for v in self.corners
+            ])
+            op = self.sliced[bits] = LabeledOp(pi @ self.projector @ pi, self.corners)
+        return op
+
+
+_ID2 = np.eye(2)
+
+
+def _corner_kron(mats: list[np.ndarray]) -> np.ndarray:
+    """Kronecker product of one 2x2 matrix per corner, corner 0 most
+    significant, as one einsum: corner i owns row axis i and column axis
+    n + i."""
+    n = len(mats)
+    args = []
+    for i, m in enumerate(mats):
+        args += [m, [i, n + i]]
+    return np.einsum(*args, list(range(2 * n))).reshape(2**n, 2**n)
+
+
+def _plaquette_table(prep: PreparedModel, p: Plaquette) -> PlaquetteTable:
+    color = lattice.plaquette_color(p)
+    own, other = (prep.black, prep.white) if color == BLACK else (prep.white, prep.black)
+    cs = tuple(lattice.corners(prep.model.spec, p))
+    own_split = tuple(v for v in cs if own.decomps[v].split)
+    other_only = tuple(v for v in cs if other.decomps[v].split and v not in own_split)
+    frame = _corner_kron([own.decomps[v].basis if v in own_split else _ID2 for v in cs])
+    rotated = frame.conj().T @ prep.projectors[p] @ frame
+    # the local pattern (own-split bits, big-endian) of each frame state
+    n = len(cs)
+    state = np.arange(2**n)
+    pattern = np.zeros(2**n, dtype=int)
+    for i, v in enumerate(cs):
+        if v in own_split:
+            pattern = (pattern << 1) | ((state >> (n - 1 - i)) & 1)
+    # squared norm of each row's same-pattern block, summed per pattern
+    rows = (np.abs(rotated) ** 2 * (pattern[:, None] == pattern[None, :])).sum(axis=1)
+    weight = np.bincount(pattern, weights=rows, minlength=2 ** len(own_split))
+    norms = np.sqrt(weight).reshape((2,) * len(own_split))
+    return PlaquetteTable(color, cs, own_split, other_only, own, prep.projectors[p], norms)
+
+
 @dataclass
 class PreparedModel:
     """Model with its ground projectors and layer decompositions attached.
 
     Slicing and tracing of a plaquette depend only on the few certificate
-    labels at its corners, so their results are memoized per plaquette and
-    local label assignment; certificate scans and label flips then reuse
-    almost everything.  Cache entries are idempotent, so concurrent
-    verification of distinct certificates against one prepared model is
-    safe.
+    labels at its corners.  Each plaquette gets a `PlaquetteTable` on first
+    use (never in `prepare`): the norm of every local slice pattern, and
+    memoized sliced ops and effective states per local pattern, so
+    certificate scans and label flips reuse almost everything.  Tables and
+    their entries are deterministic functions of the model, so a concurrent
+    duplicate write stores an equal value and concurrent verification of
+    distinct certificates against one prepared model is safe.
     """
 
     model: CommutingModel
     projectors: dict[Plaquette, np.ndarray]
     black: LayerDecomposition
     white: LayerDecomposition
-    _cache: dict = field(default_factory=dict, repr=False)
+    _tables: dict[Plaquette, PlaquetteTable] = field(default_factory=dict, repr=False)
+    _overlaps: dict[Vertex, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def f_black(self) -> frozenset[Vertex]:
@@ -92,6 +181,12 @@ class PreparedModel:
 
     def projector_op(self, p: Plaquette) -> LabeledOp:
         return LabeledOp(self.projectors[p], tuple(lattice.corners(self.model.spec, p)))
+
+    def table(self, p: Plaquette) -> PlaquetteTable:
+        t = self._tables.get(p)
+        if t is None:
+            t = self._tables[p] = _plaquette_table(self, p)
+        return t
 
 
 def prepare(model: CommutingModel, gap_tol: float = 1e-9) -> PreparedModel:
@@ -109,7 +204,7 @@ def _check_domain(prep: PreparedModel, cert: Certificate) -> None:
         ("alpha", cert.alpha, prep.f_black),
         ("beta", cert.beta, prep.f_white),
     ):
-        if set(labels) != set(want):
+        if labels.keys() != want:
             extra = sorted(set(labels) - set(want))
             missing = sorted(set(want) - set(labels))
             raise CertificateDomainError(
@@ -122,50 +217,17 @@ def _check_domain(prep: PreparedModel, cert: Certificate) -> None:
                 raise CertificateDomainError(f"{name}[{v}] = {b!r}, must be 0 or 1")
 
 
-def _plaq_info(prep: PreparedModel, p: Plaquette):
-    """(color, own-layer split corners, other-layer-only split corners),
-    both corner-ordered."""
-    info = prep._cache.setdefault("info", {})
-    if p not in info:
-        color = lattice.plaquette_color(p)
-        cs = lattice.corners(prep.model.spec, p)
-        own = prep.f_black if color == BLACK else prep.f_white
-        other = prep.f_white if color == BLACK else prep.f_black
-        own_split = tuple(v for v in cs if v in own)
-        other_only = tuple(v for v in cs if v in other and v not in own)
-        info[p] = (color, own_split, other_only)
-    return info[p]
-
-
-def _sliced_op(prep: PreparedModel, p: Plaquette, bits: tuple[int, ...]) -> LabeledOp:
-    cache = prep._cache.setdefault("sliced", {})
-    key = (p, bits)
-    if key not in cache:
-        color, own_split, _ = _plaq_info(prep, p)
-        layer = prep.black if color == BLACK else prep.white
-        op = prep.projector_op(p)
-        for v, b in zip(own_split, bits):
-            op = sandwich_site(op, v, layer.decomps[v].slice_projector(b))
-        cache[key] = op
-    return cache[key]
-
-
-def _own_bits(prep: PreparedModel, p: Plaquette, cert: Certificate) -> tuple[int, ...]:
-    color, own_split, _ = _plaq_info(prep, p)
-    labels = cert.alpha if color == BLACK else cert.beta
-    return tuple(labels[v] for v in own_split)
-
-
 def apply_certificate(
     prep: PreparedModel, cert: Certificate
 ) -> dict[Plaquette, LabeledOp]:
     """Sandwich each plaquette projector at its own-layer split corners by
     the chosen rank-1 slice projectors."""
     _check_domain(prep, cert)
-    return {
-        p: _sliced_op(prep, p, _own_bits(prep, p, cert))
-        for p in lattice.plaquettes(prep.model.spec)
-    }
+    out = {}
+    for p in lattice.plaquettes(prep.model.spec):
+        table = prep.table(p)
+        out[p] = table.sliced_op(table.own_bits(cert))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,24 +269,23 @@ def _prune_trivial_sites(op: LabeledOp) -> LabeledOp:
 
 
 def _effective_state(
-    prep: PreparedModel,
-    p: Plaquette,
-    sliced_op: LabeledOp,
-    own_bits: tuple[int, ...],
-    other_bits: tuple[int, ...],
+    prep: PreparedModel, p: Plaquette, sliced_op: LabeledOp, cert: Certificate
 ) -> EffectiveState:
-    cache = prep._cache.setdefault("effective", {})
-    key = (p, own_bits, other_bits)
-    if key in cache:
-        return cache[key]
-    color, own_split, other_only = _plaq_info(prep, p)
-    other = prep.white if color == BLACK else prep.black
-    traced = set(prep.f_black) | set(prep.f_white)
+    table = prep.table(p)
+    other_labels = cert.beta if table.color == BLACK else cert.alpha
+    key = (table.own_bits(cert), tuple(other_labels[v] for v in table.other_only))
+    st = table.effective.get(key)
+    if st is not None:
+        return st
+    other = prep.white if table.color == BLACK else prep.black
 
     op = sliced_op
-    for v, b in zip(other_only, other_bits):
+    for v, b in zip(table.other_only, key[1]):
         op = sandwich_site(op, v, other.decomps[v].slice_projector(b))
-    op = partial_trace(op, [v for v in op.labels if v not in traced])
+    # split vertices of either layer are traced out
+    op = partial_trace(
+        op, [v for v in op.labels if v not in prep.f_black and v not in prep.f_white]
+    )
     op = _prune_trivial_sites(op)
 
     norm = frob(op.mat)
@@ -235,22 +296,21 @@ def _effective_state(
                 f"effective state at {p} lost positivity (min eig {w[0]:.2e}); "
                 "input terms likely do not commute"
             )
-    st = EffectiveState(p, color, tuple(op.labels), op.mat)
-    cache[key] = st
+    st = EffectiveState(p, table.color, tuple(op.labels), op.mat)
+    table.effective[key] = st
     return st
 
 
 def _overlap_table(prep: PreparedModel, v: Vertex) -> np.ndarray:
-    cache = prep._cache.setdefault("overlap", {})
-    if v not in cache:
+    if v not in prep._overlaps:
         table = np.empty((2, 2))
         for a in (0, 1):
             for b in (0, 1):
                 pa = prep.black.decomps[v].slice_projector(a)
                 pb = prep.white.decomps[v].slice_projector(b)
                 table[a, b] = float(np.trace(pa @ pb).real)
-        cache[v] = table
-    return cache[v]
+        prep._overlaps[v] = table
+    return prep._overlaps[v]
 
 
 def effective_states(
@@ -269,15 +329,7 @@ def effective_states(
         overlaps.append((v, float(_overlap_table(prep, v)[cert.alpha[v], cert.beta[v]])))
     blacks, whites = [], []
     for p, op in sliced.items():
-        color, own_split, other_only = _plaq_info(prep, p)
-        other_labels = cert.beta if color == BLACK else cert.alpha
-        st = _effective_state(
-            prep,
-            p,
-            op,
-            _own_bits(prep, p, cert),
-            tuple(other_labels[v] for v in other_only),
-        )
+        st = _effective_state(prep, p, op, cert)
         (blacks if st.color == BLACK else whites).append(st)
     return blacks, whites, overlaps
 
@@ -459,19 +511,19 @@ def compute_omega(m: CommutingModel | PreparedModel, cert: Certificate) -> Omega
     """Value of the certificate: per-vertex slice overlaps times chain
     contractions times 2 per untouched qubit, accumulated in log2."""
     prep = _as_prepared(m)
-    sliced = apply_certificate(prep, cert)
+    _check_domain(prep, cert)
 
-    norms = prep._cache.setdefault("norms", {})
+    # an annihilated plaquette zeroes Omega; its table says so before any
+    # sliced op is built
     factors: list[OmegaFactor] = []
-    for p in sorted(sliced):
-        key = (p, _own_bits(prep, p, cert))
-        if key not in norms:
-            norms[key] = frob(sliced[p].mat)
-        if norms[key] <= ZERO_FLOOR:
+    for p in sorted(lattice.plaquettes(prep.model.spec)):
+        table = prep.table(p)
+        if table.norms[table.own_bits(cert)] <= ZERO_FLOOR:
             factors.append(_factor(COMPONENT, (p,), 0.0))
     if factors:
         return OmegaResult(True, -math.inf, factors)
 
+    sliced = apply_certificate(prep, cert)
     blacks, whites, overlaps = effective_states(prep, sliced, cert)
     zero = False
     for v, val in overlaps:

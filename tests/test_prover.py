@@ -1,13 +1,18 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from commham import lattice
+from commham import lattice, prover
 from commham.lattice import LatticeSpec
 from commham.linalg import CapExceeded
-from commham.model import CommutingModel, gen_ising, gen_signed_toric, gen_toric
+from commham.model import CommutingModel, gen_ising, gen_random, gen_signed_toric, gen_toric
 from commham.oracle import dense_omega, total_overlap
 from commham.prover import exhaustive_search, greedy_search
-from commham.verifier import prepare, verify
+from commham.verifier import certificates_lex, compute_omega, prepare, verify
 
 
 def frustrated_signed_toric():
@@ -17,6 +22,19 @@ def frustrated_signed_toric():
     blacks[(2, 0)] = -1
     whites = {p: 1 for p in plist if not lattice.is_black(p)}
     return gen_signed_toric(spec, black_signs=blacks, white_signs=whites)
+
+
+def frustrated_torus_8x8(seed):
+    """8x8 stabilizer torus with the sign of one seeded black term flipped."""
+    spec = LatticeSpec(8, 8, "periodic")
+    plist = lattice.plaquettes(spec)
+    blacks = [p for p in plist if lattice.is_black(p)]
+    bad = blacks[int(np.random.default_rng(seed).integers(len(blacks)))]
+    return gen_signed_toric(
+        spec,
+        black_signs={p: (-1 if p == bad else 1) for p in blacks},
+        white_signs={p: 1 for p in plist if not lattice.is_black(p)},
+    )
 
 
 def test_exhaustive_toric_accepts():
@@ -118,3 +136,69 @@ def test_search_agrees_with_oracle(seed):
     prep = prepare(m)
     found = exhaustive_search(prep).found
     assert found == (total_overlap(m) > 0.5)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exhaustive_tie_returns_lexicographically_first(seed, haar_conjugated):
+    # every honest certificate of a conjugated toric code has value 1, up to
+    # rounding; the documented winner is the first one in scan order
+    prep = prepare(haar_conjugated(gen_toric(LatticeSpec(4, 4)), seed))
+    scan = []
+    for cert in certificates_lex(prep.f_black, prep.f_white):
+        res = compute_omega(prep, cert)
+        scan.append((cert, -math.inf if res.zero else res.log2_magnitude))
+    best = max(v for _, v in scan)
+    assert math.isfinite(best)
+    first = next(c for c, v in scan if abs(v - best) <= 1e-9)
+    r = exhaustive_search(prep)
+    assert r.found
+    assert r.certificate == first
+
+
+def test_greedy_evaluation_counts():
+    # flips that annihilate a plaquette skip compute_omega but still count
+    r = greedy_search(gen_toric(LatticeSpec(12, 12)), seed=1, restarts=1)
+    assert r.found and r.evaluated == 201
+    for seed in (1, 2, 3):
+        r = greedy_search(frustrated_torus_8x8(seed), seed=seed, restarts=4)
+        assert not r.found and r.evaluated == 516
+
+
+@functools.lru_cache(maxsize=None)
+def _prepared_random(method, seed):
+    if method == "toric":
+        return prepare(gen_toric(LatticeSpec(4, 4)))
+    spec = LatticeSpec(4, 4, "periodic") if method == "signed-toric" else LatticeSpec(4, 4)
+    return prepare(gen_random(spec, seed, method))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["toric", "rotated-classical", "diagonal-field", "signed-toric"]),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=25),
+)
+def test_greedy_annihilated_set_tracks_flips(method, seed, start, flips):
+    # greedy's per-flip update of the annihilated set against a full
+    # recount, and its score against compute_omega's; starts are all-zeros
+    # (greedy's first restart) or random labels
+    prep = _prepared_random(method, seed)
+    slots = prover._slots(prep)
+    assume(slots)
+    local, touches = prover._flip_index(prep, slots)
+    if start is None:
+        bits = np.zeros(len(slots), dtype=int)
+    else:
+        bits = np.random.default_rng(start).integers(0, 2, len(slots))
+    dead = {p for p, entry in local.items() if prover._annihilated(entry, bits)}
+    for f in flips:
+        i = f % len(slots)
+        bits[i] ^= 1
+        dead = prover._dead_after_flip(local, touches, dead, bits, i)
+        assert dead == {p for p, entry in local.items() if prover._annihilated(entry, bits)}
+        res = compute_omega(prep, prover._certificate(slots, bits))
+        score, _ = prover._evaluate(prep, slots, bits, dead)
+        assert score == prover._score(res)
+        if dead:
+            assert sorted((p,) for p in dead) == [f.key for f in res.factors]

@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from commham import lattice
 from commham.lattice import BLACK, WHITE, LatticeSpec
-from commham.linalg import LabeledOp, PAULI_Z, frob, trace_product_embedded
+from commham.linalg import LabeledOp, PAULI_Z, frob, sandwich_site, trace_product_embedded
 from commham.model import CommutingModel, gen_ising, gen_random, gen_toric
 from commham.oracle import dense_omega
 from commham.verifier import (
     COMPONENT,
     FREE_QUBIT,
     VERTEX_OVERLAP,
+    ZERO_FLOOR,
     Certificate,
     CertificateDomainError,
     Component,
@@ -397,3 +400,40 @@ def test_verify_rejects_zero():
     alpha[fb[1]] = 1
     v = verify(prep, Certificate(alpha, {w: 0 for w in prep.f_white}))
     assert not v.accept and v.omega.zero
+
+
+# ------------------------------------------------------- plaquette tables
+
+
+@pytest.mark.parametrize(
+    "family", ["rotated-classical", "diagonal-field", "signed-toric", "haar-toric"]
+)
+def test_plaquette_table_matches_sandwich_reference(family, haar_conjugated):
+    # every local slice pattern of every plaquette: the table's norm and
+    # derived sliced op against sandwich_site applied corner by corner
+    if family == "haar-toric":
+        model = haar_conjugated(gen_toric(LatticeSpec(4, 4)), 2)
+    elif family == "signed-toric":
+        model = gen_random(LatticeSpec(4, 4, "periodic"), 2, family)
+    else:
+        model = gen_random(LatticeSpec(5, 5), 2, family)
+    prep = prepare(model)
+    layers = {BLACK: prep.black, WHITE: prep.white}
+    zeros = patterns = 0
+    for p in lattice.plaquettes(prep.model.spec):
+        table = prep.table(p)
+        layer = layers[table.color]
+        corners = tuple(lattice.corners(prep.model.spec, p))
+        assert table.own_split == tuple(v for v in corners if v in layer.split_vertices)
+        for bits in itertools.product((0, 1), repeat=len(table.own_split)):
+            ref = prep.projector_op(p)
+            for v, b in zip(table.own_split, bits):
+                ref = sandwich_site(ref, v, layer.decomps[v].slice_projector(b))
+            op = table.sliced_op(bits)
+            assert op.labels == ref.labels
+            assert frob(op.mat - ref.mat) <= 1e-12
+            assert abs(table.norms[bits] - frob(ref.mat)) <= 1e-12
+            assert (table.norms[bits] <= ZERO_FLOOR) == (frob(ref.mat) <= ZERO_FLOOR)
+            zeros += bool(table.norms[bits] <= ZERO_FLOOR)
+            patterns += 1
+    assert 0 < zeros < patterns

@@ -7,12 +7,16 @@ Run the dump once per tree, then diff the two dumps:
     python tools/compare_decomposition.py diff old.pkl new.pkl
 
 The dump prepares a fixed model set (toric, rotated-classical,
-diagonal-field, signed-toric, Haar-conjugated toric and Ising models, and
-rotated-classical 24x24 seeds 0-9) and records, per model, the split flag,
-owner and slice basis of every vertex in both layers, log2 Omega of the
-all-zeros certificate and of three seeded random ones, and the result of an
-exhaustive search (at most 16 label bits) or a two-restart greedy search
-(at most 36 qubits).  Given an older dump, it also evaluates that dump's
+diagonal-field, signed-toric, Haar-conjugated toric and Ising models,
+rotated-classical 24x24 seeds 0-9, and the greedy benchmark models: toric
+12x12 open and the signed 8x8 torus with one flipped black sign) and
+records, per model, the split flag, owner and slice basis of every vertex
+in both layers, log2 Omega of the all-zeros certificate and of three seeded
+random ones, and the result of a search: an exhaustive search (at most 16
+label bits), a two-restart greedy search (at most 36 qubits), or the
+greedy run the model names.  A search result is its kind, its `evaluated`
+count and its certificate, so equal counts and certificates show equal
+search trajectories.  Given an older dump, it also evaluates that dump's
 search certificates, so equal certificates are compared on both trees even
 when the searches pick different ones among equal-valued ties.  Dumps are
 pickles that only this script writes and reads.
@@ -46,6 +50,29 @@ def conjugated(m, seed: int):
     return CommutingModel(m.spec, terms)
 
 
+def frustrated_torus(seed: int):
+    """8x8 stabilizer torus with the sign of one seeded black term flipped,
+    as in the benchmark's greedy-search workload."""
+    from commham import LatticeSpec, gen_signed_toric, is_black, plaquettes
+
+    spec = LatticeSpec(8, 8, "periodic")
+    blacks = [p for p in plaquettes(spec) if is_black(p)]
+    bad = blacks[int(np.random.default_rng(seed).integers(len(blacks)))]
+    return gen_signed_toric(
+        spec,
+        black_signs={p: (-1 if p == bad else 1) for p in blacks},
+        white_signs={p: 1 for p in plaquettes(spec) if not is_black(p)},
+    )
+
+
+# models searched by the greedy run given here instead of the default rule:
+# the benchmark's greedy-search models, run as the benchmark runs them
+GREEDY_RUNS = {
+    **{f"toric 12x12 open greedy s{s}": {"seed": s, "restarts": 1} for s in (1, 2, 3)},
+    **{f"frustrated 8x8 torus greedy s{s}": {"seed": s, "restarts": 4} for s in (1, 2, 3)},
+}
+
+
 def models():
     from commham import LatticeSpec, gen_random, gen_rotated_classical, gen_toric
 
@@ -65,6 +92,9 @@ def models():
         yield f"haar ising 5x5 s{s}", conjugated(gen_random(LatticeSpec(5, 5), s, "diagonal-field"), s)
     for s in range(10):
         yield f"rotated 24x24 s{s}", gen_rotated_classical(LatticeSpec(24, 24), s)[0]
+    for s in (1, 2, 3):
+        yield f"toric 12x12 open greedy s{s}", gen_toric(LatticeSpec(12, 12))
+        yield f"frustrated 8x8 torus greedy s{s}", frustrated_torus(s)
 
 
 def _omega(verdict):
@@ -101,19 +131,24 @@ def dump(out: str, older: str | None = None) -> None:
                 {v: int(rng.integers(2)) for v in sorted(prep.f_white)},
             ))
         omegas = [_omega(verify(prep, c)) for c in certs]
-        search = None
-        if len(prep.f_black) + len(prep.f_white) <= 16:
-            search = exhaustive_search(prep)
+        search = kind = None
+        if name in GREEDY_RUNS:
+            kind, search = "greedy", greedy_search(prep, **GREEDY_RUNS[name])
+        elif len(prep.f_black) + len(prep.f_white) <= 16:
+            kind, search = "exhaustive", exhaustive_search(prep)
         elif m.n_qubits <= 36:
-            search = greedy_search(prep, restarts=2)
+            kind, search = "greedy", greedy_search(prep, restarts=2)
         found = None
         if search is not None and search.found:
             found = ((search.certificate.alpha, search.certificate.beta), _omega(search.verdict))
+        trajectory = None
+        if search is not None:
+            trajectory = (kind, search.evaluated, found[0] if found else None)
         older_found = None
         r = ref.get(name)
         if r is not None and r[0] == "ok" and r[3] is not None:
             older_found = _omega(verify(prep, Certificate(*r[3][0])))
-        res[name] = ("ok", layers, omegas, found, older_found)
+        res[name] = ("ok", layers, omegas, found, older_found, trajectory)
     print(f"dumped {len(res)} models in {time.perf_counter() - t0:.1f} s")
     with open(out, "wb") as f:
         pickle.dump(res, f)
@@ -126,7 +161,8 @@ def diff(old_path: str, new_path: str) -> None:
         new = pickle.load(f)
     both = nonzero = 0
     max_basis = max_log2 = 0.0
-    problems, ties = [], []
+    problems, ties, paths = [], [], []
+    searches = 0
 
     def compare_log2(name, a, b, what):
         nonlocal nonzero, max_log2
@@ -143,7 +179,7 @@ def diff(old_path: str, new_path: str) -> None:
                   f"new {'ok' if rb[0] == 'ok' else rb[1]}")
             continue
         both += 1
-        (la, oa, fa), (lb, ob, fb, older_found) = ra[1:4], rb[1:5]
+        (la, oa, fa, ta), (lb, ob, fb, older_found, tb) = ra[1:4] + ra[5:6], rb[1:6]
         for color, decomps in la.items():
             for v, (split, owner, basis) in decomps.items():
                 split_b, owner_b, basis_b = lb[color][v]
@@ -160,6 +196,11 @@ def diff(old_path: str, new_path: str) -> None:
             compare_log2(name, fa[1], fb[1], "search optimum")
             if fa[0] != fb[0]:
                 ties.append(name)
+        if ta is not None:
+            searches += 1
+            if ta != tb:
+                paths.append(f"{name} ({ta[0]}: evaluated {ta[1]} -> {tb[1]}"
+                             f"{', other certificate' if ta[2] != tb[2] else ''})")
     print(f"models prepared by both: {both} of {len(old)}")
     print(f"split sets, owners, zero outcomes: "
           f"{'identical' if not problems else f'{len(problems)} differences'}")
@@ -170,6 +211,10 @@ def diff(old_path: str, new_path: str) -> None:
           f"max |log2 Omega difference| {max_log2:.3g}")
     if ties:
         print(f"searches returning a different certificate of equal value: {', '.join(ties)}")
+    print(f"searches with the same evaluated count and certificate: "
+          f"{searches - len(paths)} of {searches}")
+    for p in paths:
+        print("  ", p)
 
 
 if __name__ == "__main__":
