@@ -31,6 +31,7 @@ from .linalg import (
     LabeledOp,
     algebra_classify,
     common_eigenbasis,
+    content_ids,
     operator_schmidt,
     state_projector,
 )
@@ -107,6 +108,7 @@ def decompose_layers(
     ops = {
         p: LabeledOp(m, tuple(lattice.corners(spec, p))) for p, m in projectors.items()
     }
+    ids = content_ids({p: op.mat for p, op in ops.items()})
     out = []
     cache: dict[tuple, tuple] = {}
     for color in (BLACK, WHITE):
@@ -117,9 +119,7 @@ def decompose_layers(
             ]
             # decompositions depend only on the matrices and where v sits in
             # their corner order; identical plaquette terms share the result
-            key = tuple(
-                (op.mat.tobytes(), op.labels.index(v)) for _, op in incident
-            )
+            key = tuple((ids[p], op.labels.index(v)) for p, op in incident)
             if key in cache:
                 split, owner_idx, basis = cache[key]
             else:

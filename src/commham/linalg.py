@@ -16,7 +16,7 @@ and in the operator-Schmidt expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -307,6 +307,14 @@ def commutator_norm(a: LabeledOp, b: LabeledOp) -> float:
     am = embed(a, labels).mat
     bm = embed(b, labels).mat
     return frob(am @ bm - bm @ am)
+
+
+def content_ids(mats: Mapping) -> dict:
+    """Number the distinct matrices in mats by contents, per key.  Caches
+    keyed on ids let equal plaquette terms share work while holding one
+    byte string per distinct matrix, not one per use."""
+    index: dict[bytes, int] = {}
+    return {k: index.setdefault(m.tobytes(), len(index)) for k, m in mats.items()}
 
 
 # ---------------------------------------------------------------------------

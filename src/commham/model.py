@@ -15,15 +15,12 @@ import numpy as np
 
 from . import lattice
 from .lattice import LatticeSpec, Plaquette, Vertex, is_black
-from .linalg import (
-    LabeledOp,
-    commutator_norm,
-    frob,
-    ground_space_projector,
-)
+from .linalg import content_ids, frob, ground_space_projector
 
 HERMITICITY_TOL = 1e-10
 COMMUTATION_TOL = 1e-9
+# pairs per batched factorization; bounds the kernel's working set
+_PAIR_CHUNK = 32
 
 
 class ModelError(ValueError):
@@ -64,9 +61,6 @@ class CommutingModel:
     def n_qubits(self) -> int:
         return self.spec.n_vertices
 
-    def term_op(self, p: Plaquette) -> LabeledOp:
-        return LabeledOp(self.terms[p], tuple(lattice.corners(self.spec, p)))
-
 
 @dataclass
 class CommutationReport:
@@ -93,32 +87,63 @@ def _intersecting_pairs(model: CommutingModel):
             yield p, q
 
 
+def _shared_factors(mats: np.ndarray, shared: tuple[int, ...]) -> np.ndarray:
+    """The alpha_i of each 16x16 plaquette matrix written as
+    sum_i a_i (x) alpha_i across (other corners | shared corners, in the
+    given order) with orthonormal a_i: the rows of the R factor of a QR."""
+    n, s = len(mats), len(shared)
+    own = [k for k in range(4) if k not in shared]
+    axes = [0] + [b + k for ks in (own, shared) for b in (1, 5) for k in ks]
+    m = mats.reshape((n,) + (2,) * 8).transpose(axes).reshape(n, 4 ** (4 - s), 4**s)
+    return np.linalg.qr(m, mode="r").reshape(n, -1, 2**s, 2**s)
+
+
+def _pair_norms(
+    model: CommutingModel, mats: Mapping[Plaquette, np.ndarray]
+) -> list[tuple[Plaquette, Plaquette, float]]:
+    """Frobenius norm of [mats[p], mats[q]] for every intersecting pair, in
+    `_intersecting_pairs` order.
+
+    With A = sum_i a_i (x) alpha_i and B = sum_j beta_j (x) b_j split at
+    the shared corners, a_i and b_j orthonormal, the norm is exactly
+    sqrt(sum_ij |alpha_i beta_j - beta_j alpha_i|^2), so no 64x64 or
+    128x128 embedding is formed.  Pairs are batched by alignment (which
+    corners of p meet which of q); equal matrices share one evaluation.
+    """
+    ids = content_ids(mats)
+    distinct = {i: mats[p] for p, i in ids.items()}
+    pairs = list(_intersecting_pairs(model))
+    groups: dict[tuple, dict[tuple[int, int], int]] = {}  # alignment -> ids -> slot
+    slots = []
+    for p, q in pairs:
+        cp, cq = lattice.corners(model.spec, p), lattice.corners(model.spec, q)
+        align = tuple((i, cq.index(v)) for i, v in enumerate(cp) if v in cq)
+        group = groups.setdefault(align, {})
+        slots.append(group.setdefault((ids[p], ids[q]), len(slots)))
+    norms = np.empty(len(pairs))
+    for align, group in groups.items():
+        on_p, on_q = zip(*align)
+        items = list(group.items())
+        for k in range(0, len(items), _PAIR_CHUNK):
+            chunk = items[k : k + _PAIR_CHUNK]
+            al = _shared_factors(np.stack([distinct[i] for (i, _), _ in chunk]), on_p)
+            be = _shared_factors(np.stack([distinct[j] for (_, j), _ in chunk]), on_q)
+            n, r, d, _ = al.shape
+            # blocks [i, :, j, :] of alpha_i beta_j and of beta_j alpha_i
+            ab = al.reshape(n, r * d, d) @ be.transpose(0, 2, 1, 3).reshape(n, d, -1)
+            ba = be.reshape(n, -1, d) @ al.transpose(0, 2, 1, 3).reshape(n, d, r * d)
+            diff = ab.reshape(n, r, d, -1, d) - ba.reshape(n, -1, d, r, d).transpose(0, 3, 2, 1, 4)
+            norms[[slot for _, slot in chunk]] = np.linalg.norm(diff.reshape(n, -1), axis=1)
+    return [(p, q, float(norms[s])) for (p, q), s in zip(pairs, slots)]
+
+
 def check_commuting(model: CommutingModel, tol: float = COMMUTATION_TOL) -> CommutationReport:
     """Exhaustively check all plaquette pairs that share at least one qubit.
 
     Disjoint pairs commute trivially and are skipped.
     """
-    violations = []
-    cache: dict[tuple, float] = {}
-    for p, q in _intersecting_pairs(model):
-        norm = _cached_commutator(model.term_op(p), model.term_op(q), cache)
-        if norm > tol:
-            violations.append((p, q, norm))
+    violations = [v for v in _pair_norms(model, model.terms) if v[2] > tol]
     return CommutationReport(not violations, violations)
-
-
-def _cached_commutator(a: LabeledOp, b: LabeledOp, cache: dict) -> float:
-    # the norm depends only on the two matrices and how their labels align
-    shared = [l for l in a.labels if l in b.labels]
-    key = (
-        a.mat.tobytes(),
-        b.mat.tobytes(),
-        tuple(a.labels.index(l) for l in shared),
-        tuple(b.labels.index(l) for l in shared),
-    )
-    if key not in cache:
-        cache[key] = commutator_norm(a, b)
-    return cache[key]
 
 
 def ground_projectors(
@@ -126,20 +151,18 @@ def ground_projectors(
 ) -> dict[Plaquette, np.ndarray]:
     """Per-plaquette projectors onto each term's lowest eigenspace.
 
-    Raises ModelError when two overlapping projectors fail to commute,
-    which signals non-commuting input or a borderline degeneracy split by
-    the gap tolerance.
+    Raises NonCommutingError, naming every pair of overlapping projectors
+    that fail to commute, which signals non-commuting input or a
+    borderline degeneracy split by the gap tolerance.
     """
     projs = {p: ground_space_projector(m, gap_tol) for p, m in model.terms.items()}
-    cache: dict[tuple, float] = {}
-    for p, q in _intersecting_pairs(model):
-        a = LabeledOp(projs[p], tuple(lattice.corners(model.spec, p)))
-        b = LabeledOp(projs[q], tuple(lattice.corners(model.spec, q)))
-        norm = _cached_commutator(a, b, cache)
-        if norm > tol:
-            raise NonCommutingError(
-                f"ground projectors at {p} and {q} do not commute (norm {norm:.2e})"
-            )
+    bad = [v for v in _pair_norms(model, projs) if v[2] > tol]
+    if bad:
+        (p, q, norm), rest = bad[0], bad[1:]
+        more = "".join(f"; also at {a} and {b} (norm {n:.2e})" for a, b, n in rest)
+        raise NonCommutingError(
+            f"ground projectors at {p} and {q} do not commute (norm {norm:.2e}){more}"
+        )
     return projs
 
 

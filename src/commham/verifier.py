@@ -223,6 +223,11 @@ def apply_certificate(
     """Sandwich each plaquette projector at its own-layer split corners by
     the chosen rank-1 slice projectors."""
     _check_domain(prep, cert)
+    return _sliced_ops(prep, cert)
+
+
+def _sliced_ops(prep: PreparedModel, cert: Certificate) -> dict[Plaquette, LabeledOp]:
+    """apply_certificate for a certificate whose domain is already checked."""
     out = {}
     for p in lattice.plaquettes(prep.model.spec):
         table = prep.table(p)
@@ -302,14 +307,10 @@ def _effective_state(
 
 
 def _overlap_table(prep: PreparedModel, v: Vertex) -> np.ndarray:
+    """tr[pi_a pibar_b] = |<black slice a|white slice b>|^2 for all labels."""
     if v not in prep._overlaps:
-        table = np.empty((2, 2))
-        for a in (0, 1):
-            for b in (0, 1):
-                pa = prep.black.decomps[v].slice_projector(a)
-                pb = prep.white.decomps[v].slice_projector(b)
-                table[a, b] = float(np.trace(pa @ pb).real)
-        prep._overlaps[v] = table
+        overlap = prep.black.decomps[v].basis.conj().T @ prep.white.decomps[v].basis
+        prep._overlaps[v] = np.abs(overlap) ** 2
     return prep._overlaps[v]
 
 
@@ -523,7 +524,7 @@ def compute_omega(m: CommutingModel | PreparedModel, cert: Certificate) -> Omega
     if factors:
         return OmegaResult(True, -math.inf, factors)
 
-    sliced = apply_certificate(prep, cert)
+    sliced = _sliced_ops(prep, cert)
     blacks, whites, overlaps = effective_states(prep, sliced, cert)
     zero = False
     for v, val in overlaps:

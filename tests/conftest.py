@@ -5,11 +5,24 @@ import pytest
 
 
 @pytest.fixture(scope="session")
-def haar_conjugated():
-    """`conjugated(model, seed)` from tools/compare_decomposition.py: every
-    term conjugated by one seeded Haar unitary per vertex."""
+def compare_decomposition():
+    """tools/compare_decomposition.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "tools" / "compare_decomposition.py"
     spec = importlib.util.spec_from_file_location("compare_decomposition", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.conjugated
+    return module
+
+
+@pytest.fixture(scope="session")
+def haar_conjugated(compare_decomposition):
+    """`conjugated(model, seed)`: every term conjugated by one seeded Haar
+    unitary per vertex."""
+    return compare_decomposition.conjugated
+
+
+@pytest.fixture(scope="session")
+def perturbed(compare_decomposition):
+    """`perturbed(model, eps, seed)`: eps times a seeded random Hermitian
+    matrix added to every term."""
+    return compare_decomposition.perturbed

@@ -233,3 +233,34 @@ def test_certificate_space_counts():
     m = gen_toric(LatticeSpec(3, 3))
     black, white = layer_pair(m)
     assert certificate_space(black, white).count == 4
+
+
+@pytest.mark.parametrize(
+    "spec, classified", [(LatticeSpec(8, 8, "periodic"), 8), (LatticeSpec(8, 8), 13)]
+)
+def test_equal_terms_share_vertex_classification(spec, classified, monkeypatch):
+    # toric terms repeat, so vertices whose incident matrices and corner
+    # positions agree share one classification, equal to a fresh one
+    from commham import decompose
+
+    calls = []
+    fresh = decompose.vertex_decomposition
+
+    def counting(incident, v):
+        calls.append(v)
+        return fresh(incident, v)
+
+    monkeypatch.setattr(decompose, "vertex_decomposition", counting)
+    projs = ground_projectors(gen_toric(spec))
+    layers = decompose_layers(spec, projs)
+    assert len(calls) == classified
+    for layer in layers:
+        for v, d in layer.decomps.items():
+            incident = [
+                (p, LabeledOp(projs[p], tuple(lattice.corners(spec, p))))
+                for p in lattice.incident_plaquettes(spec, v, layer.color)
+            ]
+            ref = fresh(incident, v)
+            assert (d.split, d.owner) == (ref.split, ref.owner)
+            if d.split:
+                assert np.array_equal(d.basis, ref.basis)

@@ -1,10 +1,23 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commham import lattice, model
 from commham.lattice import LatticeSpec
-from commham.linalg import PAULI_X, PAULI_Z, frob
+from commham.linalg import (
+    PAULI_X,
+    PAULI_Z,
+    LabeledOp,
+    commutator_norm,
+    content_ids,
+    frob,
+    ground_space_projector,
+)
 from commham.model import (
+    COMMUTATION_TOL,
     CommutingModel,
     ModelError,
     NonCommutingError,
@@ -215,3 +228,105 @@ def test_rotated_classical_returns_unitaries():
     assert set(units) == set(spec.vertices())
     for u in units.values():
         assert frob(u @ u.conj().T - np.eye(2)) < 1e-12
+
+
+# ------------------------------------------------- pair commutator kernel
+
+# periodic lattices add the wrap-around alignments
+KERNEL_SPECS = [LatticeSpec(4, 4, "periodic"), LatticeSpec(6, 4, "periodic"), LatticeSpec(5, 3)]
+
+
+def reference_norms(m, mats):
+    """(p, q, commutator_norm, |A| |B|) per intersecting pair, one dense
+    embedding each."""
+    out = []
+    for p, q in model._intersecting_pairs(m):
+        a = LabeledOp(mats[p], tuple(lattice.corners(m.spec, p)))
+        b = LabeledOp(mats[q], tuple(lattice.corners(m.spec, q)))
+        out.append((p, q, commutator_norm(a, b), frob(a.mat) * frob(b.mat)))
+    return out
+
+
+def assert_kernel_matches(m, mats):
+    got = model._pair_norms(m, mats)
+    want = reference_norms(m, mats)
+    assert [(p, q) for p, q, _ in got] == [(p, q) for p, q, _, _ in want]
+    for (_, _, norm), (_, _, ref, scale) in zip(got, want):
+        # both evaluations round relative to the operands' norms
+        assert abs(norm - ref) <= 1e-12 * scale + 1e-15
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-7, 1e-9, 1e-11])
+def test_pair_norms_match_commutator_norm(spec, eps, perturbed):
+    m = perturbed(gen_random(spec, 0, "rotated-classical"), eps, 1)
+    assert_kernel_matches(m, m.terms)
+    assert_kernel_matches(m, {p: ground_space_projector(h) for p, h in m.terms.items()})
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-9])
+def test_pair_norms_share_identical_terms(eps):
+    # one perturbation per color keeps two distinct matrices, so every
+    # pair of an alignment is read from one evaluation
+    spec = LatticeSpec(4, 4, "periodic")
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
+    h = eps * (g + g.conj().transpose(0, 2, 1)) / 2
+    terms = {p: -Z4 + h[0] if lattice.is_black(p) else -X4 + h[1] for p in lattice.plaquettes(spec)}
+    m = CommutingModel(spec, terms)
+    assert len(set(content_ids(m.terms).values())) == 2
+    assert_kernel_matches(m, m.terms)
+
+
+@pytest.mark.parametrize(
+    "spec", KERNEL_SPECS + [LatticeSpec(20, 20, "periodic")], ids=str
+)
+@pytest.mark.parametrize("eps", [1e-3, 2e-11, 1e-12])
+def test_check_commuting_matches_reference_loop(spec, eps, perturbed):
+    # 2e-11 puts the pair norms on both sides of the tolerance
+    m = perturbed(gen_random(spec, 0, "rotated-classical"), eps, 2)
+    want = [(p, q, n) for p, q, n, _ in reference_norms(m, m.terms) if n > COMMUTATION_TOL]
+    got = check_commuting(m).violations
+    assert [(p, q) for p, q, _ in got] == [(p, q) for p, q, _ in want]
+    assert all(abs(a[2] - b[2]) <= 1e-12 for a, b in zip(got, want))
+    assert check_commuting(m).ok == (not want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(KERNEL_SPECS),
+    st.integers(0, 2**16),
+    st.floats(-12.0, -1.0),
+)
+def test_pair_norms_random_hermitian_perturbations(spec, seed, exponent):
+    m = gen_random(spec, seed % 7, "rotated-classical")
+    rng = np.random.default_rng(seed)
+    terms = {}
+    for p, h in m.terms.items():
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        terms[p] = h + 10.0**exponent * rng.random() * (g + g.conj().T)
+    assert_kernel_matches(m, terms)
+
+
+def test_ground_projectors_report_every_violation():
+    m = gen_random(LatticeSpec(4, 4, "periodic"), 0, "rotated-classical")
+    rng = np.random.default_rng(4)
+    terms = dict(m.terms)
+    for p in [(0, 0), (2, 1), (3, 3)]:
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        terms[p] = terms[p] + 0.3 * (g + g.conj().T)
+    bad = CommutingModel(m.spec, terms)
+    projs = {p: ground_space_projector(h) for p, h in terms.items()}
+    want = [(p, q, n) for p, q, n, _ in reference_norms(bad, projs) if n > COMMUTATION_TOL]
+    assert len(want) > 1
+    with pytest.raises(NonCommutingError) as err:
+        ground_projectors(bad)
+    msg = str(err.value)
+    p, q, _ = want[0]
+    assert msg.startswith(f"ground projectors at {p} and {q} do not commute")
+    listed = re.findall(r"\((\d+), (\d+)\) and \((\d+), (\d+)\)(?: do not commute)? \(norm ([^)]+)\)", msg)
+    assert [((int(a), int(b)), (int(c), int(d))) for a, b, c, d, _ in listed] == [
+        (p, q) for p, q, _ in want
+    ]
+    for (*_, norm), (_, _, ref) in zip(listed, want):
+        assert abs(float(norm) - ref) <= 0.01 * ref

@@ -24,6 +24,7 @@ from commham.verifier import (
     compute_omega,
     contract_component,
     effective_states,
+    _overlap_table,
     prepare,
     verify,
 )
@@ -437,3 +438,34 @@ def test_plaquette_table_matches_sandwich_reference(family, haar_conjugated):
             zeros += bool(table.norms[bits] <= ZERO_FLOOR)
             patterns += 1
     assert 0 < zeros < patterns
+
+
+@pytest.mark.parametrize("family", ["rotated-classical", "haar-toric"])
+def test_overlap_table_matches_trace_formula(family, haar_conjugated):
+    if family == "haar-toric":
+        prep = prepare(haar_conjugated(gen_toric(LatticeSpec(4, 4)), 1))
+    else:
+        prep = prepare(gen_random(LatticeSpec(5, 5), 1, family))
+    both = sorted(prep.f_black & prep.f_white)
+    assert both
+    for v in both:
+        table = _overlap_table(prep, v)
+        for a, b in itertools.product((0, 1), repeat=2):
+            pa = prep.black.decomps[v].slice_projector(a)
+            pb = prep.white.decomps[v].slice_projector(b)
+            assert abs(table[a, b] - np.trace(pa @ pb).real) <= 1e-12
+
+
+@pytest.mark.parametrize("check", [compute_omega, verify, apply_certificate])
+@pytest.mark.parametrize("fault", ["extra", "missing", "bool"])
+def test_every_entry_point_checks_the_domain(check, fault):
+    prep = prepare(gen_toric(LatticeSpec(3, 3)))
+    alpha = {(1, 1): 0}
+    if fault == "extra":
+        alpha[(0, 0)] = 0
+    elif fault == "missing":
+        alpha = {}
+    else:
+        alpha[(1, 1)] = True
+    with pytest.raises(CertificateDomainError):
+        check(prep, Certificate(alpha, {(1, 1): 0}))

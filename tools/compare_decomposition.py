@@ -8,9 +8,11 @@ Run the dump once per tree, then diff the two dumps:
 
 The dump prepares a fixed model set (toric, rotated-classical,
 diagonal-field, signed-toric, Haar-conjugated toric and Ising models,
-rotated-classical 24x24 seeds 0-9, and the greedy benchmark models: toric
-12x12 open and the signed 8x8 torus with one flipped black sign) and
-records, per model, the split flag, owner and slice basis of every vertex
+rotated-classical 24x24 seeds 0-9, the greedy benchmark models: toric
+12x12 open and the signed 8x8 torus with one flipped black sign, and
+rotated-classical models with every term perturbed by 1e-3 to 1e-11) and
+records, per model, the `check_commuting` violations (pairs, in order, and
+norms), the split flag, owner and slice basis of every vertex
 in both layers, log2 Omega of the all-zeros certificate and of three seeded
 random ones, and the result of a search: an exhaustive search (at most 16
 label bits), a two-restart greedy search (at most 36 qubits), or the
@@ -47,6 +49,19 @@ def conjugated(m, seed: int):
             u = np.kron(u, units[v])
         t = u @ h @ u.conj().T
         terms[p] = (t + t.conj().T) / 2
+    return CommutingModel(m.spec, terms)
+
+
+def perturbed(m, eps: float, seed: int):
+    """m with eps times a seeded random Hermitian matrix of unit-variance
+    entries added to every term."""
+    from commham import CommutingModel
+
+    rng = np.random.default_rng(200 + seed)
+    terms = {}
+    for p, h in sorted(m.terms.items()):
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        terms[p] = h + eps * (g + g.conj().T) / 2
     return CommutingModel(m.spec, terms)
 
 
@@ -95,6 +110,11 @@ def models():
     for s in (1, 2, 3):
         yield f"toric 12x12 open greedy s{s}", gen_toric(LatticeSpec(12, 12))
         yield f"frustrated 8x8 torus greedy s{s}", frustrated_torus(s)
+    for spec in (LatticeSpec(4, 4, "periodic"), LatticeSpec(6, 4, "periodic"),
+                 LatticeSpec(5, 3), LatticeSpec(20, 20, "periodic")):
+        base = gen_random(spec, 0, "rotated-classical")
+        for e in (3, 7, 9, 11):
+            yield f"rotated {spec.lx}x{spec.ly} {spec.boundary} +1e-{e}", perturbed(base, 10.0**-e, e)
 
 
 def _omega(verdict):
@@ -102,7 +122,9 @@ def _omega(verdict):
 
 
 def dump(out: str, older: str | None = None) -> None:
-    from commham import Certificate, exhaustive_search, greedy_search, prepare, verify
+    from commham import (
+        Certificate, check_commuting, exhaustive_search, greedy_search, prepare, verify,
+    )
 
     ref = {}
     if older:
@@ -111,10 +133,11 @@ def dump(out: str, older: str | None = None) -> None:
     res = {}
     t0 = time.perf_counter()
     for name, m in models():
+        violations = check_commuting(m).violations
         try:
             prep = prepare(m)
         except ValueError as exc:
-            res[name] = ("error", type(exc).__name__)
+            res[name] = ("error", type(exc).__name__, violations)
             continue
         layers = {
             layer.color: {
@@ -148,7 +171,7 @@ def dump(out: str, older: str | None = None) -> None:
         r = ref.get(name)
         if r is not None and r[0] == "ok" and r[3] is not None:
             older_found = _omega(verify(prep, Certificate(*r[3][0])))
-        res[name] = ("ok", layers, omegas, found, older_found, trajectory)
+        res[name] = ("ok", layers, omegas, found, older_found, trajectory, violations)
     print(f"dumped {len(res)} models in {time.perf_counter() - t0:.1f} s")
     with open(out, "wb") as f:
         pickle.dump(res, f)
@@ -160,9 +183,9 @@ def diff(old_path: str, new_path: str) -> None:
     with open(new_path, "rb") as f:
         new = pickle.load(f)
     both = nonzero = 0
-    max_basis = max_log2 = 0.0
-    problems, ties, paths = [], [], []
-    searches = 0
+    max_basis = max_log2 = max_norm = 0.0
+    problems, ties, paths, scans = [], [], [], []
+    searches = violations = 0
 
     def compare_log2(name, a, b, what):
         nonlocal nonzero, max_log2
@@ -174,6 +197,12 @@ def diff(old_path: str, new_path: str) -> None:
 
     for name, ra in old.items():
         rb = new[name]
+        va, vb = ra[-1], rb[-1]
+        violations += len(va)
+        if [(p, q) for p, q, _ in va] != [(p, q) for p, q, _ in vb]:
+            scans.append(f"{name}: {len(va)} -> {len(vb)} violations")
+        else:
+            max_norm = max([max_norm] + [abs(a[2] - b[2]) for a, b in zip(va, vb)])
         if ra[0] != "ok" or rb[0] != "ok":
             print(f"{name}: old {'ok' if ra[0] == 'ok' else ra[1]}, "
                   f"new {'ok' if rb[0] == 'ok' else rb[1]}")
@@ -201,6 +230,11 @@ def diff(old_path: str, new_path: str) -> None:
             if ta != tb:
                 paths.append(f"{name} ({ta[0]}: evaluated {ta[1]} -> {tb[1]}"
                              f"{', other certificate' if ta[2] != tb[2] else ''})")
+    print(f"check_commuting violations: {violations}, pairs and order "
+          f"{'identical' if not scans else f'differ on {len(scans)} models'}, "
+          f"max |norm difference| {max_norm:.3g}")
+    for p in scans:
+        print("  ", p)
     print(f"models prepared by both: {both} of {len(old)}")
     print(f"split sets, owners, zero outcomes: "
           f"{'identical' if not problems else f'{len(problems)} differences'}")
