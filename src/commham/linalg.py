@@ -9,9 +9,8 @@ locally-supported operators on up to 22 qubits by sweeping basis vectors
 
 The algebra a set of 2x2 operators generates is read off the rank of
 their Bloch vectors (the qubit case of the Bravyi-Vyalyi structure
-lemma), so classification and common eigenbases are deterministic.  One
-relative cutoff, NOISE_RTOL, decides what is numerical noise both there
-and in the operator-Schmidt expansion.
+lemma), so classification and common eigenbases are deterministic.  Every
+numerical threshold of the package is in the tolerance block below.
 """
 from __future__ import annotations
 
@@ -31,9 +30,30 @@ TRIVIAL = "trivial"
 ABELIAN = "abelian"
 FULL = "full"
 
-# Relative size below which an operator-Schmidt term or a Bloch direction
-# is numerical noise.
-NOISE_RTOL = 1e-9
+# ---------------------------------------------------------------------------
+# Tolerance policy: every numerical threshold of the package.  |A| is the
+# Frobenius norm, |A|_2 the spectral norm, A0 = A - tr(A)/d the traceless part.
+# The first five act on input terms, relative to their norms, so multiplying
+# every term by c > 0 changes no decision.
+HERMITICITY_RTOL = 1e-10  # |H - H^dag| <= HERMITICITY_RTOL |H|
+# Ground band: w <= w0 + max(GAP_RTOL (w_max - w0), EIGH_RTOL |H|_2), the latter
+# the eigensolver's rounding level: a spectrum flat within it is all ground band.
+GAP_RTOL = 1e-9
+EIGH_RTOL = 64 * np.finfo(float).eps
+# Terms and ground projectors commute iff |[A, B]| <= COMMUTATION_TOL |A0| |B0|;
+# the commutator ignores identity shifts, and so does the bound.
+COMMUTATION_TOL = 1e-9
+NOISE_RTOL = 1e-9  # operator-Schmidt terms, Bloch directions: noise below this x largest
+# The rest act on scale-free values derived from ground projectors or unit vectors.
+ZERO_FLOOR = 1e-12  # slice norms, vertex overlaps and component traces at or below are 0
+LOG2_TIE_TOL = 1e-9  # log2 values closer than this tie, so searches ignore rounding
+PRUNE_RTOL = 1e-9  # an effective state is the identity on a qubit within PRUNE_RTOL |op|
+POSITIVITY_TOL = 1e-9  # effective-state eigenvalues are >= -POSITIVITY_TOL max(1, |op|)
+IMAG_RTOL = 1e-8  # a component trace's imaginary part is <= IMAG_RTOL (1 + |value|)
+INTEGRALITY_TOL = 1e-6  # a trace that counts states is this close to an integer
+SUM_TOL = 1e-8  # the certificate values sum to the layer trace within this
+PHASE_FLOOR = 1e-12  # the first amplitude above it fixes a unit vector's phase
+ORDER_TOL = 1e-9  # amplitudes closer than this tie when slice states are ordered
 
 _DENSE_MAX_QUBITS = 10
 _DENSE_BLOCK_ENTRIES = 1 << 24  # ~268 MB of complex128 per work block
@@ -117,27 +137,12 @@ def partial_trace(op: LabeledOp, keep: Iterable) -> LabeledOp:
     return LabeledOp(np.einsum("atbt->ab", m), kept)
 
 
-def left_mul_site(op: LabeledOp, label, m2: np.ndarray) -> LabeledOp:
-    """(m2 at label) @ op."""
-    k = op.n_qubits
-    i = op.labels.index(label)
-    t = np.tensordot(m2, _tensorized(op), axes=([1], [i]))
-    t = np.moveaxis(t, 0, i)
-    return LabeledOp(t.reshape(2**k, 2**k), op.labels)
-
-
-def right_mul_site(op: LabeledOp, label, m2: np.ndarray) -> LabeledOp:
-    """op @ (m2 at label)."""
-    k = op.n_qubits
-    i = op.labels.index(label)
-    t = np.tensordot(_tensorized(op), m2, axes=([k + i], [0]))
-    t = np.moveaxis(t, -1, k + i)
-    return LabeledOp(t.reshape(2**k, 2**k), op.labels)
-
-
 def sandwich_site(op: LabeledOp, label, proj: np.ndarray) -> LabeledOp:
     """proj op proj with the 2x2 proj acting on one labelled qubit."""
-    return right_mul_site(left_mul_site(op, label, proj), label, proj)
+    k, i = op.n_qubits, op.labels.index(label)
+    t = np.moveaxis(_tensorized(op), (i, k + i), (0, 1))
+    t = np.einsum("ab,bc...,cd->ad...", proj, t, proj)
+    return LabeledOp(np.moveaxis(t, (0, 1), (i, k + i)).reshape(2**k, 2**k), op.labels)
 
 
 def state_projector(vec: np.ndarray) -> np.ndarray:
@@ -145,33 +150,23 @@ def state_projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def herm_eig(mat: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NonHermitianError when the anti-Hermitian part exceeds
-    tol * max(1, ||m||_F).
+    Raises NonHermitianError when |m - m^dag| > HERMITICITY_RTOL |m|.
     """
     mat = np.asarray(mat, dtype=complex)
-    if frob(mat - mat.conj().T) > tol * max(1.0, frob(mat)):
+    if frob(mat - mat.conj().T) > HERMITICITY_RTOL * frob(mat):
         raise NonHermitianError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(mat)
-    return w, v
+    return np.linalg.eigh(mat)
 
 
-def ground_band(mat: np.ndarray, gap_tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal eigenvectors (columns) near the minimal eigenvalue.
-
-    The ground band is all eigenvalues within gap_tol * (spread + 1) of the
-    minimum; the +1 keeps the band nonempty for flat spectra such as h = 0.
-    """
+def ground_space_projector(mat: np.ndarray) -> np.ndarray:
+    """Projector onto the ground band: the eigenvectors whose eigenvalues lie
+    within max(GAP_RTOL * spread, EIGH_RTOL * |mat|_2) of the minimum."""
     w, v = herm_eig(mat)
-    band = gap_tol * (w[-1] - w[0] + 1.0)
-    return v[:, w <= w[0] + band]
-
-
-def ground_space_projector(mat: np.ndarray, gap_tol: float = 1e-9) -> np.ndarray:
-    """Projector onto the span of the ground band."""
-    sel = ground_band(mat, gap_tol)
+    band = max(GAP_RTOL * (w[-1] - w[0]), EIGH_RTOL * max(-w[0], w[-1]))
+    sel = v[:, w <= w[0] + band]
     return sel @ sel.conj().T
 
 
@@ -275,7 +270,7 @@ def canonical_state(vec: np.ndarray) -> np.ndarray:
     """Fix the global phase: first non-negligible amplitude real positive."""
     vec = np.asarray(vec, dtype=complex)
     for a in vec:
-        if abs(a) > 1e-12:
+        if abs(a) > PHASE_FLOOR:
             return vec * (a.conjugate() / abs(a))
     raise ValueError("zero state")
 
@@ -286,18 +281,14 @@ def canonical_basis_pair(v: np.ndarray) -> np.ndarray:
     Order: larger |amplitude on 0> first; ties broken by the real part of
     the amplitude on |1>, then by its imaginary part.
     """
-    a = canonical_state(v[:, 0])
-    b = canonical_state(v[:, 1])
+    a, b = canonical_state(v[:, 0]), canonical_state(v[:, 1])
 
     def key(s: np.ndarray) -> tuple[float, float, float]:
         return (abs(s[0]), s[1].real, s[1].imag)
 
-    ka, kb = key(a), key(b)
-    for xa, xb in zip(ka, kb):
-        if xa > xb + 1e-9:
-            return np.column_stack([a, b])
-        if xb > xa + 1e-9:
-            return np.column_stack([b, a])
+    for xa, xb in zip(key(a), key(b)):
+        if abs(xa - xb) > ORDER_TOL:
+            return np.column_stack([a, b] if xa > xb else [b, a])
     return np.column_stack([a, b])
 
 

@@ -15,12 +15,12 @@ import numpy as np
 
 from . import lattice
 from .lattice import LatticeSpec, Plaquette, Vertex, is_black
-from .linalg import content_ids, frob, ground_space_projector
+from .linalg import COMMUTATION_TOL, HERMITICITY_RTOL, content_ids, frob, ground_space_projector
 
-HERMITICITY_TOL = 1e-10
-COMMUTATION_TOL = 1e-9
 # pairs per batched factorization; bounds the kernel's working set
 _PAIR_CHUNK = 32
+# (p, q, Frobenius norm of the commutator) per pair of plaquettes
+PairNorms = list[tuple[Plaquette, Plaquette, float]]
 
 
 class ModelError(ValueError):
@@ -28,7 +28,11 @@ class ModelError(ValueError):
 
 
 class NonCommutingError(ModelError):
-    """Operators required to commute do not."""
+    """Operators required to commute do not; `violations` lists (p, q, norm)."""
+
+    def __init__(self, message: str, violations=()):
+        super().__init__(message)
+        self.violations = list(violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +53,7 @@ class CommutingModel:
                 raise ModelError(f"term at {p} has shape {m.shape}, expected 16x16")
             if not np.isfinite(m).all():
                 raise ModelError(f"term at {p} has non-finite entries")
-            if frob(m - m.conj().T) > HERMITICITY_TOL * max(1.0, frob(m)):
+            if frob(m - m.conj().T) > HERMITICITY_RTOL * frob(m):
                 raise ModelError(f"term at {p} is not Hermitian")
             terms[p] = m
         missing = valid - set(terms)
@@ -65,7 +69,7 @@ class CommutingModel:
 @dataclass
 class CommutationReport:
     ok: bool
-    violations: list[tuple[Plaquette, Plaquette, float]]
+    violations: PairNorms
 
 
 def _row_major(p: Plaquette) -> tuple[int, int]:
@@ -98,11 +102,23 @@ def _shared_factors(mats: np.ndarray, shared: tuple[int, ...]) -> np.ndarray:
     return np.linalg.qr(m, mode="r").reshape(n, -1, 2**s, 2**s)
 
 
-def _pair_norms(
-    model: CommutingModel, mats: Mapping[Plaquette, np.ndarray]
-) -> list[tuple[Plaquette, Plaquette, float]]:
-    """Frobenius norm of [mats[p], mats[q]] for every intersecting pair, in
-    `_intersecting_pairs` order.
+def _traceless(mats: Mapping[Plaquette, np.ndarray]) -> tuple[dict, dict[int, np.ndarray]]:
+    """Content ids of mats, and the traceless part A0 = A - tr(A)/16 of each distinct
+    matrix by id: commutators from A0 round relative to |A0|, not to |A|."""
+    ids = content_ids(mats)
+    first = {i: p for p, i in ids.items()}
+    return ids, {i: mats[p] - np.trace(mats[p]) / 16 * np.eye(16) for i, p in first.items()}
+
+
+def _pair_norms(model: CommutingModel, mats: Mapping[Plaquette, np.ndarray]) -> PairNorms:
+    """|[mats[p], mats[q]]| for every intersecting pair, in `_intersecting_pairs` order."""
+    return _distinct_pair_norms(model, *_traceless(mats))
+
+
+def _distinct_pair_norms(
+    model: CommutingModel, ids: Mapping[Plaquette, int], distinct: Mapping[int, np.ndarray]
+) -> PairNorms:
+    """Commutator norm of distinct[ids[p]] and distinct[ids[q]] per pair (p, q).
 
     With A = sum_i a_i (x) alpha_i and B = sum_j beta_j (x) b_j split at
     the shared corners, a_i and b_j orthonormal, the norm is exactly
@@ -110,8 +126,6 @@ def _pair_norms(
     128x128 embedding is formed.  Pairs are batched by alignment (which
     corners of p meet which of q); equal matrices share one evaluation.
     """
-    ids = content_ids(mats)
-    distinct = {i: mats[p] for p, i in ids.items()}
     pairs = list(_intersecting_pairs(model))
     groups: dict[tuple, dict[tuple[int, int], int]] = {}  # alignment -> ids -> slot
     slots = []
@@ -137,31 +151,40 @@ def _pair_norms(
     return [(p, q, float(norms[s])) for (p, q), s in zip(pairs, slots)]
 
 
-def check_commuting(model: CommutingModel, tol: float = COMMUTATION_TOL) -> CommutationReport:
+def _violations(model: CommutingModel, mats: Mapping[Plaquette, np.ndarray]) -> PairNorms:
+    """Intersecting pairs with |[A, B]| > COMMUTATION_TOL |A0| |B0|."""
+    ids, traceless = _traceless(mats)
+    norm = {i: frob(m) for i, m in traceless.items()}
+    return [
+        (p, q, n)
+        for p, q, n in _distinct_pair_norms(model, ids, traceless)
+        if n > COMMUTATION_TOL * norm[ids[p]] * norm[ids[q]]
+    ]
+
+
+def check_commuting(model: CommutingModel) -> CommutationReport:
     """Exhaustively check all plaquette pairs that share at least one qubit.
 
     Disjoint pairs commute trivially and are skipped.
     """
-    violations = [v for v in _pair_norms(model, model.terms) if v[2] > tol]
+    violations = _violations(model, model.terms)
     return CommutationReport(not violations, violations)
 
 
-def ground_projectors(
-    model: CommutingModel, gap_tol: float = 1e-9, tol: float = COMMUTATION_TOL
-) -> dict[Plaquette, np.ndarray]:
-    """Per-plaquette projectors onto each term's lowest eigenspace.
+def ground_projectors(model: CommutingModel) -> dict[Plaquette, np.ndarray]:
+    """Per-plaquette projectors onto each term's ground band.
 
     Raises NonCommutingError, naming every pair of overlapping projectors
     that fail to commute, which signals non-commuting input or a
     borderline degeneracy split by the gap tolerance.
     """
-    projs = {p: ground_space_projector(m, gap_tol) for p, m in model.terms.items()}
-    bad = [v for v in _pair_norms(model, projs) if v[2] > tol]
+    projs = {p: ground_space_projector(m) for p, m in model.terms.items()}
+    bad = _violations(model, projs)
     if bad:
         (p, q, norm), rest = bad[0], bad[1:]
         more = "".join(f"; also at {a} and {b} (norm {n:.2e})" for a, b, n in rest)
         raise NonCommutingError(
-            f"ground projectors at {p} and {q} do not commute (norm {norm:.2e}){more}"
+            f"ground projectors at {p} and {q} do not commute (norm {norm:.2e}){more}", bad
         )
     return projs
 

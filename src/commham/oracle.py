@@ -9,7 +9,8 @@ integer for genuinely commuting input.
 from __future__ import annotations
 
 from . import lattice
-from .linalg import CapExceeded, LabeledOp, trace_product_embedded
+from .lattice import Plaquette
+from .linalg import INTEGRALITY_TOL, SUM_TOL, CapExceeded, LabeledOp, trace_product_embedded
 from .model import CommutingModel, ground_projectors
 from .verifier import (
     Certificate,
@@ -20,48 +21,47 @@ from .verifier import (
     compute_omega,
 )
 
-INTEGRALITY_TOL = 1e-6
-
 
 class IntegralityError(ArithmeticError):
     """A trace that must be an integer is not; the input terms likely do
     not commute."""
 
 
-def _layer_ops(model: CommutingModel) -> tuple[list[LabeledOp], list[LabeledOp]]:
+def nearest_count(val: float) -> int | None:
+    """The non-negative integer within INTEGRALITY_TOL of a state count, else None."""
+    nearest = round(val)
+    return nearest if abs(val - nearest) <= INTEGRALITY_TOL and nearest >= 0 else None
+
+
+def _black_first(spec: lattice.LatticeSpec) -> list[Plaquette]:
+    return sorted(lattice.plaquettes(spec), key=lambda p: not lattice.is_black(p))
+
+
+def _projector_ops(model: CommutingModel, cap: int) -> dict[Plaquette, LabeledOp]:
+    """Each plaquette's ground projector on its corners, in plaquette order."""
+    if model.n_qubits > cap:
+        raise CapExceeded(f"{model.n_qubits} qubits exceeds cap {cap}")
     projs = ground_projectors(model)
-    blacks, whites = [], []
-    for p in lattice.plaquettes(model.spec):
-        op = LabeledOp(projs[p], tuple(lattice.corners(model.spec, p)))
-        (blacks if lattice.is_black(p) else whites).append(op)
-    return blacks, whites
+    return {
+        p: LabeledOp(projs[p], tuple(lattice.corners(model.spec, p)))
+        for p in lattice.plaquettes(model.spec)
+    }
 
 
 def total_overlap(model: CommutingModel, cap: int = 22) -> float:
     """tr[(product of black projectors)(product of white projectors)]."""
-    if model.n_qubits > cap:
-        raise CapExceeded(f"{model.n_qubits} qubits exceeds cap {cap}")
-    blacks, whites = _layer_ops(model)
-    return trace_product_embedded(blacks + whites, cap=cap).real
+    ops = _projector_ops(model, cap)
+    return trace_product_embedded([ops[p] for p in _black_first(model.spec)], cap=cap).real
 
 
 def ground_dim(model: CommutingModel, cap: int = 22) -> int:
     """Dimension of the joint ground space, tr of the product of all
     projectors, asserted to be integral."""
-    if model.n_qubits > cap:
-        raise CapExceeded(f"{model.n_qubits} qubits exceeds cap {cap}")
-    projs = ground_projectors(model)
-    ops = [
-        LabeledOp(projs[p], tuple(lattice.corners(model.spec, p)))
-        for p in lattice.plaquettes(model.spec)
-    ]
-    val = trace_product_embedded(ops, cap=cap).real
-    nearest = round(val)
-    if abs(val - nearest) > INTEGRALITY_TOL or nearest < 0:
-        raise IntegralityError(
-            f"trace {val!r} is not a non-negative integer within {INTEGRALITY_TOL}"
-        )
-    return int(nearest)
+    val = trace_product_embedded(list(_projector_ops(model, cap).values()), cap=cap).real
+    count = nearest_count(val)
+    if count is None:
+        raise IntegralityError(f"trace {val!r} is no non-negative integer within {INTEGRALITY_TOL}")
+    return count
 
 
 def dense_omega(
@@ -74,21 +74,13 @@ def dense_omega(
     if n > cap:
         raise CapExceeded(f"{n} qubits exceeds dense cap {cap}")
     sliced = apply_certificate(prep, cert)
-    ordered = []
-    for p in lattice.plaquettes(prep.model.spec):
-        if lattice.is_black(p):
-            ordered.append(sliced[p])
-    for p in lattice.plaquettes(prep.model.spec):
-        if not lattice.is_black(p):
-            ordered.append(sliced[p])
-    return trace_product_embedded(ordered, cap=cap).real
+    return trace_product_embedded([sliced[p] for p in _black_first(prep.model.spec)], cap=cap).real
 
 
 def certificate_sum(
     m: CommutingModel | PreparedModel,
     max_bits: int = 24,
     method: str = "chain",
-    check_tol: float = 1e-8,
 ) -> tuple[float, list[tuple[Certificate, float]]]:
     """Sum of the certificate value over the whole certificate space.
 
@@ -114,7 +106,7 @@ def certificate_sum(
         table.append((cert, val))
         total += val
     reference = total_overlap(prep.model)
-    if abs(total - reference) > check_tol:
+    if abs(total - reference) > SUM_TOL:
         raise IntegralityError(
             f"certificate sum {total!r} does not match the layer trace {reference!r}"
         )

@@ -30,19 +30,10 @@ from . import lattice
 from .decompose import LayerDecomposition, decompose_layers
 from .lattice import BLACK, WHITE, Plaquette, Vertex
 from .linalg import (
-    LabeledOp,
-    frob,
-    partial_trace,
-    permute_to,
-    sandwich_site,
+    IMAG_RTOL, LOG2_TIE_TOL, POSITIVITY_TOL, PRUNE_RTOL, ZERO_FLOOR,
+    LabeledOp, embed, frob, partial_trace, sandwich_site,
 )
 from .model import CommutingModel, ground_projectors
-
-ZERO_FLOOR = 1e-12
-# log2 values closer than this are equal: certificates of equal value differ
-# only by rounding, and search results must not depend on it
-LOG2_TIE_TOL = 1e-9
-PRUNE_RTOL = 1e-9
 
 VERTEX_OVERLAP = "vertex-overlap"
 COMPONENT = "component"
@@ -189,8 +180,8 @@ class PreparedModel:
         return t
 
 
-def prepare(model: CommutingModel, gap_tol: float = 1e-9) -> PreparedModel:
-    projs = ground_projectors(model, gap_tol=gap_tol)
+def prepare(model: CommutingModel) -> PreparedModel:
+    projs = ground_projectors(model)
     black, white = decompose_layers(model.spec, projs)
     return PreparedModel(model, projs, black, white)
 
@@ -264,9 +255,7 @@ def _prune_trivial_sites(op: LabeledOp) -> LabeledOp:
         for v in op.labels:
             reduced = partial_trace(op, [l for l in op.labels if l != v])
             half = LabeledOp(reduced.mat / 2.0, reduced.labels)
-            rebuilt = np.kron(np.eye(2), half.mat)
-            back = LabeledOp(rebuilt, (v,) + half.labels)
-            if frob(permute_to(back, op.labels).mat - op.mat) <= PRUNE_RTOL * norm:
+            if frob(embed(half, op.labels).mat - op.mat) <= PRUNE_RTOL * norm:
                 op = half
                 changed = True
                 break
@@ -296,7 +285,7 @@ def _effective_state(
     norm = frob(op.mat)
     if norm > ZERO_FLOOR:
         w = np.linalg.eigvalsh(op.mat)
-        if w[0] < -1e-9 * max(1.0, norm):
+        if w[0] < -POSITIVITY_TOL * max(1.0, norm):
             raise DegreeViolation(
                 f"effective state at {p} lost positivity (min eig {w[0]:.2e}); "
                 "input terms likely do not commute"
@@ -483,7 +472,7 @@ def contract_component(component: Component, nodes: list[EffectiveState]) -> flo
         open_wires = out_wires
 
     value = complex(frontier)
-    if abs(value.imag) > 1e-8 * (1.0 + abs(value)):
+    if abs(value.imag) > IMAG_RTOL * (1.0 + abs(value)):
         raise DegreeViolation(f"component trace came out non-real: {value}")
     return float(value.real)
 

@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 
@@ -26,3 +27,15 @@ def perturbed(compare_decomposition):
     """`perturbed(model, eps, seed)`: eps times a seeded random Hermitian
     matrix added to every term."""
     return compare_decomposition.perturbed
+
+
+@pytest.fixture(scope="session")
+def rescaled():
+    """`rescaled(model, scale, shift=0)`: every term h replaced by
+    shift * I + scale * h."""
+    from commham import CommutingModel
+
+    def rescale(m, scale, shift=0.0):
+        return CommutingModel(m.spec, {p: shift * np.eye(16) + scale * h for p, h in m.terms.items()})
+
+    return rescale

@@ -5,7 +5,7 @@ import pytest
 
 from commham.cli import main
 from commham.lattice import LatticeSpec
-from commham.model import gen_random, gen_toric
+from commham.model import NonCommutingError, gen_random, gen_toric
 from commham.serialize import (
     FormatError,
     load_certificate,
@@ -109,6 +109,27 @@ def test_check_noncommuting_exit_3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "violation" in out
+
+
+@pytest.mark.parametrize(
+    "spec", [LatticeSpec(4, 4, "periodic"), LatticeSpec(6, 4, "periodic"), LatticeSpec(5, 3)], ids=str
+)
+@pytest.mark.parametrize("e", [3, 7, 9, 11])
+def test_check_agrees_with_prepare(tmp_path, capsys, spec, e, perturbed):
+    # near-commuting terms can have ground projectors that do not commute
+    # within the tolerance; `check` runs the projector check `prepare` runs
+    m = perturbed(gen_random(spec, 0, "rotated-classical"), 10.0**-e, e)
+    path = str(tmp_path / "m.json")
+    save_model(m, path)
+    try:
+        prepare(m)
+        rejected = False
+    except NonCommutingError:
+        rejected = True
+    assert (main(["check", path]) == 3) == rejected
+    out = capsys.readouterr().out
+    assert ("violation: ground projectors" in out) == rejected
+    assert ("commuting: ok" in out) == (not rejected)
 
 
 def test_check_malformed_exit_2(tmp_path):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commham import lattice
 from commham.lattice import LatticeSpec
-from commham.linalg import CapExceeded
+from commham.linalg import CapExceeded, LabeledOp, embed
 from commham.model import (
     CommutingModel,
+    NonCommutingError,
+    check_commuting,
     gen_ising,
     gen_random,
     gen_signed_toric,
@@ -17,6 +21,7 @@ from commham.oracle import (
     ground_dim,
     total_overlap,
 )
+from commham.prover import exhaustive_search
 from commham.verifier import Certificate, certificates_lex, prepare
 
 
@@ -116,3 +121,70 @@ def test_integrality_random_models(seed):
         )
         val = total_overlap(gen_random(spec, seed, method))
         assert abs(val - round(val)) < 1e-6 and round(val) >= 0
+
+
+# ---------------------------------------- anchor that builds no projectors
+
+
+def dense_hamiltonian(m):
+    """The full 2**N x 2**N Hamiltonian, summed from the embedded terms."""
+    labels = sorted(m.spec.vertices())
+    return sum(
+        embed(LabeledOp(h, tuple(lattice.corners(m.spec, p))), labels).mat
+        for p, h in m.terms.items()
+    )
+
+
+def traceless(m):
+    return CommutingModel(m.spec, {p: h - np.trace(h) / 16 * np.eye(16) for p, h in m.terms.items()})
+
+
+ANCHOR_VARIANTS = {"x1": (1.0, 0.0), "x1e-11": (1e-11, 0.0), "x1e6": (1e6, 0.0), "1e6+1e-4x": (1e-4, 1e6)}
+
+
+@pytest.mark.parametrize(
+    "spec, seed", [(LatticeSpec(3, 3), 0), (LatticeSpec(3, 3), 1), (LatticeSpec(2, 5), 0)], ids=str
+)
+@pytest.mark.parametrize("family", ["rotated-classical", "diagonal-field", "signed-toric", "haar"])
+def test_ground_dim_matches_dense_spectrum(spec, seed, family, haar_conjugated, rescaled):
+    """Against the full Hamiltonian's spectrum: frustration-free iff its
+    minimum is the sum of the terms' minima, and then ground_dim is the
+    multiplicity of that minimum."""
+    base = haar_conjugated(gen_toric(spec), seed) if family == "haar" else gen_random(spec, seed, family)
+    for name, (scale, shift) in ANCHOR_VARIANTS.items():
+        m = rescaled(base, scale, shift)
+        if shift and family in ("rotated-classical", "haar"):
+            # the shift rounds the dense terms' diagonals by up to 6e-11,
+            # about 1e-6 of their traceless parts: the stored terms do not
+            # commute within the tolerance, and both checks say so
+            assert not check_commuting(m).ok
+            with pytest.raises(NonCommutingError):
+                ground_dim(m)
+            continue
+        # the identity shift adds the same constant to both sides, so the
+        # energies are compared on the traceless terms, at their scale
+        m0 = traceless(m)
+        w = np.linalg.eigvalsh(dense_hamiltonian(m0))
+        minima = sum(np.linalg.eigvalsh(h)[0] for h in m0.terms.values())
+        bound = 1e-9 * sum(np.linalg.norm(h, 2) for h in m0.terms.values())
+        frustration_free = abs(w[0] - minima) <= bound
+        assert frustration_free or w[0] - minima > 1e3 * bound, name
+        want = int(np.sum(w <= w[0] + bound)) if frustration_free else 0
+        assert ground_dim(m) == want, name
+
+
+@settings(max_examples=6, deadline=None)
+@given(exponent=st.floats(-14.0, 6.0))
+def test_frustrated_torus_rejects_at_every_scale(rescaled, exponent):
+    m = rescaled(frustrated_signed_toric(), 10.0**exponent)
+    assert not exhaustive_search(m, cap=32).found
+    assert ground_dim(m) == 0
+
+
+@pytest.mark.parametrize(
+    "scale, shift", [(1, 0), (1e-9, 0), (1e-11, 0), (1e-14, 0), (1e6, 0), (1e-4, 1e6)]
+)
+def test_frustrated_torus_rejects(rescaled, scale, shift):
+    m = rescaled(frustrated_signed_toric(), scale, shift)
+    assert not exhaustive_search(m, cap=32).found
+    assert ground_dim(m) == 0
