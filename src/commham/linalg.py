@@ -4,8 +4,9 @@ Operators carry an ordered tuple of qubit labels; label 0 is the most
 significant tensor factor.  Everything here works on a handful of qubits
 (16x16 plaquette matrices, 64x64 commutator embeddings) except
 :func:`trace_product_embedded`, which evaluates traces of products of
-locally-supported operators on up to 22 qubits by sweeping basis vectors
-(dense blocks for small systems, sparse matrices beyond).
+locally-supported operators on up to 22 qubits as one tensor-network
+contraction over qubit wires (Markov & Shi, quant-ph/0511069), holding at
+most _MAX_OPEN_WIRES open wires at a time.
 
 The algebra a set of 2x2 operators generates is read off the rank of
 their Bloch vectors (the qubit case of the Bravyi-Vyalyi structure
@@ -14,11 +15,11 @@ numerical threshold of the package is in the tolerance block below.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,9 +56,7 @@ SUM_TOL = 1e-8  # the certificate values sum to the layer trace within this
 PHASE_FLOOR = 1e-12  # the first amplitude above it fixes a unit vector's phase
 ORDER_TOL = 1e-9  # amplitudes closer than this tie when slice states are ordered
 
-_DENSE_MAX_QUBITS = 10
-_DENSE_BLOCK_ENTRIES = 1 << 24  # ~268 MB of complex128 per work block
-_SPARSE_NNZ_BUDGET = 40_000_000  # fill-in limit before falling back to the sweep
+_MAX_OPEN_WIRES = 24  # trace_product_embedded's widest tensor: 2**24 entries, 256 MiB
 
 
 class NonHermitianError(ValueError):
@@ -315,105 +314,48 @@ def content_ids(mats: Mapping) -> dict:
 def trace_product_embedded(ops: Sequence[LabeledOp], cap: int = 22) -> complex:
     """tr of the ordered product of operators embedded on their label union.
 
-    Each operator is padded with identities onto the union of all labels
-    (sorted); the trace of the product is evaluated by applying the
-    operators to blocks of computational basis vectors, kept dense up to 12
-    qubits and as sparse matrices beyond.
+    The product is contracted as a network of qubit wires: each qubit's wire
+    runs through the operators acting on it in product order, and the last
+    of them closes back onto the first (a self-loop when only one operator
+    acts on the qubit).  Operators are absorbed one at a time, each time the
+    one that leaves the fewest open wires, ties going to product order.
+    Raises CapExceeded when the labels span more than `cap` qubits, or,
+    before anything is allocated, when the contraction would hold more than
+    _MAX_OPEN_WIRES open wires.
     """
     if not ops:
         raise ValueError("need at least one operator")
-    labels = sorted({l for op in ops for l in op.labels})
-    n = len(labels)
-    if n > cap:
-        raise CapExceeded(f"{n} qubits exceeds cap {cap}")
-    positions = [[labels.index(l) for l in op.labels] for op in ops]
-    mats = [op.mat for op in ops]
-    if n <= _DENSE_MAX_QUBITS:
-        return _trace_product_dense(mats, positions, n)
-    return _trace_product_sparse(mats, positions, n)
-
-
-def apply_to_columns(mat: np.ndarray, positions: Sequence[int], block: np.ndarray, n: int) -> np.ndarray:
-    """Apply a local operator to each column of a 2**n x m block."""
-    k = len(positions)
-    t = mat.reshape((2,) * (2 * k))
-    b = block.reshape((2,) * n + (-1,))
-    out = np.tensordot(t, b, axes=(list(range(k, 2 * k)), list(positions)))
-    out = np.moveaxis(out, list(range(k)), list(positions))
-    return out.reshape(block.shape)
-
-
-def _trace_product_dense(mats, positions, n) -> complex:
-    dim = 1 << n
-    block = max(1, min(dim, _DENSE_BLOCK_ENTRIES // dim))
-    total = 0.0 + 0.0j
-    for c0 in range(0, dim, block):
-        width = min(block, dim - c0)
-        cols = np.zeros((dim, width), dtype=complex)
-        cols[c0 + np.arange(width), np.arange(width)] = 1.0
-        for mat, pos in zip(reversed(mats), reversed(positions)):
-            cols = apply_to_columns(mat, pos, cols, n)
-        total += np.einsum("ii->", cols[c0 : c0 + width, :])
-    return complex(total)
-
-
-def embed_sparse(mat: np.ndarray, positions: Sequence[int], n: int) -> sp.csr_matrix:
-    """Identity-padded sparse embedding; position 0 is the most significant bit."""
-    k = len(positions)
-    weights = np.array([1 << (n - 1 - p) for p in positions], dtype=np.int64)
-    rest = sorted(set(range(n)) - set(positions))
-    rest_w = np.array([1 << (n - 1 - p) for p in rest], dtype=np.int64)
-    r = np.arange(1 << len(rest), dtype=np.int64)
-    spread = np.zeros_like(r)
-    for s, w in enumerate(reversed(rest_w)):
-        spread |= ((r >> s) & 1) * w
-    rows16, cols16 = np.nonzero(mat)
-    vals = mat[rows16, cols16]
-
-    def lift(idx4: np.ndarray) -> np.ndarray:
-        bits = (idx4[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1
-        return bits @ weights
-
-    rows = (lift(rows16)[:, None] | spread[None, :]).ravel()
-    cols = (lift(cols16)[:, None] | spread[None, :]).ravel()
-    data = np.repeat(vals, len(r))
-    dim = 1 << n
-    return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-
-
-def _trace_product_sparse(mats, positions, n) -> complex:
-    # tr[E_1 .. E_m] = sum over the elementwise product of the two half
-    # products L = E_1..E_j and R^T; the split is balanced by the per-row
-    # fill estimate so neither half densifies.  Dense-structured operators
-    # can still fill in, in which case the basis-block sweep takes over
-    # (slow, but bounded memory).
-    growth = [np.log2(max(1, int(np.max(np.count_nonzero(m, axis=1))))) for m in mats]
-    total_growth = sum(growth)
-    acc, split = 0.0, len(mats) // 2
-    for j in range(1, len(mats)):
-        acc += growth[j - 1]
-        if acc >= total_growth / 2:
-            split = j
-            break
-    split = max(1, min(len(mats) - 1, split)) if len(mats) > 1 else 1
-    embedded = [embed_sparse(m, p, n) for m, p in zip(mats, positions)]
-    if len(embedded) == 1:
-        return complex(embedded[0].diagonal().sum())
-    try:
-        left = embedded[0]
-        for e in embedded[1:split]:
-            left = left @ e
-            if left.nnz > _SPARSE_NNZ_BUDGET:
-                raise _FillIn
-        right = embedded[split]
-        for e in embedded[split + 1 :]:
-            right = right @ e
-            if right.nnz > _SPARSE_NNZ_BUDGET:
-                raise _FillIn
-    except _FillIn:
-        return _trace_product_dense(mats, positions, n)
-    return complex(left.multiply(right.transpose()).sum())
-
-
-class _FillIn(Exception):
-    pass
+    users: dict = {}
+    for i, op in enumerate(ops):
+        for a, label in enumerate(op.labels):
+            users.setdefault(label, []).append((i, a))
+    if len(users) > cap:
+        raise CapExceeded(f"{len(users)} qubits exceeds cap {cap}")
+    # wire w joins the column index of one user of a qubit to the row index
+    # of the next user; the row indices of an operator come first
+    wires = [[0] * (2 * op.n_qubits) for op in ops]
+    ids = itertools.count()
+    for chain in users.values():
+        for (i, a), (nxt, b) in zip(chain, chain[1:] + chain[:1]):
+            wires[i][ops[i].n_qubits + a] = wires[nxt][b] = next(ids)
+    ends = [frozenset(x for x in ws if ws.count(x) == 1) for ws in wires]
+    todo, plan, open_ = list(range(len(ops))), [], frozenset()
+    while todo:
+        i = min(todo, key=lambda i: len(open_ ^ ends[i]))
+        todo.remove(i)
+        open_ = open_ ^ ends[i]
+        if len(open_) > _MAX_OPEN_WIRES:
+            raise CapExceeded(f"{len(open_)} open wires exceed {_MAX_OPEN_WIRES}")
+        plan.append((i, open_))
+    state, state_wires = np.ones((), dtype=complex), []
+    for i, open_ in plan:
+        out = [x for x in state_wires + wires[i] if x in open_]
+        num = {x: n for n, x in enumerate(dict.fromkeys(state_wires + wires[i]))}
+        t = ops[i].mat.reshape((2,) * len(wires[i]))
+        # optimize=True lets einsum hand the contraction to BLAS
+        state = np.einsum(
+            state, [num[x] for x in state_wires], t, [num[x] for x in wires[i]],
+            [num[x] for x in out], optimize=True,
+        )
+        state_wires = out
+    return complex(state)

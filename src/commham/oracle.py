@@ -78,31 +78,23 @@ def dense_omega(
 
 
 def certificate_sum(
-    m: CommutingModel | PreparedModel,
-    max_bits: int = 24,
-    method: str = "chain",
+    m: CommutingModel | PreparedModel, max_bits: int = 24
 ) -> tuple[float, list[tuple[Certificate, float]]]:
     """Sum of the certificate value over the whole certificate space.
 
     The sum telescopes back to total_overlap; the two are asserted equal,
     which exercises slicing, tracing, and contraction against the plain
-    embedded product.  `method` picks the per-certificate evaluator:
-    "chain" (the verifier) or "dense" (the embedded trace).
+    embedded product.
     """
     prep = _as_prepared(m)
     bits = len(prep.f_black) + len(prep.f_white)
     if bits > max_bits:
         raise CapExceeded(f"certificate space 2**{bits} exceeds 2**{max_bits}")
-    if method not in ("chain", "dense"):
-        raise ValueError(f"unknown method {method!r}")
     table = []
     total = 0.0
     for cert in certificates_lex(prep.f_black, prep.f_white):
-        if method == "dense":
-            val = dense_omega(prep, cert)
-        else:
-            res = compute_omega(prep, cert)
-            val = 0.0 if res.zero else 2.0**res.log2_magnitude
+        res = compute_omega(prep, cert)
+        val = 0.0 if res.zero else 2.0**res.log2_magnitude
         table.append((cert, val))
         total += val
     reference = total_overlap(prep.model)

@@ -336,43 +336,41 @@ def test_trace_bell_chain():
     assert abs(trace_product_embedded([a, b]) - expected) < 1e-12
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_trace_dense_vs_sparse_strategies(seed):
-    rng = np.random.default_rng(seed)
-    ops = []
-    for labels in [(0, 1, 2), (2, 3), (1, 3, 4)]:
-        n = len(labels)
-        m = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-        ops.append(LabeledOp(m, labels))
-    dense = linalg._trace_product_dense(
-        [o.mat for o in ops], [[0, 1, 2], [2, 3], [1, 3, 4]], 5
-    )
-    sparse = linalg._trace_product_sparse(
-        [o.mat for o in ops], [[0, 1, 2], [2, 3], [1, 3, 4]], 5
-    )
-    # oracle: literal embeddings multiplied densely
-    mats = [embed(o, [0, 1, 2, 3, 4]).mat for o in ops]
-    expected = np.trace(mats[0] @ mats[1] @ mats[2])
-    assert abs(dense - expected) < 1e-9
-    assert abs(sparse - expected) < 1e-9
-    assert abs(trace_product_embedded(ops) - expected) < 1e-9
+# integers, strings and tuples, as lattice vertices and tests label qubits
+_TRACE_LABELS = [0, 1, 5, "a", "q2", (0, 1), (1, 0), (2, 3)]
 
 
-def test_trace_sparse_fill_in_fallback(monkeypatch):
-    # dense-structured operators can defeat the sparse half-products; the
-    # basis-block sweep must take over and agree
-    rng = np.random.default_rng(3)
+@st.composite
+def _labeled_products(draw):
+    """1-8 random non-Hermitian operators on 1-4 of at most 8 qubits, in
+    any order: some qubits are touched by one operator (a self-loop of the
+    wire network), some by many, and label sets may repeat."""
+    qubits = draw(st.lists(st.sampled_from(_TRACE_LABELS), min_size=1, max_size=8, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = []
-    for labels in [(0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 0)]:
-        m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        ops.append(LabeledOp(m, labels))
-    full = sorted({l for op in ops for l in op.labels})
-    mats = [o.mat for o in ops]
-    pos = [[full.index(l) for l in o.labels] for o in ops]
-    expected = linalg._trace_product_sparse(mats, pos, len(full))
-    monkeypatch.setattr(linalg, "_SPARSE_NNZ_BUDGET", 10)
-    forced = linalg._trace_product_sparse(mats, pos, len(full))
-    assert abs(forced - expected) < 1e-8 * max(1.0, abs(expected))
+    for _ in range(draw(st.integers(1, 8))):
+        if ops and draw(st.booleans()):
+            labels = draw(st.sampled_from([op.labels for op in ops]))
+        else:
+            labels = draw(
+                st.lists(st.sampled_from(qubits), min_size=1, max_size=min(4, len(qubits)), unique=True)
+            )
+        d = 2 ** len(labels)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ops.append(LabeledOp(m / np.sqrt(d), labels))
+    return ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labeled_products())
+def test_trace_matches_literal_embedding(ops):
+    # reference: a literal embedding of every operator, multiplied densely
+    full = list(dict.fromkeys(l for op in ops for l in op.labels))
+    product = np.eye(2 ** len(full), dtype=complex)
+    for op in ops:
+        product = product @ embed(op, full).mat
+    expected = np.trace(product)
+    assert abs(trace_product_embedded(ops) - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_trace_consistency_with_partial_trace():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commham import lattice
+from commham import lattice, linalg
 from commham.lattice import LatticeSpec
 from commham.linalg import CapExceeded, LabeledOp, embed
 from commham.model import (
@@ -12,6 +12,7 @@ from commham.model import (
     check_commuting,
     gen_ising,
     gen_random,
+    gen_rotated_classical,
     gen_signed_toric,
     gen_toric,
 )
@@ -73,6 +74,12 @@ def test_cap_enforced():
         dense_omega(m, Certificate({(1, 1): 0}, {(1, 1): 0}), cap=8)
 
 
+def test_wire_bound_enforced(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_OPEN_WIRES", 3)
+    with pytest.raises(CapExceeded):
+        total_overlap(gen_toric(LatticeSpec(3, 3)))
+
+
 def test_ground_dim_equals_total_overlap():
     # the product of all projectors is the product of the two layer
     # products, so both traces agree for commuting models
@@ -83,6 +90,58 @@ def test_ground_dim_equals_total_overlap():
     ):
         m = maker()
         assert abs(total_overlap(m) - ground_dim(m)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(2, 11), LatticeSpec(11, 2), LatticeSpec(4, 5), LatticeSpec(5, 4), LatticeSpec(4, 4, "periodic")],
+    ids=str,
+)
+def test_ground_dim_at_cap(spec):
+    # the largest toric products within cap=22; an open lattice has
+    # 2^(N - #plaquettes) ground states, the 4x4 torus 4
+    m = gen_toric(spec)
+    want = 4 if spec.boundary == "periodic" else 2 ** (m.n_qubits - len(lattice.plaquettes(spec)))
+    assert abs(total_overlap(m) - want) < 1e-9 * want
+    assert ground_dim(m) == want
+
+
+def _rotated_terms(model, units, diag_of):
+    """Each term un-rotated to its diagonal, mapped by diag_of(d), rotated back;
+    returns the new terms and the argmin bitstring of every plaquette."""
+    terms, argmins = {}, {}
+    for p, h in model.terms.items():
+        u = np.eye(1, dtype=complex)
+        for v in lattice.corners(model.spec, p):
+            u = np.kron(u, units[v])
+        d = diag_of(np.real(np.diag(u.conj().T @ h @ u)))
+        terms[p] = u @ np.diag(d.astype(complex)) @ u.conj().T
+        argmins[p] = int(np.argmin(d))
+    return terms, argmins
+
+
+def _argmin_reference(spec, argmins):
+    """1 iff the plaquettes' argmin bitstrings agree at every shared corner."""
+    chosen = {}
+    for p, best in argmins.items():
+        for i, v in enumerate(lattice.corners(spec, p)):
+            if chosen.setdefault(v, (best >> 3 - i) & 1) != (best >> 3 - i) & 1:
+                return 0
+    return 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rotated_classical_4x4_ground_dim(seed):
+    m, units = gen_rotated_classical(LatticeSpec(4, 4), seed)
+    _, argmins = _rotated_terms(m, units, lambda d: d)
+    assert ground_dim(m) == _argmin_reference(m.spec, argmins)
+    # the same terms with every argmin moved to the all-zeros bitstring
+    # agree everywhere: one joint ground state
+    terms, argmins = _rotated_terms(m, units, lambda d: np.where(np.arange(16) == 0, d.min() - 1, d))
+    aligned = CommutingModel(m.spec, terms)
+    assert _argmin_reference(m.spec, argmins) == 1
+    assert ground_dim(aligned) == 1
+    assert abs(total_overlap(aligned) - 1) < 1e-9
 
 
 def test_dense_omega_specific_values():
@@ -102,7 +161,9 @@ def test_certificate_sum_toric():
 
 
 def test_certificate_sum_dense_method():
-    total, _ = certificate_sum(gen_toric(LatticeSpec(3, 3)), method="dense")
+    prep = prepare(gen_toric(LatticeSpec(3, 3)))
+    total = sum(dense_omega(prep, cert) for cert in certificates_lex(prep.f_black, prep.f_white))
+    assert abs(total - total_overlap(prep.model)) < 1e-8
     assert abs(total - 32.0) < 1e-8
 
 
