@@ -13,7 +13,6 @@ a single 4-cycle around the center vertex.
 from commham import (
     Certificate,
     LatticeSpec,
-    apply_certificate,
     build_overlap_graph,
     compute_omega,
     contract_component,
@@ -26,8 +25,7 @@ from commham import (
 prep = prepare(gen_ising(LatticeSpec(3, 3), 1.0, 0.0))
 cert = Certificate({v: 0 for v in prep.f_black}, {v: 0 for v in prep.f_white})
 
-sliced = apply_certificate(prep, cert)
-blacks, whites, overlaps = effective_states(prep, sliced, cert)
+blacks, whites, overlaps = effective_states(prep, cert)
 print("effective states:")
 for s in blacks + whites:
     print(f"  {s.color:5s} plaquette {s.plaquette}: support {s.support}")

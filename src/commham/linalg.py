@@ -2,7 +2,7 @@
 
 Operators carry an ordered tuple of qubit labels; label 0 is the most
 significant tensor factor.  Everything here works on a handful of qubits
-(16x16 plaquette matrices, 64x64 commutator embeddings) except
+(16x16 plaquette matrices) except
 :func:`trace_product_embedded`, which evaluates traces of products of
 locally-supported operators on up to 22 qubits as one tensor-network
 contraction over qubit wires (Markov & Shi, quant-ph/0511069), holding at
@@ -41,8 +41,9 @@ HERMITICITY_RTOL = 1e-10  # |H - H^dag| <= HERMITICITY_RTOL |H|
 # the eigensolver's rounding level: a spectrum flat within it is all ground band.
 GAP_RTOL = 1e-9
 EIGH_RTOL = 64 * np.finfo(float).eps
-# Terms and ground projectors commute iff |[A, B]| <= COMMUTATION_TOL |A0| |B0|;
-# the commutator ignores identity shifts, and so does the bound.
+# Terms and ground projectors commute iff |[A, B]| <= COMMUTATION_TOL |A0| |B0|,
+# plus 2 (r_A + r_B) for projectors of radius r (`ground_band`, at most
+# EIGH_RTOL / GAP_RTOL); the commutator ignores identity shifts, and so does the bound.
 COMMUTATION_TOL = 1e-9
 NOISE_RTOL = 1e-9  # operator-Schmidt terms, Bloch directions: noise below this x largest
 # The rest act on scale-free values derived from ground projectors or unit vectors.
@@ -160,13 +161,24 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(mat)
 
 
-def ground_space_projector(mat: np.ndarray) -> np.ndarray:
-    """Projector onto the ground band: the eigenvectors whose eigenvalues lie
-    within max(GAP_RTOL * spread, EIGH_RTOL * |mat|_2) of the minimum."""
+def ground_band(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Projector onto the ground band (eigenvalues within max(GAP_RTOL spread,
+    EIGH_RTOL |mat|_2) of the minimum), and the radius r = EIGH_RTOL spread / gap
+    forgiven in its commutators (gap: band top to next eigenvalue).  r is a policy
+    after Davis-Kahan, below the eigensolver's |mat|_2-relative error for shifted
+    terms; r = 0 if all is band or the gap is below GAP_RTOL spread (unresolved)."""
     w, v = herm_eig(mat)
-    band = max(GAP_RTOL * (w[-1] - w[0]), EIGH_RTOL * max(-w[0], w[-1]))
-    sel = v[:, w <= w[0] + band]
-    return sel @ sel.conj().T
+    spread = w[-1] - w[0]
+    sel = v[:, w <= w[0] + max(GAP_RTOL * spread, EIGH_RTOL * max(-w[0], w[-1]))]
+    m = sel.shape[1]
+    gap = w[m] - w[m - 1] if m < len(w) else 0.0
+    radius = EIGH_RTOL * spread / gap if gap >= GAP_RTOL * spread > 0 else 0.0
+    return sel @ sel.conj().T, radius
+
+
+def ground_space_projector(mat: np.ndarray) -> np.ndarray:
+    """Projector onto the ground band of `ground_band`."""
+    return ground_band(mat)[0]
 
 
 @dataclass

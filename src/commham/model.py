@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import LatticeSpec, Plaquette, Vertex, is_black
-from .linalg import COMMUTATION_TOL, HERMITICITY_RTOL, content_ids, frob, ground_space_projector
+from .linalg import COMMUTATION_TOL, HERMITICITY_RTOL, content_ids, frob, ground_band
 
 # pairs per batched factorization; bounds the kernel's working set
 _PAIR_CHUNK = 32
@@ -102,21 +102,25 @@ def _shared_factors(mats: np.ndarray, shared: tuple[int, ...]) -> np.ndarray:
     return np.linalg.qr(m, mode="r").reshape(n, -1, 2**s, 2**s)
 
 
-def _traceless(mats: Mapping[Plaquette, np.ndarray]) -> tuple[dict, dict[int, np.ndarray]]:
-    """Content ids of mats, and the traceless part A0 = A - tr(A)/16 of each distinct
-    matrix by id: commutators from A0 round relative to |A0|, not to |A|."""
+def _distinct(mats: Mapping[Plaquette, np.ndarray]) -> tuple[dict, list[np.ndarray]]:
+    """Content ids of mats, and the matrix of each id: equal terms share work."""
     ids = content_ids(mats)
-    first = {i: p for p, i in ids.items()}
-    return ids, {i: mats[p] - np.trace(mats[p]) / 16 * np.eye(16) for i, p in first.items()}
+    return ids, [mats[p] for p in {i: p for p, i in ids.items()}.values()]
+
+
+def _traceless(distinct: list[np.ndarray]) -> list[np.ndarray]:
+    """A0 = A - tr(A)/16 of each: commutators from A0 round relative to |A0|, not |A|."""
+    return [m - np.trace(m) / 16 * np.eye(16) for m in distinct]
 
 
 def _pair_norms(model: CommutingModel, mats: Mapping[Plaquette, np.ndarray]) -> PairNorms:
     """|[mats[p], mats[q]]| for every intersecting pair, in `_intersecting_pairs` order."""
-    return _distinct_pair_norms(model, *_traceless(mats))
+    ids, distinct = _distinct(mats)
+    return _distinct_pair_norms(model, ids, _traceless(distinct))
 
 
 def _distinct_pair_norms(
-    model: CommutingModel, ids: Mapping[Plaquette, int], distinct: Mapping[int, np.ndarray]
+    model: CommutingModel, ids: Mapping[Plaquette, int], distinct: list[np.ndarray]
 ) -> PairNorms:
     """Commutator norm of distinct[ids[p]] and distinct[ids[q]] per pair (p, q).
 
@@ -151,14 +155,15 @@ def _distinct_pair_norms(
     return [(p, q, float(norms[s])) for (p, q), s in zip(pairs, slots)]
 
 
-def _violations(model: CommutingModel, mats: Mapping[Plaquette, np.ndarray]) -> PairNorms:
-    """Intersecting pairs with |[A, B]| > COMMUTATION_TOL |A0| |B0|."""
-    ids, traceless = _traceless(mats)
-    norm = {i: frob(m) for i, m in traceless.items()}
+def _violations(model: CommutingModel, ids: dict, distinct: list, radius: list) -> PairNorms:
+    """Intersecting pairs with |[A, B]| > COMMUTATION_TOL |A0| |B0| + 2 (r_A + r_B),
+    A = distinct[ids[p]] and r_A = radius[ids[p]] (a projector's radius)."""
+    traceless = _traceless(distinct)
+    norm = [frob(m) for m in traceless]
     return [
         (p, q, n)
         for p, q, n in _distinct_pair_norms(model, ids, traceless)
-        if n > COMMUTATION_TOL * norm[ids[p]] * norm[ids[q]]
+        if n > COMMUTATION_TOL * norm[ids[p]] * norm[ids[q]] + 2 * (radius[ids[p]] + radius[ids[q]])
     ]
 
 
@@ -167,7 +172,8 @@ def check_commuting(model: CommutingModel) -> CommutationReport:
 
     Disjoint pairs commute trivially and are skipped.
     """
-    violations = _violations(model, model.terms)
+    ids, terms = _distinct(model.terms)
+    violations = _violations(model, ids, terms, [0.0] * len(terms))
     return CommutationReport(not violations, violations)
 
 
@@ -175,18 +181,19 @@ def ground_projectors(model: CommutingModel) -> dict[Plaquette, np.ndarray]:
     """Per-plaquette projectors onto each term's ground band.
 
     Raises NonCommutingError, naming every pair of overlapping projectors
-    that fail to commute, which signals non-commuting input or a
-    borderline degeneracy split by the gap tolerance.
+    that fail to commute beyond their radii (`linalg.ground_band`): input
+    that does not commute, or a degeneracy split by the gap tolerance.
     """
-    projs = {p: ground_space_projector(m) for p, m in model.terms.items()}
-    bad = _violations(model, projs)
+    ids, terms = _distinct(model.terms)  # equal terms share one eigendecomposition
+    projs, radius = zip(*map(ground_band, terms))
+    bad = _violations(model, ids, projs, radius)
     if bad:
         (p, q, norm), rest = bad[0], bad[1:]
         more = "".join(f"; also at {a} and {b} (norm {n:.2e})" for a, b, n in rest)
         raise NonCommutingError(
             f"ground projectors at {p} and {q} do not commute (norm {norm:.2e}){more}", bad
         )
-    return projs
+    return {p: projs[i] for p, i in ids.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ each projected onto its chosen slices, times the same product for the
 white layer.  The verifier evaluates Omega without ever touching the full
 Hilbert space:
 
-* slicing a projector at its split corners keeps it a 16x16 matrix;
 * every split vertex carries rank-1 factors for both touching plaquettes
   of its color, so it can be traced out, leaving small *effective states*
   on the remaining corners plus one scalar overlap per vertex split in
   both layers;
+* tracing out a rank-1 slice |s><s| keeps the entry <s|P|s>, so in the
+  frame whose basis vectors are the slices every effective state is a
+  diagonal block of one rotated 16x16 matrix per plaquette, read by
+  indexing;
 * effective states of one color never share a qubit, and a state can
   overlap states of the other color on at most two neighbors, so the
   overlap structure decomposes into isolated nodes, paths, and cycles
@@ -31,7 +34,7 @@ from .decompose import LayerDecomposition, decompose_layers
 from .lattice import BLACK, WHITE, Plaquette, Vertex
 from .linalg import (
     IMAG_RTOL, LOG2_TIE_TOL, POSITIVITY_TOL, PRUNE_RTOL, ZERO_FLOOR,
-    LabeledOp, embed, frob, partial_trace, sandwich_site,
+    LabeledOp, embed, frob, partial_trace,
 )
 from .model import CommutingModel, ground_projectors
 
@@ -66,43 +69,31 @@ class Certificate:
 
 @dataclass(eq=False)
 class PlaquetteTable:
-    """One plaquette's slicing data.
+    """One plaquette's slicing data, read from R = U^dag P U.
 
-    `norms[b]` is the Frobenius norm of the projector P sandwiched by the
-    slices b at its own-split corners, for every local pattern b at once.
-    In the slice frame U, the Kronecker product over the corners of the
-    own-layer slice basis at own-split corners and the identity elsewhere,
-    slicing keeps the block of U^dag P U whose rows and columns lie in
-    pattern b, and U is unitary.  Sliced ops and effective states are
-    memoized per local pattern in `sliced` and `effective`.
+    The slice frame U is the Kronecker product over the corners of the
+    own-layer slice basis at own-split corners, the other layer's at
+    other-only corners and the identity elsewhere.  In it, slicing keeps
+    the rows and columns whose bit at a corner is the label, and tracing
+    out a rank-1 slice keeps that diagonal entry.  `norms[b]` is the
+    Frobenius norm of the block whose own-split rows and columns equal b,
+    the sliced projector's norm since U is unitary.  `blocks[own + other]`
+    is the diagonal block over all split corners: the effective state on
+    the unsplit corners before pruning.  Effective states are memoized per
+    local pattern in `effective`.
     """
 
     color: str
     corners: tuple[Vertex, ...]
     own_split: tuple[Vertex, ...]
     other_only: tuple[Vertex, ...]
-    own: LayerDecomposition
-    projector: np.ndarray
     norms: np.ndarray
-    sliced: dict = field(default_factory=dict)
+    blocks: np.ndarray
     effective: dict = field(default_factory=dict)
 
     def own_bits(self, cert: Certificate) -> tuple[int, ...]:
         labels = cert.alpha if self.color == BLACK else cert.beta
         return tuple(labels[v] for v in self.own_split)
-
-    def sliced_op(self, bits: tuple[int, ...]) -> LabeledOp:
-        """The projector sandwiched by the slices `bits` at its own-split
-        corners."""
-        op = self.sliced.get(bits)
-        if op is None:
-            picks = dict(zip(self.own_split, bits))
-            pi = _corner_kron([
-                self.own.decomps[v].slice_projector(picks[v]) if v in picks else _ID2
-                for v in self.corners
-            ])
-            op = self.sliced[bits] = LabeledOp(pi @ self.projector @ pi, self.corners)
-        return op
 
 
 _ID2 = np.eye(2)
@@ -113,9 +104,7 @@ def _corner_kron(mats: list[np.ndarray]) -> np.ndarray:
     significant, as one einsum: corner i owns row axis i and column axis
     n + i."""
     n = len(mats)
-    args = []
-    for i, m in enumerate(mats):
-        args += [m, [i, n + i]]
+    args = [x for i, m in enumerate(mats) for x in (m, [i, n + i])]
     return np.einsum(*args, list(range(2 * n))).reshape(2**n, 2**n)
 
 
@@ -125,20 +114,26 @@ def _plaquette_table(prep: PreparedModel, p: Plaquette) -> PlaquetteTable:
     cs = tuple(lattice.corners(prep.model.spec, p))
     own_split = tuple(v for v in cs if own.decomps[v].split)
     other_only = tuple(v for v in cs if other.decomps[v].split and v not in own_split)
-    frame = _corner_kron([own.decomps[v].basis if v in own_split else _ID2 for v in cs])
-    rotated = frame.conj().T @ prep.projectors[p] @ frame
-    # the local pattern (own-split bits, big-endian) of each frame state
+    frame = _corner_kron([
+        own.decomps[v].basis if v in own_split
+        else other.decomps[v].basis if v in other_only else _ID2
+        for v in cs
+    ])
     n = len(cs)
-    state = np.arange(2**n)
-    pattern = np.zeros(2**n, dtype=int)
-    for i, v in enumerate(cs):
-        if v in own_split:
-            pattern = (pattern << 1) | ((state >> (n - 1 - i)) & 1)
-    # squared norm of each row's same-pattern block, summed per pattern
-    rows = (np.abs(rotated) ** 2 * (pattern[:, None] == pattern[None, :])).sum(axis=1)
-    weight = np.bincount(pattern, weights=rows, minlength=2 ** len(own_split))
-    norms = np.sqrt(weight).reshape((2,) * len(own_split))
-    return PlaquetteTable(color, cs, own_split, other_only, own, prep.projectors[p], norms)
+    rotated = (frame.conj().T @ prep.projectors[p] @ frame).reshape((2,) * (2 * n))
+    own_ax = [cs.index(v) for v in own_split]
+    split_ax = own_ax + [cs.index(v) for v in other_only]
+    free_ax = [i for i in range(n) if i not in split_ax]
+
+    def tied(axes: list[int]) -> list[int]:
+        # row axis i and column axis n + i share one label for i in axes
+        return list(range(n)) + [i if i in axes else n + i for i in range(n)]
+
+    norms = np.sqrt(np.einsum(np.abs(rotated) ** 2, tied(own_ax), own_ax))
+    blocks = np.einsum(rotated, tied(split_ax), split_ax + free_ax + [n + i for i in free_ax])
+    d = 2 ** len(free_ax)
+    blocks = blocks.reshape((2,) * len(split_ax) + (d, d)).copy()  # einsum's view would keep R
+    return PlaquetteTable(color, cs, own_split, other_only, norms, blocks)
 
 
 @dataclass
@@ -147,12 +142,13 @@ class PreparedModel:
 
     Slicing and tracing of a plaquette depend only on the few certificate
     labels at its corners.  Each plaquette gets a `PlaquetteTable` on first
-    use (never in `prepare`): the norm of every local slice pattern, and
-    memoized sliced ops and effective states per local pattern, so
-    certificate scans and label flips reuse almost everything.  Tables and
-    their entries are deterministic functions of the model, so a concurrent
-    duplicate write stores an equal value and concurrent verification of
-    distinct certificates against one prepared model is safe.
+    use (never in `prepare`): the norm of every local slice pattern, the
+    unpruned effective state of every pattern of its split corners, and
+    memoized effective states, so certificate scans and label flips reuse
+    almost everything.  Tables and their entries are deterministic
+    functions of the model, so a concurrent duplicate write stores an equal
+    value and concurrent verification of distinct certificates against one
+    prepared model is safe.
     """
 
     model: CommutingModel
@@ -208,21 +204,20 @@ def _check_domain(prep: PreparedModel, cert: Certificate) -> None:
                 raise CertificateDomainError(f"{name}[{v}] = {b!r}, must be 0 or 1")
 
 
-def apply_certificate(
-    prep: PreparedModel, cert: Certificate
-) -> dict[Plaquette, LabeledOp]:
+def apply_certificate(prep: PreparedModel, cert: Certificate) -> dict[Plaquette, LabeledOp]:
     """Sandwich each plaquette projector at its own-layer split corners by
-    the chosen rank-1 slice projectors."""
+    the chosen rank-1 slice projectors: the literal definition, which the
+    plaquette tables replace inside `compute_omega`."""
     _check_domain(prep, cert)
-    return _sliced_ops(prep, cert)
-
-
-def _sliced_ops(prep: PreparedModel, cert: Certificate) -> dict[Plaquette, LabeledOp]:
-    """apply_certificate for a certificate whose domain is already checked."""
     out = {}
     for p in lattice.plaquettes(prep.model.spec):
-        table = prep.table(p)
-        out[p] = table.sliced_op(table.own_bits(cert))
+        own, labels = (prep.black, cert.alpha) if lattice.is_black(p) else (prep.white, cert.beta)
+        op = prep.projector_op(p)
+        pi = _corner_kron([
+            own.decomps[v].slice_projector(labels[v]) if v in labels else _ID2
+            for v in op.labels
+        ])
+        out[p] = LabeledOp(pi @ op.mat @ pi, op.labels)
     return out
 
 
@@ -247,40 +242,27 @@ def _prune_trivial_sites(op: LabeledOp) -> LabeledOp:
 
     If op = id_v (x) rest, replacing it by rest (= tr_v op / 2) is exact; a
     later factor of 2 is credited to v only if no other state acts there.
+    One pass suffices: tracing out an identity factor leaves every other
+    qubit's factor, and so its test, as it was.
     """
-    changed = True
-    while changed and op.labels:
-        changed = False
-        norm = frob(op.mat)
-        for v in op.labels:
-            reduced = partial_trace(op, [l for l in op.labels if l != v])
-            half = LabeledOp(reduced.mat / 2.0, reduced.labels)
-            if frob(embed(half, op.labels).mat - op.mat) <= PRUNE_RTOL * norm:
-                op = half
-                changed = True
-                break
+    for v in op.labels:
+        reduced = partial_trace(op, [l for l in op.labels if l != v])
+        half = LabeledOp(reduced.mat / 2.0, reduced.labels)
+        if frob(embed(half, op.labels).mat - op.mat) <= PRUNE_RTOL * frob(op.mat):
+            op = half
     return op
 
 
-def _effective_state(
-    prep: PreparedModel, p: Plaquette, sliced_op: LabeledOp, cert: Certificate
-) -> EffectiveState:
+def _effective_state(prep: PreparedModel, p: Plaquette, cert: Certificate) -> EffectiveState:
     table = prep.table(p)
     other_labels = cert.beta if table.color == BLACK else cert.alpha
     key = (table.own_bits(cert), tuple(other_labels[v] for v in table.other_only))
     st = table.effective.get(key)
     if st is not None:
         return st
-    other = prep.white if table.color == BLACK else prep.black
 
-    op = sliced_op
-    for v, b in zip(table.other_only, key[1]):
-        op = sandwich_site(op, v, other.decomps[v].slice_projector(b))
-    # split vertices of either layer are traced out
-    op = partial_trace(
-        op, [v for v in op.labels if v not in prep.f_black and v not in prep.f_white]
-    )
-    op = _prune_trivial_sites(op)
+    free = [v for v in table.corners if v not in table.own_split + table.other_only]
+    op = _prune_trivial_sites(LabeledOp(table.blocks[key[0] + key[1]], free))
 
     norm = frob(op.mat)
     if norm > ZERO_FLOOR:
@@ -304,22 +286,21 @@ def _overlap_table(prep: PreparedModel, v: Vertex) -> np.ndarray:
 
 
 def effective_states(
-    prep: PreparedModel,
-    sliced: dict[Plaquette, LabeledOp],
-    cert: Certificate,
+    prep: PreparedModel, cert: Certificate
 ) -> tuple[list[EffectiveState], list[EffectiveState], list[tuple[Vertex, float]]]:
-    """Reduce sliced projectors to effective states plus per-vertex overlaps.
+    """Reduce the sliced projectors to effective states and vertex overlaps.
 
     Vertices split in both layers contribute tr[pi_alpha pibar_beta] each;
-    vertices split in one layer only are absorbed by sandwiching the other
-    layer's operators before tracing.
+    vertices split in one layer only are absorbed by slicing the other
+    layer's operators there before tracing.  Each state is a block of its
+    plaquette table, pruned.
     """
     overlaps = []
     for v in sorted(prep.f_black & prep.f_white):
         overlaps.append((v, float(_overlap_table(prep, v)[cert.alpha[v], cert.beta[v]])))
     blacks, whites = [], []
-    for p, op in sliced.items():
-        st = _effective_state(prep, p, op, cert)
+    for p in lattice.plaquettes(prep.model.spec):
+        st = _effective_state(prep, p, cert)
         (blacks if st.color == BLACK else whites).append(st)
     return blacks, whites, overlaps
 
@@ -504,7 +485,7 @@ def compute_omega(m: CommutingModel | PreparedModel, cert: Certificate) -> Omega
     _check_domain(prep, cert)
 
     # an annihilated plaquette zeroes Omega; its table says so before any
-    # sliced op is built
+    # effective state is read
     factors: list[OmegaFactor] = []
     for p in sorted(lattice.plaquettes(prep.model.spec)):
         table = prep.table(p)
@@ -513,8 +494,7 @@ def compute_omega(m: CommutingModel | PreparedModel, cert: Certificate) -> Omega
     if factors:
         return OmegaResult(True, -math.inf, factors)
 
-    sliced = _sliced_ops(prep, cert)
-    blacks, whites, overlaps = effective_states(prep, sliced, cert)
+    blacks, whites, overlaps = effective_states(prep, cert)
     zero = False
     for v, val in overlaps:
         factors.append(_factor(VERTEX_OVERLAP, v, val))

@@ -280,7 +280,7 @@ def test_criterion_7_degree_bound(prepared, small_names):
         sliced = apply_certificate(prep, cert)
         if any(np.linalg.norm(op.mat) <= 1e-12 for op in sliced.values()):
             continue
-        blacks, whites, _ = effective_states(prep, sliced, cert)
+        blacks, whites, _ = effective_states(prep, cert)
         graph = build_overlap_graph(blacks, whites)  # raises on degree > 2
         max_seen = max(max_seen, graph.max_degree)
     # hand-built branching pattern must be rejected

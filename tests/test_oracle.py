@@ -23,7 +23,7 @@ from commham.oracle import (
     total_overlap,
 )
 from commham.prover import exhaustive_search
-from commham.verifier import Certificate, certificates_lex, prepare
+from commham.verifier import Certificate, certificates_lex, compute_omega, prepare
 
 
 def frustrated_signed_toric(spec=None):
@@ -142,6 +142,40 @@ def test_rotated_classical_4x4_ground_dim(seed):
     assert _argmin_reference(m.spec, argmins) == 1
     assert ground_dim(aligned) == 1
     assert abs(total_overlap(aligned) - 1) < 1e-9
+
+
+def test_small_ground_gap_model_prepares():
+    # every term is diagonal in one rotated product basis, so the model
+    # commutes exactly; the term at (20, 1) has a ground gap of 3.1e-7, so
+    # rounding moves its projector by about EIGH_RTOL spread / gap and its
+    # commutators (9.75e-10) exceed COMMUTATION_TOL |P0| |Q0| alone
+    m, units = gen_rotated_classical(LatticeSpec(24, 24), 3005)
+    w = np.linalg.eigvalsh(m.terms[(20, 1)])
+    assert w[1] - w[0] < 1e-6
+    assert linalg.ground_band(m.terms[(20, 1)])[1] > 1e-9
+    prep = prepare(m)
+    _, argmins = _rotated_terms(m, units, lambda d: d)
+    assert _argmin_reference(m.spec, argmins) == 0
+    res = compute_omega(prep, Certificate({v: 0 for v in prep.f_black}, {v: 0 for v in prep.f_white}))
+    assert res.zero
+
+
+def test_unresolved_band_edge_gets_no_radius():
+    # a non-commuting term whose eigenvalues straddle the band edge
+    # (GAP_RTOL spread) by 1e-15: its projector is not determined, so it
+    # must get no slack, and prepare must reject the model
+    m = gen_toric(LatticeSpec(3, 3))
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    w = np.concatenate([[0.0, 1e-9 - 1e-15, 1e-9 + 1e-15], np.linspace(0.5, 1.0, 13)])
+    h = u @ np.diag(w) @ u.conj().T
+    proj, radius = linalg.ground_band((h + h.conj().T) / 2)
+    assert abs(np.trace(proj) - 2) < 1e-9
+    assert radius == 0.0
+    terms = dict(m.terms)
+    terms[(1, 1)] = (h + h.conj().T) / 2
+    with pytest.raises(NonCommutingError):
+        prepare(CommutingModel(m.spec, terms))
 
 
 def test_dense_omega_specific_values():

@@ -5,7 +5,10 @@ import pytest
 
 from commham import lattice
 from commham.lattice import BLACK, WHITE, LatticeSpec
-from commham.linalg import LabeledOp, PAULI_Z, frob, sandwich_site, trace_product_embedded
+from commham.linalg import (
+    PAULI_Z, PRUNE_RTOL, LabeledOp, embed, frob, partial_trace, sandwich_site,
+    trace_product_embedded,
+)
 from commham.model import CommutingModel, gen_ising, gen_random, gen_toric
 from commham.oracle import dense_omega
 from commham.verifier import (
@@ -24,6 +27,7 @@ from commham.verifier import (
     compute_omega,
     contract_component,
     effective_states,
+    _effective_state,
     _overlap_table,
     prepare,
     verify,
@@ -355,8 +359,7 @@ def test_chain_equals_dense_mixed_zoos(seed):
 def test_effective_states_positive():
     prep = prepare(gen_random(LatticeSpec(3, 3), 5, "rotated-classical"))
     cert = all_zero_cert(prep)
-    sliced = apply_certificate(prep, cert)
-    blacks, whites, _ = effective_states(prep, sliced, cert)
+    blacks, whites, _ = effective_states(prep, cert)
     for s in blacks + whites:
         if s.support:
             w = np.linalg.eigvalsh(s.mat)
@@ -368,8 +371,7 @@ def test_dot_cross_rule():
     # effective state
     prep = prepare(gen_toric(LatticeSpec(4, 4)))
     cert = all_zero_cert(prep)
-    sliced = apply_certificate(prep, cert)
-    blacks, whites, _ = effective_states(prep, sliced, cert)
+    blacks, whites, _ = effective_states(prep, cert)
     for group in (blacks, whites):
         seen = {}
         for s in group:
@@ -406,19 +408,53 @@ def test_verify_rejects_zero():
 # ------------------------------------------------------- plaquette tables
 
 
-@pytest.mark.parametrize(
-    "family", ["rotated-classical", "diagonal-field", "signed-toric", "haar-toric"]
-)
+TABLE_FAMILIES = ["rotated-classical", "diagonal-field", "signed-toric", "haar-toric"]
+# families whose plaquettes have corners split in the other layer only
+OTHER_ONLY_FAMILIES = ["haar-ising", "thinned-toric"]
+
+
+def table_family_model(family, haar_conjugated):
+    if family == "haar-toric":
+        return haar_conjugated(gen_toric(LatticeSpec(4, 4)), 2)
+    if family == "signed-toric":
+        return gen_random(LatticeSpec(4, 4, "periodic"), 2, family)
+    if family == "haar-ising":
+        return haar_conjugated(gen_ising(LatticeSpec(4, 4), 1.0, 0.0), 2)
+    if family == "thinned-toric":
+        return thinned_toric(LatticeSpec(4, 4), (1, 1))
+    return gen_random(LatticeSpec(5, 5), 2, family)
+
+
+def local_cert(prep, table, own_bits, other_bits=()):
+    """All-zeros certificate carrying the given labels at one plaquette's
+    own-split and other-only corners."""
+    cert = all_zero_cert(prep)
+    own, other = (cert.alpha, cert.beta) if table.color == BLACK else (cert.beta, cert.alpha)
+    own.update(zip(table.own_split, own_bits))
+    other.update(zip(table.other_only, other_bits))
+    return cert
+
+
+def prune_reference(op):
+    """Pruning that starts over after every qubit it drops."""
+    changed = True
+    while changed and op.labels:
+        changed = False
+        for v in op.labels:
+            reduced = partial_trace(op, [l for l in op.labels if l != v])
+            half = LabeledOp(reduced.mat / 2.0, reduced.labels)
+            if frob(embed(half, op.labels).mat - op.mat) <= PRUNE_RTOL * frob(op.mat):
+                op, changed = half, True
+                break
+    return op
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES)
 def test_plaquette_table_matches_sandwich_reference(family, haar_conjugated):
     # every local slice pattern of every plaquette: the table's norm and
-    # derived sliced op against sandwich_site applied corner by corner
-    if family == "haar-toric":
-        model = haar_conjugated(gen_toric(LatticeSpec(4, 4)), 2)
-    elif family == "signed-toric":
-        model = gen_random(LatticeSpec(4, 4, "periodic"), 2, family)
-    else:
-        model = gen_random(LatticeSpec(5, 5), 2, family)
-    prep = prepare(model)
+    # apply_certificate's sliced op against sandwich_site applied corner by
+    # corner
+    prep = prepare(table_family_model(family, haar_conjugated))
     layers = {BLACK: prep.black, WHITE: prep.white}
     zeros = patterns = 0
     for p in lattice.plaquettes(prep.model.spec):
@@ -430,7 +466,7 @@ def test_plaquette_table_matches_sandwich_reference(family, haar_conjugated):
             ref = prep.projector_op(p)
             for v, b in zip(table.own_split, bits):
                 ref = sandwich_site(ref, v, layer.decomps[v].slice_projector(b))
-            op = table.sliced_op(bits)
+            op = apply_certificate(prep, local_cert(prep, table, bits))[p]
             assert op.labels == ref.labels
             assert frob(op.mat - ref.mat) <= 1e-12
             assert abs(table.norms[bits] - frob(ref.mat)) <= 1e-12
@@ -438,6 +474,30 @@ def test_plaquette_table_matches_sandwich_reference(family, haar_conjugated):
             zeros += bool(table.norms[bits] <= ZERO_FLOOR)
             patterns += 1
     assert 0 < zeros < patterns
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES + OTHER_ONLY_FAMILIES)
+def test_effective_states_match_sandwich_trace_reference(family, haar_conjugated):
+    # every (own, other-only) pattern of every plaquette: the table's block,
+    # pruned, against sandwich_site at each split corner, partial_trace onto
+    # the unsplit corners and the start-over pruning loop
+    prep = prepare(table_family_model(family, haar_conjugated))
+    layers = {BLACK: (prep.black, prep.white), WHITE: (prep.white, prep.black)}
+    plaquettes = lattice.plaquettes(prep.model.spec)
+    assert any(prep.table(p).other_only for p in plaquettes) == (family in OTHER_ONLY_FAMILIES)
+    for p in plaquettes:
+        table = prep.table(p)
+        own, other = layers[table.color]
+        k = len(table.own_split)
+        split = table.own_split + table.other_only
+        for bits in itertools.product((0, 1), repeat=len(split)):
+            ref = prep.projector_op(p)
+            for i, (v, b) in enumerate(zip(split, bits)):
+                ref = sandwich_site(ref, v, (own if i < k else other).decomps[v].slice_projector(b))
+            ref = prune_reference(partial_trace(ref, [v for v in ref.labels if v not in split]))
+            st = _effective_state(prep, p, local_cert(prep, table, bits[:k], bits[k:]))
+            assert st.support == ref.labels
+            assert frob(st.mat - ref.mat) <= 1e-12
 
 
 @pytest.mark.parametrize("family", ["rotated-classical", "haar-toric"])
