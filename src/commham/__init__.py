@@ -46,7 +46,6 @@ from .decompose import (
     VertexDecomposition,
     certificate_space,
     decompose_layers,
-    vertex_decomposition,
 )
 from .verifier import (
     Certificate,

@@ -1,19 +1,21 @@
 """Per-vertex structure of one layer of commuting plaquette projectors.
 
 Within one color class, the two projectors meeting at a vertex commute and
-overlap on that single qubit only, so the operators they induce there
-generate commuting algebras.  Each algebra is classified by the rank of
-the Bloch vectors of the projector's operator-Schmidt factors at v (0
-trivial, 1 abelian, 2 or more full), which leaves these cases: at most
-one projector acts non-trivially (no structure needed), or both act
-through abelian algebras along one shared axis, in which case the qubit
-splits into two orthogonal rank-1 slices shared by both projectors.
-A vertex of the second kind is called *split*; the slices are labelled 0
-and 1 in a canonical order so that independently produced labellings
-agree.  On qubits each slice is a single state and the two operators act
-on it as scalars, so no residual multiplicity factor survives inside a
-slice; that is what keeps everything downstream one-dimensional.  The
-decomposition is deterministic: it draws no random numbers.
+overlap on that single qubit only, so the algebras they act through there
+commute: trivial, abelian along one axis n, or full (the qubit case of the
+Bravyi-Vyalyi structure lemma).  A projector P acts at its corner k through
+the row span of the real 3x64 block C_k[s, t] = tr(P . sigma_s (x) tau_t) / 16
+of its Pauli table (sigma_s in X, Y, Z on corner k, tau_t over the Pauli
+strings on the other corners); the rank of C_k (0, 1, 2 or more) is the class.
+One einsum builds the tables, a QR shrinks each block to a 3x3 factor with
+the same singular values and left singular vectors, and one batched SVD
+ranks them all against NOISE_RTOL times the table's norm |P| / 4.  Either at
+most one projector acts non-trivially, or both act along one axis n (the
+leading singular vector of their blocks side by side) and the qubit *splits*
+into the eigenstates of n.sigma: two rank-1 slices shared by both, labelled
+0 and 1 in a canonical order, so independently produced labellings agree.
+On a slice both act as scalars, so no multiplicity factor survives; that
+keeps everything downstream one-dimensional.  No random numbers are drawn.
 """
 from __future__ import annotations
 
@@ -25,16 +27,14 @@ import numpy as np
 
 from . import lattice
 from .lattice import BLACK, WHITE, LatticeSpec, Plaquette, Vertex
-from .linalg import (
-    FULL,
-    TRIVIAL,
-    LabeledOp,
-    algebra_classify,
-    common_eigenbasis,
-    content_ids,
-    operator_schmidt,
-    state_projector,
-)
+from .linalg import NOISE_RTOL, BasisMismatch, _PAULIS, _axis_basis, content_ids, state_projector
+# unused here: perfbench/tracing.py patches these names on this module
+from .linalg import algebra_classify, common_eigenbasis, operator_schmidt  # noqa: F401
+
+_HALF_PAULIS = np.concatenate([np.eye(2)[None], _PAULIS]) / 2  # I, X, Y, Z; four give the 1/16
+# the flat Pauli-table index of sigma_s on corner k and the t-th string on the others
+_BLOCK_INDEX = np.stack([np.moveaxis(np.arange(256).reshape((4,) * 4), k, 0)[1:] for k in range(4)])
+_CHUNK = 32  # projectors per batched table; bounds the working set
 
 
 class ImpossibleAlgebraPair(ValueError):
@@ -70,67 +70,62 @@ class LayerDecomposition:
         return frozenset(v for v, d in self.decomps.items() if d.split)
 
 
-def vertex_decomposition(
-    incident: list[tuple[Plaquette, LabeledOp]], v: Vertex
-) -> VertexDecomposition:
-    """Classify the action of the (at most two) same-color projectors at v."""
-    if len(incident) > 2:
-        raise ValueError("a vertex meets at most two plaquettes of one color")
-    factors = []
-    kinds = []
-    for _, op in incident:
-        bs = [b for _, b in operator_schmidt(op, v).terms]
-        cls = algebra_classify(bs)
-        factors.append(bs)
-        kinds.append(cls.kind)
-
-    nontrivial = [i for i, k in enumerate(kinds) if k != TRIVIAL]
-    if not nontrivial:
-        return VertexDecomposition(split=False, owner=None)
-    if len(nontrivial) == 1:
-        return VertexDecomposition(split=False, owner=incident[nontrivial[0]][0])
-    if FULL in kinds:
-        raise ImpossibleAlgebraPair(
-            f"projectors at {v} act through non-commuting algebras; "
-            "the model terms do not commute"
-        )
-    # both abelian: commuting input puts all their Bloch vectors on one
-    # axis, whose eigenbasis is the shared slice basis
-    basis = common_eigenbasis(factors[0] + factors[1])
-    return VertexDecomposition(split=True, basis=basis)
+def _bloch_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per 16x16 Hermitian P_n and corner k, a 3x3 F with C_k = F Q^T (the QR
+    of C_k^T), so with the singular values and left singular vectors of the
+    block C_k; and the norm of P_n's Pauli table, |P_n| / 4."""
+    t = np.einsum(
+        "nabcdABCD,iAa,jBb,kCc,lDd->nijkl",
+        mats.reshape((-1,) + (2,) * 8), *[_HALF_PAULIS] * 4, optimize=True,
+    ).real.reshape(-1, 256)
+    blocks = t[:, _BLOCK_INDEX].reshape(-1, 4, 3, 64).transpose(0, 1, 3, 2)
+    return np.linalg.qr(blocks, mode="r").transpose(0, 1, 3, 2), np.linalg.norm(t, axis=1)
 
 
 def decompose_layers(
-    spec: LatticeSpec,
-    projectors: Mapping[Plaquette, np.ndarray],
+    spec: LatticeSpec, projectors: Mapping[Plaquette, np.ndarray]
 ) -> tuple[LayerDecomposition, LayerDecomposition]:
     """Vertex decompositions of the black and the white layer."""
-    ops = {
-        p: LabeledOp(m, tuple(lattice.corners(spec, p))) for p, m in projectors.items()
-    }
-    ids = content_ids({p: op.mat for p, op in ops.items()})
+    ids = content_ids(projectors)
+    distinct = [projectors[p] for p in {i: p for p, i in ids.items()}.values()]
+    chunks = [
+        _bloch_factors(np.stack(distinct[i : i + _CHUNK])) for i in range(0, len(distinct), _CHUNK)
+    ]
+    factors, norms = (np.concatenate(parts) for parts in zip(*chunks))
+    cut = NOISE_RTOL * norms
+    ranks = np.sum(np.linalg.svd(factors, compute_uv=False) > cut[:, None, None], axis=-1).tolist()
+
+    # the same-color projectors acting at each vertex, in row-major order
+    acting: dict[str, dict[Vertex, list]] = {BLACK: {}, WHITE: {}}
+    for p in lattice.plaquettes(spec):
+        i, layer = ids[p], acting[lattice.plaquette_color(p)]
+        for k, v in enumerate(lattice.corners(spec, p)):
+            if ranks[i][k]:
+                layer.setdefault(v, []).append((p, (i, k)))
+    # each distinct pair's axis: the leading left singular vector of its two
+    # blocks (so of their factors) side by side; a second direction means they
+    # do not commute
+    twos = [found for layer in acting.values() for found in layer.values() if len(found) == 2]
+    pairs = list(dict.fromkeys((x[1], y[1]) for x, y in twos))
+    a, b = np.array(pairs, dtype=int).reshape(-1, 2, 2).transpose(1, 2, 0)  # ends: ids, corners
+    u, s, _ = np.linalg.svd(np.concatenate([factors[tuple(a)], factors[tuple(b)]], 2))
+    one_axis = np.sum(s > np.maximum(cut[a[0]], cut[b[0]])[:, None], axis=1) == 1
+    bases = {key: _axis_basis(u[n, :, 0]) for n, key in enumerate(pairs) if one_axis[n]}
+
     out = []
-    cache: dict[tuple, tuple] = {}
     for color in (BLACK, WHITE):
         decomps = {}
         for v in spec.vertices():
-            incident = [
-                (p, ops[p]) for p in lattice.incident_plaquettes(spec, v, color)
-            ]
-            # decompositions depend only on the matrices and where v sits in
-            # their corner order; identical plaquette terms share the result
-            key = tuple((ids[p], op.labels.index(v)) for p, op in incident)
-            if key in cache:
-                split, owner_idx, basis = cache[key]
-            else:
-                d = vertex_decomposition(incident, v)
-                owner_idx = None
-                if d.owner is not None:
-                    owner_idx = [p for p, _ in incident].index(d.owner)
-                split, basis = d.split, d.basis
-                cache[key] = (split, owner_idx, basis)
-            owner = incident[owner_idx][0] if owner_idx is not None else None
-            decomps[v] = VertexDecomposition(split=split, owner=owner, basis=basis)
+            found = acting[color].get(v, [])
+            if len(found) < 2:
+                decomps[v] = VertexDecomposition(False, found[0][0] if found else None)
+                continue
+            key = (found[0][1], found[1][1])
+            if max(ranks[i][k] for i, k in key) > 1:
+                raise ImpossibleAlgebraPair(f"projectors at {v} act through non-commuting algebras")
+            if key not in bases:
+                raise BasisMismatch(f"projectors at {v} act along different axes")
+            decomps[v] = VertexDecomposition(True, basis=bases[key])
         out.append(LayerDecomposition(color, decomps))
     return out[0], out[1]
 

@@ -45,7 +45,7 @@ EIGH_RTOL = 64 * np.finfo(float).eps
 # plus 2 (r_A + r_B) for projectors of radius r (`ground_band`, at most
 # EIGH_RTOL / GAP_RTOL); the commutator ignores identity shifts, and so does the bound.
 COMMUTATION_TOL = 1e-9
-NOISE_RTOL = 1e-9  # operator-Schmidt terms, Bloch directions: noise below this x largest
+NOISE_RTOL = 1e-9  # rank noise: below this x |P| / 4 (Pauli blocks), x largest (Schmidt, Bloch)
 # The rest act on scale-free values derived from ground projectors or unit vectors.
 ZERO_FLOOR = 1e-12  # slice norms, vertex overlaps and component traces at or below are 0
 LOG2_TIE_TOL = 1e-9  # log2 values closer than this tie, so searches ignore rounding

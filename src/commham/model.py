@@ -8,6 +8,7 @@ families used for testing.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -72,23 +73,18 @@ class CommutationReport:
     violations: PairNorms
 
 
-def _row_major(p: Plaquette) -> tuple[int, int]:
-    return p[1], p[0]
-
-
-def _intersecting_pairs(model: CommutingModel):
+def _intersecting_pairs(model: CommutingModel) -> list[tuple[Plaquette, Plaquette]]:
     """Plaquette pairs sharing a corner, each once, in row-major order of
     (first, second), found through the <= 4 plaquettes at each corner."""
     spec = model.spec
-    for p in lattice.plaquettes(spec):
-        later = {
-            q
-            for v in lattice.corners(spec, p)
-            for q in lattice.incident_plaquettes(spec, v)
-            if _row_major(q) > _row_major(p)
-        }
-        for q in sorted(later, key=_row_major):
-            yield p, q
+    order = {p: i for i, p in enumerate(lattice.plaquettes(spec))}
+    at: dict[Vertex, list[Plaquette]] = {}
+    for p in order:
+        for v in lattice.corners(spec, p):
+            at.setdefault(v, []).append(p)
+    # each list is in row-major order, so every pair comes out (first, second)
+    pairs = {pq for ps in at.values() for pq in itertools.combinations(ps, 2)}
+    return sorted(pairs, key=lambda pq: (order[pq[0]], order[pq[1]]))
 
 
 def _shared_factors(mats: np.ndarray, shared: tuple[int, ...]) -> np.ndarray:
@@ -130,7 +126,7 @@ def _distinct_pair_norms(
     128x128 embedding is formed.  Pairs are batched by alignment (which
     corners of p meet which of q); equal matrices share one evaluation.
     """
-    pairs = list(_intersecting_pairs(model))
+    pairs = _intersecting_pairs(model)
     groups: dict[tuple, dict[tuple[int, int], int]] = {}  # alignment -> ids -> slot
     slots = []
     for p, q in pairs:

@@ -47,13 +47,23 @@ def model_to_dict(model: CommutingModel) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # JSON true, 3.0 and 3.7 are not integers
+        raise FormatError(f"{what} = {value!r} is not an integer")
+    return value
+
+
 def model_from_dict(data: dict) -> CommutingModel:
     try:
         lat = data["lattice"]
-        spec = LatticeSpec(int(lat["lx"]), int(lat["ly"]), str(lat["boundary"]))
+        lx, ly = (_integer(lat[k], k) for k in ("lx", "ly"))
+        spec = LatticeSpec(lx, ly, str(lat["boundary"]))
         terms = {}
         for entry in data["terms"]:
-            p = (int(entry["plaquette"][0]), int(entry["plaquette"][1]))
+            x, y = entry["plaquette"]
+            p = (_integer(x, "plaquette x"), _integer(y, "plaquette y"))
+            if p in terms:
+                raise FormatError(f"plaquette {p} is listed twice")
             rows = entry["matrix"]
             m = np.array(
                 [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
@@ -75,10 +85,8 @@ def certificate_from_dict(data: dict) -> Certificate:
     def side(name: str) -> dict:
         out = {}
         for key, b in data.get(name, {}).items():
-            if type(b) is not int:  # JSON true and 1.7 are not labels
-                raise FormatError(f"{name}[{key}] = {b!r} is not an integer label")
             x, y = key.split(",")
-            out[(int(x), int(y))] = b
+            out[(int(x), int(y))] = _integer(b, f"{name}[{key}]")
         return out
 
     try:

@@ -549,8 +549,8 @@ def verify(
     if threshold is None:
         log2_threshold = default_log2_threshold(prep.model.n_qubits)
     else:
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < threshold < math.inf:  # nan fails both comparisons
+            raise ValueError(f"threshold must be positive and finite, got {threshold}")
         log2_threshold = math.log2(threshold)
     omega = compute_omega(prep, cert)
     accept = (not omega.zero) and omega.log2_magnitude >= log2_threshold

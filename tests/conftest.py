@@ -5,14 +5,25 @@ import numpy as np
 import pytest
 
 
-@pytest.fixture(scope="session")
-def compare_decomposition():
-    """tools/compare_decomposition.py, loaded as a module."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "compare_decomposition.py"
-    spec = importlib.util.spec_from_file_location("compare_decomposition", path)
+def _load(relpath: str):
+    """A script of the repository, loaded as a module named after its file."""
+    path = Path(__file__).resolve().parents[1] / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def compare_decomposition():
+    """tools/compare_decomposition.py, loaded as a module."""
+    return _load("tools/compare_decomposition.py")
+
+
+@pytest.fixture(scope="session")
+def tracing():
+    """perfbench/tracing.py, loaded as a module."""
+    return _load("perfbench/tracing.py")
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,36 @@ def test_malformed_model_file(tmp_path):
         load_model(path)
 
 
+def test_model_duplicate_plaquette_rejected(tmp_path):
+    # a second entry for a plaquette must not silently replace the first
+    path = tmp_path / "m.json"
+    save_model(gen_toric(LatticeSpec(3, 3)), path)
+    raw = json.loads(path.read_text())
+    raw["terms"].append({"plaquette": [0, 0], "matrix": [[[0.0, 0.0]] * 16] * 16})
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(FormatError, match="listed twice"):
+        load_model(path)
+    assert main(["check", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value", [("lx", 3.7), ("ly", 3.0), ("lx", True), ("x", 0.5), ("y", 1.0), ("x", "1")]
+)
+def test_model_non_integer_coordinate_rejected(tmp_path, field, value):
+    # int() would truncate 3.7 to 3 and load a different lattice
+    path = tmp_path / "m.json"
+    save_model(gen_toric(LatticeSpec(3, 3)), path)
+    raw = json.loads(path.read_text())
+    if field in ("lx", "ly"):
+        raw["lattice"][field] = value
+    else:
+        raw["terms"][-1]["plaquette"]["xy".index(field)] = value
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(FormatError, match="is not an integer"):
+        load_model(path)
+    assert main(["check", str(path)]) == 2
+
+
 @pytest.mark.parametrize("label", [True, 1.7, 1.0, "1"])
 def test_certificate_non_integer_label_rejected(tmp_path, label):
     path = tmp_path / "c.json"
@@ -179,6 +209,8 @@ def test_verify_custom_threshold(tmp_path):
     assert main(["verify", mfile, cfile]) == 0
     # omega = 2^-16 fails a 2^-10 bar
     assert main(["verify", mfile, cfile, "--threshold", str(2.0**-10)]) == 1
+    for bad in ("nan", "inf", "0"):
+        assert main(["verify", mfile, cfile, "--threshold", bad]) == 2
 
 
 def test_verify_domain_mismatch_exit_2(tmp_path):

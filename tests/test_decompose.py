@@ -2,24 +2,26 @@ import numpy as np
 import pytest
 
 from commham import lattice
-from commham.decompose import (
-    ImpossibleAlgebraPair,
-    certificate_space,
-    decompose_layers,
-    vertex_decomposition,
-)
+from commham import decompose, linalg, verifier
+from commham.decompose import ImpossibleAlgebraPair, certificate_space, decompose_layers
 from commham.lattice import BLACK, WHITE, LatticeSpec
 from commham.linalg import (
+    TRIVIAL,
+    BasisMismatch,
     LabeledOp,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    algebra_classify,
     commutator_norm,
+    common_eigenbasis,
     embed,
     frob,
+    operator_schmidt,
 )
 from commham.model import (
     CommutingModel,
+    gen_random,
     gen_rotated_classical,
     gen_toric,
     ground_projectors,
@@ -115,35 +117,43 @@ def test_slices_complete():
         assert np.allclose(d.slice_projector(0) + d.slice_projector(1), np.eye(2))
 
 
+def shared_vertex_pair(a, b):
+    """Decompose an open 3x3 lattice whose black plaquettes (0, 0) and (1, 1),
+    which share the vertex (1, 1), carry the two-qubit operators a on
+    ((0, 1), (1, 1)) and b on ((1, 1), (2, 1)); every other matrix is zero."""
+    spec = LatticeSpec(3, 3)
+    projs = {p: np.zeros((16, 16), dtype=complex) for p in lattice.plaquettes(spec)}
+    for p, m, labels in (((0, 0), a, ((0, 1), (1, 1))), ((1, 1), b, ((1, 1), (2, 1)))):
+        projs[p] = embed(LabeledOp(m, labels), lattice.corners(spec, p)).mat
+    return decompose_layers(spec, projs)
+
+
 def test_impossible_pair_raises():
-    # hand-built non-commuting pair: both act as the full algebra at the
-    # shared vertex (X on one side, Z on the other plus a Y coupling)
-    v = (1, 1)
-    a = LabeledOp(kron(PAULI_X, np.eye(2)) + kron(PAULI_Z, PAULI_Z), ((0, 1), v))
-    b = LabeledOp(kron(PAULI_Z, np.eye(2)) + kron(PAULI_X, PAULI_X), (v, (2, 1)))
+    # hand-built non-commuting pair: at the shared vertex the first acts
+    # through {1, Z}, the second through the full algebra (Z plus an X
+    # coupling)
+    a = kron(PAULI_X, np.eye(2)) + kron(PAULI_Z, PAULI_Z)
+    b = kron(PAULI_Z, np.eye(2)) + kron(PAULI_X, PAULI_X)
     with pytest.raises(ImpossibleAlgebraPair):
-        vertex_decomposition([((0, 0), a), ((1, 1), b)], v)
+        shared_vertex_pair(a, b)
 
 
 def test_basis_mismatch_raises():
     # each operator's own vertex algebra is abelian ({1, Z} and {1, X}),
     # but the two cannot share an eigenbasis: corrupted (non-commuting)
     # input must surface as BasisMismatch
-    from commham.linalg import BasisMismatch
-
-    v = (1, 1)
-    a = LabeledOp(np.eye(4) + kron(np.eye(2), PAULI_Z) / 2 + kron(PAULI_Z, PAULI_Z) / 3, ((0, 1), v))
-    b = LabeledOp(np.eye(4) + kron(PAULI_X, np.eye(2)) / 2 + kron(PAULI_X, PAULI_X) / 3, (v, (2, 1)))
+    a = np.eye(4) + kron(np.eye(2), PAULI_Z) / 2 + kron(PAULI_Z, PAULI_Z) / 3
+    b = np.eye(4) + kron(PAULI_X, np.eye(2)) / 2 + kron(PAULI_X, PAULI_X) / 3
     with pytest.raises(BasisMismatch):
-        vertex_decomposition([((0, 0), a), ((1, 1), b)], v)
+        shared_vertex_pair(a, b)
 
 
 def test_schmidt_noise_term_does_not_break_split():
     # both projectors act on v through the axis n; the first also carries an
-    # off-axis operator-Schmidt term at 1.07e-12 of its leading value (as
+    # off-axis term at 1.07e-12 of its leading Pauli coefficient (as
     # eigendecomposition noise leaves in rotated-classical 24x24 models).
-    # Its B factor has norm ~1e-6 and must count as noise, not as a second
-    # Bloch direction that would make the algebra full.
+    # It must count as noise, not as a second Bloch direction that would
+    # make the algebra full.
     v = (1, 1)
     theta, phi = 0.7, 0.3
     n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
@@ -152,10 +162,10 @@ def test_schmidt_noise_term_does_not_break_split():
     m_sigma = m[0] * PAULI_X + m[1] * PAULI_Y + m[2] * PAULI_Z
     clean = (np.eye(4) + kron(PAULI_Z, n_sigma)) / 2
     noisy = clean + 0.535e-12 * kron(PAULI_X, m_sigma)
-    b = LabeledOp((np.eye(4) + kron(n_sigma, PAULI_Z)) / 2, (v, (2, 1)))
+    b = (np.eye(4) + kron(n_sigma, PAULI_Z)) / 2
 
-    ref = vertex_decomposition([((0, 0), LabeledOp(clean, ((0, 1), v))), ((1, 1), b)], v)
-    d = vertex_decomposition([((0, 0), LabeledOp(noisy, ((0, 1), v))), ((1, 1), b)], v)
+    ref = shared_vertex_pair(clean, b)[0].decomps[v]
+    d = shared_vertex_pair(noisy, b)[0].decomps[v]
     assert d.split and ref.split
     assert np.max(np.abs(d.basis - ref.basis)) < 1e-9
     plus = (np.eye(2) + n_sigma) / 2
@@ -235,32 +245,56 @@ def test_certificate_space_counts():
     assert certificate_space(black, white).count == 4
 
 
-@pytest.mark.parametrize(
-    "spec, classified", [(LatticeSpec(8, 8, "periodic"), 8), (LatticeSpec(8, 8), 13)]
-)
-def test_equal_terms_share_vertex_classification(spec, classified, monkeypatch):
-    # toric terms repeat, so vertices whose incident matrices and corner
-    # positions agree share one classification, equal to a fresh one
-    from commham import decompose
+def schmidt_reference(spec, projs, color, v):
+    """(split, owner, basis) at v from the operator-Schmidt factors of the
+    incident projectors, classified one incidence at a time."""
+    factors, acting = [], []
+    for p in lattice.incident_plaquettes(spec, v, color):
+        op = LabeledOp(projs[p], tuple(lattice.corners(spec, p)))
+        bs = [b for _, b in operator_schmidt(op, v).terms]
+        factors += bs
+        if algebra_classify(bs).kind != TRIVIAL:
+            acting.append(p)
+    if len(acting) < 2:
+        return False, acting[0] if acting else None, None
+    return True, None, common_eigenbasis(factors)
 
-    calls = []
-    fresh = decompose.vertex_decomposition
 
-    def counting(incident, v):
-        calls.append(v)
-        return fresh(incident, v)
+EQUIVALENCE_MODELS = [
+    ("toric-8x8-open", lambda conj: gen_toric(LatticeSpec(8, 8))),
+    ("toric-8x8-periodic", lambda conj: gen_toric(LatticeSpec(8, 8, "periodic"))),
+    *[
+        (f"{method}-12x12-s{seed}", lambda conj, seed=seed, method=method: gen_random(LatticeSpec(12, 12), seed, method))
+        for method in ("rotated-classical", "diagonal-field")
+        for seed in range(4)
+    ],
+    ("haar-toric-8x8-periodic", lambda conj: conj(gen_toric(LatticeSpec(8, 8, "periodic")), 0)),
+]
 
-    monkeypatch.setattr(decompose, "vertex_decomposition", counting)
-    projs = ground_projectors(gen_toric(spec))
-    layers = decompose_layers(spec, projs)
-    assert len(calls) == classified
-    for layer in layers:
+
+@pytest.mark.parametrize("make", [m for _, m in EQUIVALENCE_MODELS], ids=[n for n, _ in EQUIVALENCE_MODELS])
+def test_pauli_table_matches_schmidt_reference(make, haar_conjugated):
+    # every vertex's split flag, owner and slice basis agree with
+    # algebra_classify and common_eigenbasis on operator-Schmidt factors
+    m = make(haar_conjugated)
+    projs = ground_projectors(m)
+    splits = 0
+    for layer in decompose_layers(m.spec, projs):
         for v, d in layer.decomps.items():
-            incident = [
-                (p, LabeledOp(projs[p], tuple(lattice.corners(spec, p))))
-                for p in lattice.incident_plaquettes(spec, v, layer.color)
-            ]
-            ref = fresh(incident, v)
-            assert (d.split, d.owner) == (ref.split, ref.owner)
-            if d.split:
-                assert np.array_equal(d.basis, ref.basis)
+            split, owner, basis = schmidt_reference(m.spec, projs, layer.color, v)
+            assert (d.split, d.owner) == (split, owner)
+            if split:
+                splits += 1
+                assert np.max(np.abs(d.basis - basis)) <= 1e-10
+    assert splits
+
+
+def test_prepare_runs_without_the_schmidt_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("prepare must not run the per-incidence classification")
+
+    for module in (decompose, linalg):
+        monkeypatch.setattr(module, "operator_schmidt", refuse)
+        monkeypatch.setattr(module, "algebra_classify", refuse)
+    prep = verifier.prepare(gen_rotated_classical(LatticeSpec(4, 3), seed=0)[0])
+    assert prep.f_black and prep.f_white

@@ -396,6 +396,14 @@ def test_verify_threshold_rejects_small_omega():
     assert not v.accept  # omega = 2^-16 < 2^-10
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
+def test_verify_rejects_invalid_threshold(threshold):
+    # nan or inf would give a threshold no certificate can clear
+    prep = prepare(gen_toric(LatticeSpec(4, 4, "periodic")))
+    with pytest.raises(ValueError, match="positive and finite"):
+        verify(prep, all_zero_cert(prep), threshold=threshold)
+
+
 def test_verify_rejects_zero():
     prep = prepare(gen_ising(LatticeSpec(3, 4), 1.0, 0.0))
     fb = sorted(prep.f_black)
