@@ -1,9 +1,10 @@
 """Certificate search: exhaustive enumeration and a greedy hill climber.
 
 Both searches only propose; every certificate handed back has been
-re-checked by the verifier.  Exhaustive search prunes layer by layer: a
-slice assignment that annihilates some plaquette projector of its own
-color kills every certificate extending it, so surviving black and white
+re-checked by the verifier.  Both evaluate label vectors through the
+compiled model.  Exhaustive search prunes layer by layer: a slice
+assignment that annihilates some plaquette projector of its own color
+kills every certificate extending it, so surviving black and white
 assignments are enumerated independently before being paired.
 """
 from __future__ import annotations
@@ -13,20 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lattice
 from .linalg import CapExceeded
 from .model import CommutingModel
 from .verifier import (
     Certificate,
+    CompiledModel,
     OmegaResult,
     PreparedModel,
     Verdict,
-    ZERO_FLOOR,
     _as_prepared,
     compute_omega,
     log2_exceeds,
     verify,
 )
+
+
+_CHUNK = 4096  # label rows per step of the layer scan
 
 
 @dataclass
@@ -38,34 +41,18 @@ class SearchResult:
     evaluated: int = 0
 
 
-def _surviving_assignments(prep: PreparedModel, color: str) -> list[dict]:
-    """Lexicographic scan of one layer's assignments, dropping any whose
-    local bits annihilate some plaquette of that color."""
-    f_sorted = sorted(prep.f_black if color == lattice.BLACK else prep.f_white)
-    pos = {v: i for i, v in enumerate(f_sorted)}
-    n = len(f_sorted)
-    compiled = []
-    for p in lattice.plaquettes(prep.model.spec):
-        if lattice.plaquette_color(p) != color:
-            continue
-        table = prep.table(p)
-        # big-endian local patterns whose sliced projector vanishes
-        dead = {i for i, norm in enumerate(table.norms.ravel()) if norm <= ZERO_FLOOR}
-        if dead:
-            compiled.append(([pos[v] for v in table.own_split], dead))
+def _surviving(c: CompiledModel, lo: int, hi: int, n: int, rows: range) -> np.ndarray:
+    """The 0/1 label rows of slots lo..hi-1 in lexicographic order, dropping
+    any that annihilates one of the plaquettes `rows`; n is the slot count."""
+    k = hi - lo
     out = []
-    for a in range(1 << n):
-        ok = True
-        for idxs, dead in compiled:
-            bits = 0
-            for i in idxs:
-                bits = (bits << 1) | ((a >> (n - 1 - i)) & 1)
-            if bits in dead:
-                ok = False
-                break
-        if ok:
-            out.append({v: (a >> (n - 1 - i)) & 1 for i, v in enumerate(f_sorted)})
-    return out
+    for start in range(0, 1 << k, _CHUNK):
+        a = np.arange(start, min(start + _CHUNK, 1 << k))
+        bits = (a[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        bx = np.zeros((len(a), n + 1), dtype=np.intp)
+        bx[:, lo:hi] = bits
+        out.append(bits[~c.annihilated(bx, rows).any(axis=1)])
+    return np.concatenate(out)
 
 
 def exhaustive_search(
@@ -82,30 +69,30 @@ def exhaustive_search(
         raise CapExceeded(
             f"certificate space 2**{bits} exceeds the cap 2**{cap}; raise `cap` to force the scan"
         )
-    alphas = _surviving_assignments(prep, lattice.BLACK)
-    betas = _surviving_assignments(prep, lattice.WHITE)
-    best: tuple[float, Certificate, OmegaResult] | None = None
+    c, nb = prep.compiled(), len(prep.f_black)
+    alphas = _surviving(c, 0, nb, bits, range(c.n_black))
+    betas = _surviving(c, nb, bits, bits, range(c.n_black, len(c.plaquettes)))
+    best: tuple[float, np.ndarray, OmegaResult] | None = None
     evaluated = 0
     for alpha in alphas:
         for beta in betas:
-            cert = Certificate(dict(alpha), dict(beta))
-            res = compute_omega(prep, cert)
+            labels = np.concatenate([alpha, beta])
+            res = compute_omega(prep, labels)
             evaluated += 1
             if res.zero:
                 continue
             if best is None or log2_exceeds(res.log2_magnitude, best[0]):
-                best = (res.log2_magnitude, cert, res)
+                best = (res.log2_magnitude, labels, res)
     if best is None:
         return SearchResult(False, evaluated=evaluated)
-    _, cert, res = best
+    _, labels, res = best
+    cert = _certificate(prep, labels)
     verdict = verify(prep, cert, threshold)
     return SearchResult(True, cert, res, verdict, evaluated)
 
 
 def _score(res: OmegaResult) -> tuple[float, int]:
-    nonzero = sum(1 for f in res.factors if f.value is None or f.value > ZERO_FLOOR)
-    log2 = -math.inf if res.zero else res.log2_magnitude
-    return (log2, nonzero)
+    return (-math.inf if res.zero else res.log2_magnitude, res.nonzero)
 
 
 def _improves(cand: tuple[float, int], score: tuple[float, int]) -> bool:
@@ -121,52 +108,36 @@ def _improves(cand: tuple[float, int], score: tuple[float, int]) -> bool:
 _ANNIHILATED = (-math.inf, 0)
 
 
-def _slots(prep: PreparedModel) -> list[tuple[str, object]]:
-    """Greedy's label slots: black split vertices, then white, each sorted."""
-    return [("a", v) for v in sorted(prep.f_black)] + [("b", v) for v in sorted(prep.f_white)]
+def _certificate(prep: PreparedModel, labels: np.ndarray) -> Certificate:
+    black, white = prep.label_order
+    bits = labels.tolist()
+    return Certificate(dict(zip(black, bits)), dict(zip(white, bits[len(black) :])))
 
 
-def _certificate(slots, bits: np.ndarray) -> Certificate:
-    alpha = {v: int(bits[i]) for i, (layer, v) in enumerate(slots) if layer == "a"}
-    beta = {v: int(bits[i]) for i, (layer, v) in enumerate(slots) if layer == "b"}
-    return Certificate(alpha, beta)
+def _touches(c: CompiledModel, n: int) -> list[np.ndarray]:
+    """Per label slot, the (at most two) plaquettes whose local pattern it
+    changes."""
+    touches: list[list[int]] = [[] for _ in range(n + 1)]
+    for j, row in enumerate(c.own_slots.tolist()):
+        for i in row:
+            touches[i].append(j)
+    return [np.array(t, dtype=np.intp) for t in touches[:n]]
 
 
-def _flip_index(prep: PreparedModel, slots):
-    """Per plaquette, its table and the slots of its own-split corners; per
-    slot, the (at most two) plaquettes whose local pattern it changes."""
-    slot_of = {s: i for i, s in enumerate(slots)}
-    local = {}
-    touches: list[list] = [[] for _ in slots]
-    for p in lattice.plaquettes(prep.model.spec):
-        table = prep.table(p)
-        layer = "a" if table.color == lattice.BLACK else "b"
-        idx = [slot_of[(layer, v)] for v in table.own_split]
-        local[p] = (table, idx)
-        for i in idx:
-            touches[i].append(p)
-    return local, touches
-
-
-def _annihilated(entry, bits: np.ndarray) -> bool:
-    table, idx = entry
-    return table.norms[tuple(int(bits[i]) for i in idx)] <= ZERO_FLOOR
-
-
-def _dead_after_flip(local, touches, dead: set, bits: np.ndarray, i: int) -> set:
-    """The annihilated plaquettes once bits[i] has been flipped, given the
-    set before the flip; only the plaquettes slot i touches can change."""
-    out = dead.difference(touches[i])
-    out.update(p for p in touches[i] if _annihilated(local[p], bits))
+def _dead_after_flip(c: CompiledModel, touches, dead: np.ndarray, bx: np.ndarray, i: int) -> np.ndarray:
+    """The annihilated-plaquette mask once bx[i] has been flipped, given the
+    mask before; only the plaquettes slot i touches can change."""
+    out = dead.copy()
+    out[touches[i]] = c.annihilated(bx, touches[i])
     return out
 
 
-def _evaluate(prep: PreparedModel, slots, bits: np.ndarray, dead: set):
-    """Score and result of the labelling; no compute_omega call when some
-    plaquette is annihilated."""
-    if dead:
+def _evaluate(prep: PreparedModel, bx: np.ndarray, dead: np.ndarray):
+    """Score and result of the padded labels; no compute_omega call when
+    some plaquette is annihilated."""
+    if dead.any():
         return _ANNIHILATED, None
-    res = compute_omega(prep, _certificate(slots, bits))
+    res = compute_omega(prep, bx[:-1])
     return _score(res), res
 
 
@@ -185,42 +156,42 @@ def greedy_search(
     labels; the result is deterministic given the seed and is re-verified
     before being returned.
 
-    A flip changes the local slice pattern of at most the two same-color
-    plaquettes whose own-split corners hold the flipped vertex, so each
-    restart keeps the set of annihilated plaquettes and updates it from
-    their tables; compute_omega runs only for candidates that annihilate
-    none.
+    Labels are one 0/1 vector in `label_order`, padded as the compiled
+    model reads it.  A flip changes the local slice pattern of at most the
+    two same-color plaquettes whose own-split corners hold the flipped
+    vertex, so each restart keeps the mask of annihilated plaquettes and
+    re-reads only those two; compute_omega runs only for candidates that
+    annihilate none.
     """
     prep = _as_prepared(m)
-    slots = _slots(prep)
-    local, touches = _flip_index(prep, slots)
+    c = prep.compiled()
+    n = len(prep.f_black) + len(prep.f_white)
+    touches = _touches(c, n)
     rng = np.random.default_rng(seed)
     evaluated = 0
 
     for restart in range(max(1, restarts)):
-        bits = (
-            np.zeros(len(slots), dtype=int)
-            if restart == 0
-            else rng.integers(0, 2, len(slots))
-        )
-        dead = {p for p, entry in local.items() if _annihilated(entry, bits)}
-        score, res = _evaluate(prep, slots, bits, dead)
+        bx = np.zeros(n + 1, dtype=np.intp)  # the labels and the padding 0
+        if restart:
+            bx[:n] = rng.integers(0, 2, n)
+        dead = c.annihilated(bx)
+        score, res = _evaluate(prep, bx, dead)
         evaluated += 1
         improved = True
-        while improved and slots:
+        while improved and n:
             improved = False
-            for i in rng.permutation(len(slots)):
-                bits[i] ^= 1
-                cand_dead = _dead_after_flip(local, touches, dead, bits, i)
-                cand_score, cand = _evaluate(prep, slots, bits, cand_dead)
+            for i in rng.permutation(n):
+                bx[i] ^= 1
+                cand_dead = _dead_after_flip(c, touches, dead, bx, i)
+                cand_score, cand = _evaluate(prep, bx, cand_dead)
                 evaluated += 1
                 if _improves(cand_score, score):
                     score, res, dead = cand_score, cand, cand_dead
                     improved = True
                 else:
-                    bits[i] ^= 1
+                    bx[i] ^= 1
         if res is not None and not res.zero:
-            cert = _certificate(slots, bits)
+            cert = _certificate(prep, bx[:n])
             verdict = verify(prep, cert, threshold)
             if verdict.accept:
                 return SearchResult(True, cert, res, verdict, evaluated)

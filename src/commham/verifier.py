@@ -17,7 +17,11 @@ Hilbert space:
 * effective states of one color never share a qubit, and a state can
   overlap states of the other color on at most two neighbors, so the
   overlap structure decomposes into isolated nodes, paths, and cycles
-  that contract with a constant-size frontier.
+  that contract with a constant-size frontier;
+* on its first evaluation a model is compiled to index arrays, so a
+  certificate is one 0/1 vector and annihilated plaquettes, vertex
+  overlaps and scalar states are each one gather; only states with
+  support reach the overlap graph.
 
 Omega is accumulated in the log2 domain since honest values scale like
 2**(-2N); each factor is O(1).
@@ -26,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,67 +79,142 @@ class PlaquetteTable:
 
     The slice frame U is the Kronecker product over the corners of the
     own-layer slice basis at own-split corners, the other layer's at
-    other-only corners and the identity elsewhere.  In it, slicing keeps
-    the rows and columns whose bit at a corner is the label, and tracing
-    out a rank-1 slice keeps that diagonal entry.  `norms[b]` is the
+    other-only corners and the identity at the `free` rest.  In it, slicing
+    keeps the rows and columns whose bit at a corner is the label, and
+    tracing out a rank-1 slice keeps that diagonal entry.  `norms[b]` is the
     Frobenius norm of the block whose own-split rows and columns equal b,
     the sliced projector's norm since U is unitary.  `blocks[own + other]`
     is the diagonal block over all split corners: the effective state on
-    the unsplit corners before pruning.  Effective states are memoized per
-    local pattern in `effective`.
+    the free corners before pruning.  Plaquettes with one projector array
+    and the same frames in the same roles share one `norms` and one `blocks`.
     """
 
     color: str
     corners: tuple[Vertex, ...]
     own_split: tuple[Vertex, ...]
     other_only: tuple[Vertex, ...]
+    free: tuple[Vertex, ...]
     norms: np.ndarray
     blocks: np.ndarray
-    effective: dict = field(default_factory=dict)
-
-    def own_bits(self, cert: Certificate) -> tuple[int, ...]:
-        labels = cert.alpha if self.color == BLACK else cert.beta
-        return tuple(labels[v] for v in self.own_split)
 
 
 _ID2 = np.eye(2)
+_W4 = np.array([8, 4, 2, 1])  # a left-padded row of four 0/1 labels as a big-endian pattern
 
 
-def _corner_kron(mats: list[np.ndarray]) -> np.ndarray:
-    """Kronecker product of one 2x2 matrix per corner, corner 0 most
-    significant, as one einsum: corner i owns row axis i and column axis
-    n + i."""
-    n = len(mats)
-    args = [x for i, m in enumerate(mats) for x in (m, [i, n + i])]
-    return np.einsum(*args, list(range(2 * n))).reshape(2**n, 2**n)
+def _corner_kron(mats: np.ndarray) -> np.ndarray:
+    """Kronecker products of stacked (..., corners, 2, 2) matrices over the
+    corners, corner 0 most significant."""
+    out = np.ones(mats.shape[:-3] + (1, 1))
+    for m in np.moveaxis(mats, -3, 0):
+        d = 2 * out.shape[-1]
+        out = (out[..., :, None, :, None] * m[..., None, :, None, :]).reshape(out.shape[:-2] + (d, d))
+    return out
 
 
-def _plaquette_table(prep: PreparedModel, p: Plaquette) -> PlaquetteTable:
-    color = lattice.plaquette_color(p)
-    own, other = (prep.black, prep.white) if color == BLACK else (prep.white, prep.black)
-    cs = tuple(lattice.corners(prep.model.spec, p))
-    own_split = tuple(v for v in cs if own.decomps[v].split)
-    other_only = tuple(v for v in cs if other.decomps[v].split and v not in own_split)
-    frame = _corner_kron([
-        own.decomps[v].basis if v in own_split
-        else other.decomps[v].basis if v in other_only else _ID2
-        for v in cs
-    ])
-    n = len(cs)
-    rotated = (frame.conj().T @ prep.projectors[p] @ frame).reshape((2,) * (2 * n))
-    own_ax = [cs.index(v) for v in own_split]
-    split_ax = own_ax + [cs.index(v) for v in other_only]
-    free_ax = [i for i in range(n) if i not in split_ax]
+def _slice_tables(specs: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(norms, blocks) per (projector, frame per corner, role per corner:
+    0 own-split, 1 other-only, 2 free), batched per tuple of roles."""
+    u = _corner_kron(np.array([f for _, f, _ in specs]))
+    r = u.conj().transpose(0, 2, 1) @ np.array([p for p, _, _ in specs]) @ u
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for t, (*_, roles) in enumerate(specs):
+        groups.setdefault(roles, []).append(t)
+    out: list = [None] * len(specs)
+    for roles, members in groups.items():
+        # corners reordered own-split, other-only, free, each in corner order
+        order = sorted(range(4), key=roles.__getitem__)
+        rg = r[members].reshape((-1,) + (2,) * 8).transpose([0] + [1 + i for i in order] + [5 + i for i in order])
+        k, s = roles.count(0), 4 - roles.count(2)
+        own = np.einsum("nbxby->nbxy", rg.reshape(-1, 2**k, 16 >> k, 2**k, 16 >> k))
+        norms = np.sqrt(np.einsum("nbxy,nbxy->nb", own, own.conj()).real)
+        d = 16 >> s
+        blocks = np.einsum("nbxby->nbxy", rg.reshape(-1, 2**s, d, 2**s, d)).copy()
+        for t, nm, bl in zip(members, norms, blocks):
+            out[t] = (nm.reshape((2,) * k), bl.reshape((2,) * s + (d, d)))
+    return out
 
-    def tied(axes: list[int]) -> list[int]:
-        # row axis i and column axis n + i share one label for i in axes
-        return list(range(n)) + [i if i in axes else n + i for i in range(n)]
 
-    norms = np.sqrt(np.einsum(np.abs(rotated) ** 2, tied(own_ax), own_ax))
-    blocks = np.einsum(rotated, tied(split_ax), split_ax + free_ax + [n + i for i in free_ax])
-    d = 2 ** len(free_ax)
-    blocks = blocks.reshape((2,) * len(split_ax) + (d, d)).copy()  # einsum's view would keep R
-    return PlaquetteTable(color, cs, own_split, other_only, norms, blocks)
+class _VertexTables(NamedTuple):
+    """Vertices split in both layers, sorted: their rows of label slots
+    (padding, padding, black, white), so that a row's pattern 2a + b plus
+    4 i indexes `overlap`, tr[pi_a pibar_b] = |<black a|white b>|^2 of
+    vertex i; and the vertices split in neither layer, in vertex order."""
+
+    both: list[Vertex]
+    slots: np.ndarray
+    overlap: np.ndarray
+    unsplit: list[Vertex]
+
+
+@dataclass(eq=False)
+class CompiledModel:
+    """Certificate evaluation as array gathers.
+
+    Labels form one vector in `label_order` plus a trailing 0 that pads
+    rows of slots to four.  Row j is the plaquette `plaquettes[j]`, black
+    first, each color in row-major order: its own-split slots and its
+    table's offset in `dead` (the pattern annihilates it), its own-split
+    then other-only slots and its table's offset in the state table, where
+    `scal` holds a scalar state, inf for a state with support or nan until
+    first read, and `kept` the pruned state as (kept positions in `free`,
+    matrix).  `vertices` is filled by the first evaluation that annihilates
+    no plaquette.
+    """
+
+    tables: dict[Plaquette, PlaquetteTable]
+    plaquettes: list[Plaquette]
+    n_black: int
+    own_slots: np.ndarray
+    norm_at: np.ndarray
+    dead: np.ndarray
+    split_slots: np.ndarray
+    state_at: np.ndarray
+    scal: np.ndarray
+    kept: list
+    vertices: _VertexTables | None = None
+
+    def annihilated(self, bx: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Whether the labels (a padded vector, or a stack of them)
+        annihilate each plaquette of `rows`."""
+        return self.dead[self.norm_at[rows] + bx[..., self.own_slots[rows]] @ _W4]
+
+
+def _compile(prep: PreparedModel) -> CompiledModel:
+    black, white = prep.label_order
+    slot = {(BLACK, v): i for i, v in enumerate(black)}
+    slot.update(((WHITE, v), len(black) + i) for i, v in enumerate(white))
+    pad, keys = len(slot), {}
+    specs, tables, which, own_slots, split_slots = [], {}, [], [], []
+    for p in sorted(lattice.plaquettes(prep.model.spec), key=lambda p: not lattice.is_black(p)):
+        color = lattice.plaquette_color(p)
+        own, other = (prep.black, prep.white) if color == BLACK else (prep.white, prep.black)
+        cs = tuple(lattice.corners(prep.model.spec, p))
+        roles = tuple(0 if v in own.split_vertices else 1 if v in other.split_vertices else 2 for v in cs)
+        bases = [(own.decomps[v].basis, other.decomps[v].basis, _ID2)[r] for v, r in zip(cs, roles)]
+        # equal terms share one projector array, and the vertices of one
+        # split pair one basis array
+        key = (id(prep.projectors[p]), roles, tuple(map(id, bases)))
+        if key not in keys:
+            keys[key] = len(specs)
+            specs.append((prep.projectors[p], bases, roles))
+        which.append(keys[key])
+        own_split, other_only, free = (tuple(v for v, r in zip(cs, roles) if r == x) for x in range(3))
+        tables[p] = (color, cs, own_split, other_only, free)
+        split = [slot[color, v] for v in own_split] + [slot[other.color, v] for v in other_only]
+        own_slots.append([pad] * (4 - len(own_split)) + split[: len(own_split)])
+        split_slots.append([pad] * len(free) + split)
+    built = _slice_tables(specs)
+    norm_at = np.cumsum([0] + [2 ** roles.count(0) for *_, roles in specs])
+    state_at = np.cumsum([0] + [2 ** (4 - roles.count(2)) for *_, roles in specs])
+    return CompiledModel(
+        {p: PlaquetteTable(*row, *built[t]) for (p, row), t in zip(tables.items(), which)},
+        list(tables), sum(map(lattice.is_black, tables)),
+        np.array(own_slots), norm_at[which],
+        np.concatenate([nm.ravel() for nm, _ in built]) <= ZERO_FLOOR,
+        np.array(split_slots), state_at[which],
+        np.full(state_at[-1], np.nan), [None] * int(state_at[-1]),
+    )
 
 
 @dataclass
@@ -141,22 +222,23 @@ class PreparedModel:
     """Model with its ground projectors and layer decompositions attached.
 
     Slicing and tracing of a plaquette depend only on the few certificate
-    labels at its corners.  Each plaquette gets a `PlaquetteTable` on first
-    use (never in `prepare`): the norm of every local slice pattern, the
-    unpruned effective state of every pattern of its split corners, and
-    memoized effective states, so certificate scans and label flips reuse
-    almost everything.  Tables and their entries are deterministic
-    functions of the model, so a concurrent duplicate write stores an equal
-    value and concurrent verification of distinct certificates against one
-    prepared model is safe.
+    labels at its corners.  On the first evaluation (never in `prepare`)
+    the model is compiled to a `CompiledModel`: one `PlaquetteTable` per
+    plaquette, whose norm and block arrays are shared by the plaquettes
+    with the same projector array (equal terms get one) and the same slice
+    frames, and index arrays that turn a certificate into gathers;
+    effective states are memoized per (shared table, pattern).
+    Every array and entry is a deterministic function of the model, so a
+    concurrent duplicate write stores an equal value and concurrent
+    verification of distinct certificates against one prepared model is
+    safe.
     """
 
     model: CommutingModel
     projectors: dict[Plaquette, np.ndarray]
     black: LayerDecomposition
     white: LayerDecomposition
-    _tables: dict[Plaquette, PlaquetteTable] = field(default_factory=dict, repr=False)
-    _overlaps: dict[Vertex, np.ndarray] = field(default_factory=dict, repr=False)
+    _compiled: CompiledModel | None = field(default=None, repr=False)
 
     @property
     def f_black(self) -> frozenset[Vertex]:
@@ -166,14 +248,23 @@ class PreparedModel:
     def f_white(self) -> frozenset[Vertex]:
         return self.white.split_vertices
 
+    @cached_property
+    def label_order(self) -> tuple[list[Vertex], list[Vertex]]:
+        """The black and the white split vertices, each sorted: the order
+        of a certificate's labels as a vector."""
+        return sorted(self.f_black), sorted(self.f_white)
+
     def projector_op(self, p: Plaquette) -> LabeledOp:
         return LabeledOp(self.projectors[p], tuple(lattice.corners(self.model.spec, p)))
 
+    def compiled(self) -> CompiledModel:
+        c = self._compiled
+        if c is None:
+            c = self._compiled = _compile(self)
+        return c
+
     def table(self, p: Plaquette) -> PlaquetteTable:
-        t = self._tables.get(p)
-        if t is None:
-            t = self._tables[p] = _plaquette_table(self, p)
-        return t
+        return self.compiled().tables[p]
 
 
 def prepare(model: CommutingModel) -> PreparedModel:
@@ -186,37 +277,53 @@ def _as_prepared(m: CommutingModel | PreparedModel) -> PreparedModel:
     return m if isinstance(m, PreparedModel) else prepare(m)
 
 
-def _check_domain(prep: PreparedModel, cert: Certificate) -> None:
-    for name, labels, want in (
-        ("alpha", cert.alpha, prep.f_black),
-        ("beta", cert.beta, prep.f_white),
-    ):
-        if labels.keys() != want:
+def _bad_label(b) -> bool:
+    # bool is an int subclass, but numpy reads a bool index as a mask; a
+    # float is refused, not rounded
+    return isinstance(b, (bool, np.bool_)) or not isinstance(b, (int, np.integer)) or b not in (0, 1)
+
+
+def _label_vector(prep: PreparedModel, cert: Certificate | np.ndarray) -> np.ndarray:
+    """The labels as a 0/1 vector in `label_order` plus the padding 0; a
+    vector is taken as it is.  Raises CertificateDomainError unless the
+    labels cover exactly the split vertices with integers 0 and 1."""
+    order = prep.label_order
+    if isinstance(cert, np.ndarray):
+        n = len(order[0]) + len(order[1])
+        if cert.dtype.kind not in "iu" or cert.shape != (n,) or np.any((cert != 0) & (cert != 1)):
+            raise CertificateDomainError(f"a label vector must hold {n} integers 0 or 1")
+        return np.append(cert, 0)
+    values = []
+    for name, labels, want in (("alpha", cert.alpha, order[0]), ("beta", cert.beta, order[1])):
+        if len(labels) != len(want) or not all(map(labels.__contains__, want)):
             extra = sorted(set(labels) - set(want))
             missing = sorted(set(want) - set(labels))
             raise CertificateDomainError(
                 f"{name} labels must cover exactly the split vertices; "
                 f"extra={extra} missing={missing}"
             )
-        for v, b in labels.items():
-            # bool is an int subclass, but numpy reads a bool index as a mask
-            if isinstance(b, (bool, np.bool_)) or b not in (0, 1):
-                raise CertificateDomainError(f"{name}[{v}] = {b!r}, must be 0 or 1")
+        values += map(labels.__getitem__, want)
+    if set(map(type, values)) != {int} or not set(values) <= {0, 1}:
+        for name, labels in (("alpha", cert.alpha), ("beta", cert.beta)):
+            for v, b in labels.items():
+                if _bad_label(b):
+                    raise CertificateDomainError(f"{name}[{v}] = {b!r}, must be 0 or 1")
+    return np.frombuffer(bytes(values) + b"\0", dtype=np.uint8)
 
 
 def apply_certificate(prep: PreparedModel, cert: Certificate) -> dict[Plaquette, LabeledOp]:
     """Sandwich each plaquette projector at its own-layer split corners by
     the chosen rank-1 slice projectors: the literal definition, which the
     plaquette tables replace inside `compute_omega`."""
-    _check_domain(prep, cert)
+    _label_vector(prep, cert)
     out = {}
     for p in lattice.plaquettes(prep.model.spec):
         own, labels = (prep.black, cert.alpha) if lattice.is_black(p) else (prep.white, cert.beta)
         op = prep.projector_op(p)
-        pi = _corner_kron([
+        pi = _corner_kron(np.array([
             own.decomps[v].slice_projector(labels[v]) if v in labels else _ID2
             for v in op.labels
-        ])
+        ]))
         out[p] = LabeledOp(pi @ op.mat @ pi, op.labels)
     return out
 
@@ -231,10 +338,6 @@ class EffectiveState:
     color: str
     support: tuple[Vertex, ...]
     mat: np.ndarray
-
-    @property
-    def scalar(self) -> float | None:
-        return float(self.mat[0, 0].real) if not self.support else None
 
 
 def _prune_trivial_sites(op: LabeledOp) -> LabeledOp:
@@ -253,36 +356,57 @@ def _prune_trivial_sites(op: LabeledOp) -> LabeledOp:
     return op
 
 
-def _effective_state(prep: PreparedModel, p: Plaquette, cert: Certificate) -> EffectiveState:
-    table = prep.table(p)
-    other_labels = cert.beta if table.color == BLACK else cert.alpha
-    key = (table.own_bits(cert), tuple(other_labels[v] for v in table.other_only))
-    st = table.effective.get(key)
-    if st is not None:
-        return st
+def _state_index(c: CompiledModel, bx: np.ndarray) -> np.ndarray:
+    """Each plaquette's entry in the state table, pruning and checking the
+    entries not read before."""
+    idx = c.state_at + bx[c.split_slots] @ _W4
+    for j in np.flatnonzero(np.isnan(c.scal[idx])).tolist():
+        e, t = idx[j], c.tables[c.plaquettes[j]]
+        if not np.isnan(c.scal[e]):  # shared with a plaquette filled above
+            continue
+        d = t.blocks.shape[-1]
+        op = _prune_trivial_sites(LabeledOp(t.blocks.reshape(-1, d, d)[e - c.state_at[j]], range(len(t.free))))
+        norm = frob(op.mat)
+        if norm > ZERO_FLOOR:
+            w = np.linalg.eigvalsh(op.mat)
+            if w[0] < -POSITIVITY_TOL * max(1.0, norm):
+                raise DegreeViolation(
+                    f"effective state at {c.plaquettes[j]} lost positivity (min eig {w[0]:.2e}); "
+                    "input terms likely do not commute"
+                )
+        c.kept[e] = (op.labels, op.mat)  # before `scal`, which tells readers it is there
+        c.scal[e] = math.inf if op.labels else op.mat[0, 0].real
+    return idx
 
-    free = [v for v in table.corners if v not in table.own_split + table.other_only]
-    op = _prune_trivial_sites(LabeledOp(table.blocks[key[0] + key[1]], free))
 
-    norm = frob(op.mat)
-    if norm > ZERO_FLOOR:
-        w = np.linalg.eigvalsh(op.mat)
-        if w[0] < -POSITIVITY_TOL * max(1.0, norm):
-            raise DegreeViolation(
-                f"effective state at {p} lost positivity (min eig {w[0]:.2e}); "
-                "input terms likely do not commute"
-            )
-    st = EffectiveState(p, table.color, tuple(op.labels), op.mat)
-    table.effective[key] = st
-    return st
+def _states(c: CompiledModel, idx: np.ndarray, rows) -> list[EffectiveState]:
+    out = []
+    for j in rows:
+        p = c.plaquettes[j]
+        t, (kept, mat) = c.tables[p], c.kept[idx[j]]
+        out.append(EffectiveState(p, t.color, tuple(t.free[k] for k in kept), mat))
+    return out
 
 
-def _overlap_table(prep: PreparedModel, v: Vertex) -> np.ndarray:
-    """tr[pi_a pibar_b] = |<black slice a|white slice b>|^2 for all labels."""
-    if v not in prep._overlaps:
-        overlap = prep.black.decomps[v].basis.conj().T @ prep.white.decomps[v].basis
-        prep._overlaps[v] = np.abs(overlap) ** 2
-    return prep._overlaps[v]
+def _vertex_tables(prep: PreparedModel) -> _VertexTables:
+    c = prep.compiled()
+    if c.vertices is None:
+        black, white = prep.label_order
+        both = sorted(prep.f_black & prep.f_white)
+        at_black = {v: i for i, v in enumerate(black)}
+        at_white = {v: len(black) + i for i, v in enumerate(white)}
+        pad = len(black) + len(white)
+        a, b = (np.array([x.decomps[v].basis for v in both]).reshape(-1, 2, 2) for x in (prep.black, prep.white))
+        c.vertices = _VertexTables(
+            both, np.array([[pad, pad, at_black[v], at_white[v]] for v in both], dtype=np.intp).reshape(-1, 4),
+            (np.abs(a.conj().transpose(0, 2, 1) @ b) ** 2).ravel(),
+            [v for v in prep.model.spec.vertices() if v not in prep.f_black and v not in prep.f_white],
+        )
+    return c.vertices
+
+
+def _overlaps(vt: _VertexTables, bx: np.ndarray) -> np.ndarray:
+    return vt.overlap[4 * np.arange(len(vt.both)) + bx[vt.slots] @ _W4]
 
 
 def effective_states(
@@ -295,14 +419,12 @@ def effective_states(
     layer's operators there before tracing.  Each state is a block of its
     plaquette table, pruned.
     """
-    overlaps = []
-    for v in sorted(prep.f_black & prep.f_white):
-        overlaps.append((v, float(_overlap_table(prep, v)[cert.alpha[v], cert.beta[v]])))
-    blacks, whites = [], []
-    for p in lattice.plaquettes(prep.model.spec):
-        st = _effective_state(prep, p, cert)
-        (blacks if st.color == BLACK else whites).append(st)
-    return blacks, whites, overlaps
+    bx = _label_vector(prep, cert)
+    c = prep.compiled()
+    states = _states(c, _state_index(c, bx), range(len(c.plaquettes)))
+    vt = _vertex_tables(prep)
+    overlaps = list(zip(vt.both, _overlaps(vt, bx).tolist()))
+    return states[: c.n_black], states[c.n_black :], overlaps
 
 
 @dataclass
@@ -468,9 +590,19 @@ class OmegaFactor:
 
 @dataclass
 class OmegaResult:
+    """Omega's zero flag, its log2 and how many of its factors do not
+    vanish.  `factors` lists them, built on first access: the annihilated
+    plaquettes alone, or the vertex overlaps, then the scalar states, then
+    (when neither vanishes) the chain components and the free qubits."""
+
     zero: bool
     log2_magnitude: float
-    factors: list[OmegaFactor]
+    nonzero: int
+    _factors: Callable[[], list[OmegaFactor]] = field(repr=False, compare=False)
+
+    @cached_property
+    def factors(self) -> list[OmegaFactor]:
+        return self._factors()
 
 
 def _factor(kind: str, key, value: float) -> OmegaFactor:
@@ -478,52 +610,58 @@ def _factor(kind: str, key, value: float) -> OmegaFactor:
     return OmegaFactor(kind, key, value, log2)
 
 
-def compute_omega(m: CommutingModel | PreparedModel, cert: Certificate) -> OmegaResult:
+def compute_omega(m: CommutingModel | PreparedModel, cert: Certificate | np.ndarray) -> OmegaResult:
     """Value of the certificate: per-vertex slice overlaps times chain
-    contractions times 2 per untouched qubit, accumulated in log2."""
+    contractions times 2 per untouched qubit, accumulated in log2.  `cert`
+    may also be its labels as one 0/1 vector in `label_order`, as the
+    provers pass it."""
     prep = _as_prepared(m)
-    _check_domain(prep, cert)
+    bx = _label_vector(prep, cert)
+    c = prep.compiled()
 
-    # an annihilated plaquette zeroes Omega; its table says so before any
-    # effective state is read
-    factors: list[OmegaFactor] = []
-    for p in sorted(lattice.plaquettes(prep.model.spec)):
-        table = prep.table(p)
-        if table.norms[table.own_bits(cert)] <= ZERO_FLOOR:
-            factors.append(_factor(COMPONENT, (p,), 0.0))
-    if factors:
-        return OmegaResult(True, -math.inf, factors)
+    # an annihilated plaquette zeroes Omega before any effective state is read
+    dead = np.flatnonzero(c.annihilated(bx))
+    if dead.size:
+        keys = sorted((c.plaquettes[j],) for j in dead)
+        return OmegaResult(True, -math.inf, 0, lambda: [_factor(COMPONENT, k, 0.0) for k in keys])
 
-    blacks, whites, overlaps = effective_states(prep, cert)
-    zero = False
-    for v, val in overlaps:
-        factors.append(_factor(VERTEX_OVERLAP, v, val))
-        zero |= val <= ZERO_FLOOR
-    for s in blacks + whites:
-        if not s.support:
-            factors.append(_factor(COMPONENT, (s.plaquette,), s.scalar))
-            zero |= s.scalar <= ZERO_FLOOR
-    if zero:
-        return OmegaResult(True, -math.inf, factors)
+    vt = _vertex_tables(prep)
+    overlaps = _overlaps(vt, bx)
+    idx = _state_index(c, bx)
+    vals = c.scal[idx]
+    scalar = np.isfinite(vals)
+    scalars = vals[scalar]
+    nonzero = int(np.count_nonzero(overlaps > ZERO_FLOOR) + np.count_nonzero(scalars > ZERO_FLOOR))
 
-    graph = build_overlap_graph(blacks, whites)
-    for comp in graph.components:
-        val = contract_component(comp, graph.nodes)
-        key = tuple(graph.nodes[i].plaquette for i in comp.node_ids)
-        factors.append(_factor(COMPONENT, key, val))
-        zero |= val <= ZERO_FLOOR
+    def local_factors() -> list[OmegaFactor]:
+        out = [_factor(VERTEX_OVERLAP, v, x) for v, x in zip(vt.both, overlaps.tolist())]
+        rows = np.flatnonzero(scalar).tolist()
+        return out + [_factor(COMPONENT, (c.plaquettes[j],), x) for j, x in zip(rows, scalars.tolist())]
 
-    touched = set(prep.f_black) | set(prep.f_white)
-    for s in blacks + whites:
-        touched.update(s.support)
-    free = [v for v in prep.model.spec.vertices() if v not in touched]
-    if free:
-        factors.append(OmegaFactor(FREE_QUBIT, tuple(free), None, float(len(free))))
+    if nonzero < overlaps.size + scalars.size:
+        return OmegaResult(True, -math.inf, nonzero, local_factors)
 
-    if zero:
-        return OmegaResult(True, -math.inf, factors)
-    log2 = sum(f.log2 for f in factors)
-    return OmegaResult(False, log2, factors)
+    states = _states(c, idx, np.flatnonzero(~scalar).tolist())
+    n_black = sum(s.color == BLACK for s in states)
+    graph = build_overlap_graph(states[:n_black], states[n_black:])
+    comps = [
+        (tuple(graph.nodes[i].plaquette for i in comp.node_ids), contract_component(comp, graph.nodes))
+        for comp in graph.components
+    ]
+    supported = {v for s in states for v in s.support}
+    free = tuple(v for v in vt.unsplit if v not in supported)
+    live = sum(val > ZERO_FLOOR for _, val in comps)
+    nonzero += live + bool(free)
+
+    def factors() -> list[OmegaFactor]:
+        out = local_factors() + [_factor(COMPONENT, key, val) for key, val in comps]
+        return out + [OmegaFactor(FREE_QUBIT, free, None, float(len(free)))] if free else out
+
+    if live < len(comps):
+        return OmegaResult(True, -math.inf, nonzero, factors)
+    log2 = float(np.log2(overlaps).sum() + np.log2(scalars).sum())
+    log2 += sum(math.log2(val) for _, val in comps) + len(free)
+    return OmegaResult(False, log2, nonzero, factors)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from commham.linalg import CapExceeded
 from commham.model import CommutingModel, gen_ising, gen_random, gen_signed_toric, gen_toric
 from commham.oracle import dense_omega, total_overlap
 from commham.prover import exhaustive_search, greedy_search
-from commham.verifier import certificates_lex, compute_omega, prepare, verify
+from commham.verifier import ZERO_FLOOR, certificates_lex, compute_omega, prepare, verify
 
 
 def frustrated_signed_toric():
@@ -180,25 +180,26 @@ def _prepared_random(method, seed):
     st.lists(st.integers(0, 10**6), min_size=1, max_size=25),
 )
 def test_greedy_annihilated_set_tracks_flips(method, seed, start, flips):
-    # greedy's per-flip update of the annihilated set against a full
+    # greedy's per-flip update of the annihilated mask against a full
     # recount, and its score against compute_omega's; starts are all-zeros
     # (greedy's first restart) or random labels
     prep = _prepared_random(method, seed)
-    slots = prover._slots(prep)
-    assume(slots)
-    local, touches = prover._flip_index(prep, slots)
-    if start is None:
-        bits = np.zeros(len(slots), dtype=int)
-    else:
-        bits = np.random.default_rng(start).integers(0, 2, len(slots))
-    dead = {p for p, entry in local.items() if prover._annihilated(entry, bits)}
+    n = len(prep.f_black) + len(prep.f_white)
+    assume(n)
+    c = prep.compiled()
+    touches = prover._touches(c, n)
+    bx = np.zeros(n + 1, dtype=np.intp)
+    if start is not None:
+        bx[:n] = np.random.default_rng(start).integers(0, 2, n)
+    dead = c.annihilated(bx)
     for f in flips:
-        i = f % len(slots)
-        bits[i] ^= 1
-        dead = prover._dead_after_flip(local, touches, dead, bits, i)
-        assert dead == {p for p, entry in local.items() if prover._annihilated(entry, bits)}
-        res = compute_omega(prep, prover._certificate(slots, bits))
-        score, _ = prover._evaluate(prep, slots, bits, dead)
+        i = f % n
+        bx[i] ^= 1
+        dead = prover._dead_after_flip(c, touches, dead, bx, i)
+        assert np.array_equal(dead, c.annihilated(bx))
+        res = compute_omega(prep, prover._certificate(prep, bx[:n]))
+        score, _ = prover._evaluate(prep, bx, dead)
         assert score == prover._score(res)
-        if dead:
-            assert sorted((p,) for p in dead) == [f.key for f in res.factors]
+        assert res.nonzero == sum(1 for f in res.factors if f.value is None or f.value > ZERO_FLOOR)
+        if dead.any():
+            assert sorted((c.plaquettes[j],) for j in np.flatnonzero(dead)) == [f.key for f in res.factors]

@@ -1,7 +1,12 @@
+import functools
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from commham import lattice
 from commham.lattice import BLACK, WHITE, LatticeSpec
@@ -27,8 +32,7 @@ from commham.verifier import (
     compute_omega,
     contract_component,
     effective_states,
-    _effective_state,
-    _overlap_table,
+    _vertex_tables,
     prepare,
     verify,
 )
@@ -180,6 +184,29 @@ def test_numpy_integer_labels_accepted():
     want = compute_omega(prep, Certificate({(1, 1): 1}, {(1, 1): 0}))
     got = compute_omega(prep, Certificate({(1, 1): np.int64(1)}, {(1, 1): np.int8(0)}))
     assert got.log2_magnitude == want.log2_magnitude
+
+
+@pytest.mark.parametrize("label", [1.0, 0.0, np.float64(1), True, 2])
+def test_non_integer_labels_rejected(label):
+    # 1.0 == 1, so a membership test alone passes floats, which must not be
+    # rounded to an index either
+    prep = prepare(gen_toric(LatticeSpec(4, 4)))
+    cert = all_zero_cert(prep)
+    cert.alpha[min(cert.alpha)] = label
+    for check in (compute_omega, verify, apply_certificate, effective_states):
+        with pytest.raises(CertificateDomainError):
+            check(prep, cert)
+
+
+def test_label_vectors_checked():
+    prep = prepare(gen_toric(LatticeSpec(4, 4)))
+    n = len(prep.f_black) + len(prep.f_white)
+    want = compute_omega(prep, all_zero_cert(prep))
+    got = compute_omega(prep, np.zeros(n, dtype=np.int8))
+    assert (got.zero, got.log2_magnitude, got.nonzero) == (want.zero, want.log2_magnitude, want.nonzero)
+    for bad in (np.zeros(n), np.zeros(n, dtype=bool), np.full(n, 2), np.zeros(n - 1, dtype=int)):
+        with pytest.raises(CertificateDomainError):
+            compute_omega(prep, bad)
 
 
 # ------------------------------------------------------------ overlap graph
@@ -503,7 +530,8 @@ def test_effective_states_match_sandwich_trace_reference(family, haar_conjugated
             for i, (v, b) in enumerate(zip(split, bits)):
                 ref = sandwich_site(ref, v, (own if i < k else other).decomps[v].slice_projector(b))
             ref = prune_reference(partial_trace(ref, [v for v in ref.labels if v not in split]))
-            st = _effective_state(prep, p, local_cert(prep, table, bits[:k], bits[k:]))
+            blacks, whites, _ = effective_states(prep, local_cert(prep, table, bits[:k], bits[k:]))
+            st = next(s for s in blacks + whites if s.plaquette == p)
             assert st.support == ref.labels
             assert frob(st.mat - ref.mat) <= 1e-12
 
@@ -514,10 +542,10 @@ def test_overlap_table_matches_trace_formula(family, haar_conjugated):
         prep = prepare(haar_conjugated(gen_toric(LatticeSpec(4, 4)), 1))
     else:
         prep = prepare(gen_random(LatticeSpec(5, 5), 1, family))
-    both = sorted(prep.f_black & prep.f_white)
-    assert both
-    for v in both:
-        table = _overlap_table(prep, v)
+    vertices = _vertex_tables(prep)
+    assert vertices.both == sorted(prep.f_black & prep.f_white) != []
+    for i, v in enumerate(vertices.both):
+        table = vertices.overlap[4 * i : 4 * i + 4].reshape(2, 2)
         for a, b in itertools.product((0, 1), repeat=2):
             pa = prep.black.decomps[v].slice_projector(a)
             pb = prep.white.decomps[v].slice_projector(b)
@@ -537,3 +565,106 @@ def test_every_entry_point_checks_the_domain(check, fault):
         alpha[(1, 1)] = True
     with pytest.raises(CertificateDomainError):
         check(prep, Certificate(alpha, {(1, 1): 0}))
+
+
+# ------------------------------------------------------------ arrays against independent references
+
+PROPERTY_FAMILIES = [
+    "toric", "signed-toric", "ising", "rotated-classical", "diagonal-field", "haar-toric", "haar-ising",
+    "thinned-toric",
+]
+
+
+@functools.lru_cache(maxsize=None)
+def property_prep(family, shape, seed, haar_conjugated):
+    return prepare(property_model(family, shape, seed, haar_conjugated))
+
+
+def property_model(family, shape, seed, haar_conjugated):
+    spec = LatticeSpec(*shape)
+    if family == "toric":
+        return gen_toric(spec)
+    if family == "ising":  # degenerate terms: labels that disagree at a vertex survive slicing
+        return gen_ising(spec, 1.0, 0.0)
+    if family == "haar-toric":
+        return haar_conjugated(gen_toric(spec), seed)
+    if family == "haar-ising":
+        return haar_conjugated(gen_ising(spec, 1.0, 0.0), seed)
+    if family == "thinned-toric":
+        return thinned_toric(spec, (1, 1))
+    return gen_random(spec, seed, family)
+
+
+def test_property_models_have_other_only_corners_and_chains(haar_conjugated):
+    preps = [prepare(property_model(f, (4, 4), 0, haar_conjugated)) for f in PROPERTY_FAMILIES]
+    assert any(t.other_only for prep in preps for t in prep.compiled().tables.values())
+    states = [s for prep in preps for layer in effective_states(prep, all_zero_cert(prep))[:2] for s in layer]
+    assert any(s.support for s in states)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(PROPERTY_FAMILIES),
+    st.sampled_from([(4, 3), (4, 4), (5, 5)]),
+    st.integers(0, 2),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+)
+def test_compute_omega_matches_dense_trace_along_flips(haar_conjugated, family, shape, seed, start, flips):
+    # the gathers against the literal sliced projectors traced on all N
+    # qubits (`dense_omega`, which shares no code with the arrays); starts
+    # are all-zeros or random labels
+    prep = property_prep(family, shape, seed, haar_conjugated)
+    black, white = prep.label_order
+    n = len(black) + len(white)
+    assume(n)
+    bits = np.zeros(n, dtype=int) if start is None else np.random.default_rng(start).integers(0, 2, n)
+    for f in flips:
+        bits[f % n] ^= 1
+        labels = bits.tolist()
+        cert = Certificate(dict(zip(black, labels)), dict(zip(white, labels[len(black) :])))
+        res = compute_omega(prep, cert)
+        dense = dense_omega(prep, cert, cap=25)
+        if res.zero:
+            assert abs(dense) <= 1e-11
+        else:
+            assert abs(2.0**res.log2_magnitude - dense) <= 1e-9 * dense
+
+
+def test_concurrent_verification_matches_serial(haar_conjugated):
+    # four threads, released together, compile one fresh prepared model and
+    # fill its state table while verifying distinct certificates
+    model = haar_conjugated(thinned_toric(LatticeSpec(5, 5), (1, 1)), 3)
+    serial = prepare(model)
+    certs = list(itertools.islice(certificates_lex(serial.f_black, serial.f_white), 1024))
+
+    def summary(verdict):
+        res = verdict.omega
+        return res.zero, res.log2_magnitude, res.nonzero, [(f.kind, f.key, f.log2) for f in res.factors]
+
+    want = [summary(verify(serial, c)) for c in certs]
+    assert 0 < sum(not z for z, *_ in want) < len(want)
+    prep, got, errors = prepare(model), [None] * len(certs), []
+    start = threading.Barrier(4)
+
+    def work(k):
+        try:
+            start.wait(timeout=60)
+            for i in range(k, len(certs), 4):
+                got[i] = summary(verify(prep, certs[i]))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert got == want

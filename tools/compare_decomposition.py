@@ -13,8 +13,9 @@ rotated-classical 24x24 seeds 0-9, the greedy benchmark models: toric
 rotated-classical models with every term perturbed by 1e-3 to 1e-11) and
 records, per model, the `check_commuting` violations (pairs, in order, and
 norms), the split flag, owner and slice basis of every vertex
-in both layers, log2 Omega of the all-zeros certificate and of three seeded
-random ones, and the result of a search: an exhaustive search (at most 16
+in both layers, log2 Omega and the factor list, each factor's (kind, key,
+log2), of the all-zeros certificate and of three seeded random ones, and
+the result of a search: an exhaustive search (at most 16
 label bits), a two-restart greedy search (at most 36 qubits), or the
 greedy run the model names.  A search result is its kind, its `evaluated`
 count and its certificate, so equal counts and certificates show equal
@@ -121,6 +122,10 @@ def _omega(verdict):
     return verdict.omega.zero, verdict.omega.log2_magnitude
 
 
+def _factors(verdict):
+    return [(f.kind, f.key, f.log2) for f in verdict.omega.factors]
+
+
 def dump(out: str, older: str | None = None) -> None:
     from commham import (
         Certificate, check_commuting, exhaustive_search, greedy_search, prepare, verify,
@@ -153,7 +158,8 @@ def dump(out: str, older: str | None = None) -> None:
                 {v: int(rng.integers(2)) for v in sorted(prep.f_black)},
                 {v: int(rng.integers(2)) for v in sorted(prep.f_white)},
             ))
-        omegas = [_omega(verify(prep, c)) for c in certs]
+        verdicts = [verify(prep, c) for c in certs]
+        omegas = [_omega(v) + (_factors(v),) for v in verdicts]
         search = kind = None
         if name in GREEDY_RUNS:
             kind, search = "greedy", greedy_search(prep, **GREEDY_RUNS[name])
@@ -183,9 +189,9 @@ def diff(old_path: str, new_path: str) -> None:
     with open(new_path, "rb") as f:
         new = pickle.load(f)
     both = nonzero = 0
-    max_basis = max_log2 = max_norm = 0.0
+    max_basis = max_log2 = max_norm = max_factor = 0.0
     problems, ties, paths, scans = [], [], [], []
-    searches = violations = 0
+    searches = violations = factor_lists = 0
 
     def compare_log2(name, a, b, what):
         nonlocal nonzero, max_log2
@@ -218,6 +224,15 @@ def diff(old_path: str, new_path: str) -> None:
                     max_basis = max(max_basis, float(np.max(np.abs(basis - basis_b))))
         for a, b in zip(oa, ob):
             compare_log2(name, a, b, "certificate")
+            factor_lists += 1
+            if [f[:2] for f in a[2]] != [f[:2] for f in b[2]]:
+                problems.append(f"{name}: factor kinds or keys differ")
+            elif [f[2] == -np.inf for f in a[2]] != [f[2] == -np.inf for f in b[2]]:
+                problems.append(f"{name}: vanishing factors differ")
+            else:
+                max_factor = max([max_factor] + [
+                    abs(f[2] - g[2]) for f, g in zip(a[2], b[2]) if f[2] != -np.inf
+                ])
         if (fa is None) != (fb is None):
             problems.append(f"{name}: search found a certificate on one tree only")
         elif fa is not None:
@@ -236,13 +251,14 @@ def diff(old_path: str, new_path: str) -> None:
     for p in scans:
         print("  ", p)
     print(f"models prepared by both: {both} of {len(old)}")
-    print(f"split sets, owners, zero outcomes: "
+    print(f"split sets, owners, zero outcomes, factor kinds and keys: "
           f"{'identical' if not problems else f'{len(problems)} differences'}")
     for p in problems:
         print("  ", p)
     print(f"non-zero log2 Omega values compared: {nonzero}")
     print(f"max |slice basis difference| {max_basis:.3g}, "
           f"max |log2 Omega difference| {max_log2:.3g}")
+    print(f"factor lists compared: {factor_lists}, max |factor log2 difference| {max_factor:.3g}")
     if ties:
         print(f"searches returning a different certificate of equal value: {', '.join(ties)}")
     print(f"searches with the same evaluated count and certificate: "
