@@ -15,19 +15,23 @@ leading singular vector of their blocks side by side) and the qubit *splits*
 into the eigenstates of n.sigma: two rank-1 slices shared by both, labelled
 0 and 1 in a canonical order, so independently produced labellings agree.
 On a slice both act as scalars, so no multiplicity factor survives; that
-keeps everything downstream one-dimensional.  No random numbers are drawn.
+keeps everything downstream one-dimensional.  The acting incidences come
+from the lattice's corner table sorted by vertex, each distinct pair of
+blocks gets one axis, and a layer is three arrays over the vertex ids.
+No random numbers are drawn.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from . import lattice
 from .lattice import BLACK, WHITE, LatticeSpec, Plaquette, Vertex
-from .linalg import NOISE_RTOL, BasisMismatch, _PAULIS, _axis_basis, content_ids, state_projector
+from .linalg import NOISE_RTOL, BasisMismatch, _PAULIS, _axis_bases, state_projector
 # unused here: perfbench/tracing.py patches these names on this module
 from .linalg import algebra_classify, common_eigenbasis, operator_schmidt  # noqa: F401
 
@@ -60,14 +64,36 @@ class VertexDecomposition:
         return state_projector(self.basis[:, label])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LayerDecomposition:
+    """One layer as arrays over the vertex ids y * lx + x: `split` flags the
+    split vertices, `owner` holds the plaquette acting alone at a trivial
+    vertex as the id of its top-left corner (else -1), and `basis` stacks the
+    (n_split, 2, 2) slice bases in id order.  `decomps` reads them per vertex."""
+
     color: str
-    decomps: dict[Vertex, VertexDecomposition]
+    spec: LatticeSpec
+    split: np.ndarray
+    owner: np.ndarray
+    basis: np.ndarray
 
     @cached_property
     def split_vertices(self) -> frozenset[Vertex]:
-        return frozenset(v for v, d in self.decomps.items() if d.split)
+        return frozenset(lattice.vertices_of(self.spec, np.flatnonzero(self.split)))
+
+    @cached_property
+    def basis_row(self) -> np.ndarray:
+        """Per vertex id, its row of `basis` (meaningless where not split)."""
+        return np.cumsum(self.split) - 1
+
+    @cached_property
+    def decomps(self) -> Mapping[Vertex, VertexDecomposition]:
+        """A read-only mapping in `LatticeSpec.vertices` order, built on first access."""
+        bases, owners = iter(self.basis), lattice.vertices_of(self.spec, self.owner)
+        return MappingProxyType({
+            v: VertexDecomposition(split, o if i >= 0 else None, next(bases) if split else None)
+            for v, split, o, i in zip(self.spec.vertices(), self.split.tolist(), owners, self.owner.tolist())
+        })
 
 
 def _bloch_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,52 +108,59 @@ def _bloch_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(blocks, mode="r").transpose(0, 1, 3, 2), np.linalg.norm(t, axis=1)
 
 
+def array_ids(spec: LatticeSpec, projectors: Mapping[Plaquette, np.ndarray]) -> tuple[np.ndarray, list]:
+    """Per plaquette in `plaquettes` order, the number of its projector array,
+    and the arrays: plaquettes with equal terms share one (`ground_projectors`)."""
+    arrays = {id(m): m for m in projectors.values()}
+    number = {key: n for n, key in enumerate(arrays)}
+    return np.array([number[id(projectors[p])] for p in lattice.plaquettes(spec)]), list(arrays.values())
+
+
 def decompose_layers(
     spec: LatticeSpec, projectors: Mapping[Plaquette, np.ndarray]
 ) -> tuple[LayerDecomposition, LayerDecomposition]:
     """Vertex decompositions of the black and the white layer."""
-    ids = content_ids(projectors)
-    distinct = [projectors[p] for p in {i: p for p, i in ids.items()}.values()]
-    chunks = [
-        _bloch_factors(np.stack(distinct[i : i + _CHUNK])) for i in range(0, len(distinct), _CHUNK)
-    ]
+    ids, distinct = array_ids(spec, projectors)
+    chunks = [_bloch_factors(np.stack(distinct[i : i + _CHUNK])) for i in range(0, len(distinct), _CHUNK)]
     factors, norms = (np.concatenate(parts) for parts in zip(*chunks))
-    cut = NOISE_RTOL * norms
-    ranks = np.sum(np.linalg.svd(factors, compute_uv=False) > cut[:, None, None], axis=-1).tolist()
+    # one block per (distinct projector, corner), numbered 4 id + corner
+    factors, cut = factors.reshape(-1, 3, 3), np.repeat(NOISE_RTOL * norms, 4)
+    ranks = np.sum(np.linalg.svd(factors, compute_uv=False) > cut[:, None], axis=-1)
 
-    # the same-color projectors acting at each vertex, in row-major order
-    acting: dict[str, dict[Vertex, list]] = {BLACK: {}, WHITE: {}}
-    for p in lattice.plaquettes(spec):
-        i, layer = ids[p], acting[lattice.plaquette_color(p)]
-        for k, v in enumerate(lattice.corners(spec, p)):
-            if ranks[i][k]:
-                layer.setdefault(v, []).append((p, (i, k)))
+    # the incidences that act (plaquette, block k), sorted by layer vertex:
+    # 0 (black) or 1 (white) times n_vertices plus the vertex id.  A layer
+    # vertex has at most two, which come in plaquette order
+    cs, nv = lattice.corner_ids(spec), spec.n_vertices
+    block = 4 * ids[:, None] + np.arange(4)
+    plaq, corner = np.nonzero(ranks[block] > 0)
+    at = (cs[plaq, 0] % spec.lx + cs[plaq, 0] // spec.lx) % 2 * nv + cs[plaq, corner]
+    by_at = np.argsort(at, kind="stable")
+    plaq, k, at = plaq[by_at], block[plaq, corner][by_at], at[by_at]
+    t = np.flatnonzero(at[1:] == at[:-1])
     # each distinct pair's axis: the leading left singular vector of its two
     # blocks (so of their factors) side by side; a second direction means they
     # do not commute
-    twos = [found for layer in acting.values() for found in layer.values() if len(found) == 2]
-    pairs = list(dict.fromkeys((x[1], y[1]) for x, y in twos))
-    a, b = np.array(pairs, dtype=int).reshape(-1, 2, 2).transpose(1, 2, 0)  # ends: ids, corners
-    u, s, _ = np.linalg.svd(np.concatenate([factors[tuple(a)], factors[tuple(b)]], 2))
-    one_axis = np.sum(s > np.maximum(cut[a[0]], cut[b[0]])[:, None], axis=1) == 1
-    bases = {key: _axis_basis(u[n, :, 0]) for n, key in enumerate(pairs) if one_axis[n]}
+    n = len(factors)
+    pairs, pair = np.unique(k[t] * n + k[t + 1], return_inverse=True)
+    a, b = np.divmod(pairs, n)
+    u, s, _ = np.linalg.svd(np.concatenate([factors[a], factors[b]], 2))
+    one_axis = np.sum(s > np.maximum(cut[a], cut[b])[:, None], axis=1) == 1
+    full = np.maximum(ranks[a], ranks[b]) > 1
+    bad = np.flatnonzero(full[pair] | ~one_axis[pair])
+    if bad.size:
+        where = lattice.vertices_of(spec, at[t[bad[:1]]] % nv)[0]
+        if full[pair[bad[0]]]:
+            raise ImpossibleAlgebraPair(f"projectors at {where} act through non-commuting algebras")
+        raise BasisMismatch(f"projectors at {where} act along different axes")
 
-    out = []
-    for color in (BLACK, WHITE):
-        decomps = {}
-        for v in spec.vertices():
-            found = acting[color].get(v, [])
-            if len(found) < 2:
-                decomps[v] = VertexDecomposition(False, found[0][0] if found else None)
-                continue
-            key = (found[0][1], found[1][1])
-            if max(ranks[i][k] for i, k in key) > 1:
-                raise ImpossibleAlgebraPair(f"projectors at {v} act through non-commuting algebras")
-            if key not in bases:
-                raise BasisMismatch(f"projectors at {v} act along different axes")
-            decomps[v] = VertexDecomposition(True, basis=bases[key])
-        out.append(LayerDecomposition(color, decomps))
-    return out[0], out[1]
+    split, owner = np.zeros(2 * nv, dtype=bool), np.full(2 * nv, -1)
+    split[at[t]] = True
+    owner[at[~split[at]]] = cs[plaq[~split[at]], 0]
+    bases, white = _axis_bases(u[:, :, 0])[pair], at[t] >= nv
+    return (
+        LayerDecomposition(BLACK, spec, split[:nv], owner[:nv], bases[~white]),
+        LayerDecomposition(WHITE, spec, split[nv:], owner[nv:], bases[white]),
+    )
 
 
 @dataclass
@@ -140,13 +173,6 @@ class CertificateSpace:
 
 
 def certificate_space(black: LayerDecomposition, white: LayerDecomposition) -> CertificateSpace:
-    alphabets = {}
-    count = 1
-    for layer in (black, white):
-        for v, d in layer.decomps.items():
-            if d.split:
-                alphabets[(layer.color, v)] = (0, 1)
-                count *= 2
-            else:
-                alphabets[(layer.color, v)] = (0,)
-    return CertificateSpace(alphabets, count)
+    alphabets = {(layer.color, v): (0, 1) if split else (0,)
+                 for layer in (black, white) for v, split in zip(layer.spec.vertices(), layer.split.tolist())}
+    return CertificateSpace(alphabets, 2 ** int(black.split.sum() + white.split.sum()))

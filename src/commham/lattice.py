@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 Vertex = tuple[int, int]
 Plaquette = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -32,6 +34,11 @@ class LatticeSpec:
     boundary: str = OPEN
 
     def __post_init__(self) -> None:
+        for name in ("lx", "ly"):  # bool is an int subclass; numpy integers become ints
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise LatticeError(f"{name} must be an integer, got {n!r}")
+            object.__setattr__(self, name, int(n))
         if self.boundary not in (OPEN, PERIODIC):
             raise LatticeError(f"unknown boundary {self.boundary!r}")
         if self.lx < 2 or self.ly < 2:
@@ -73,16 +80,28 @@ def plaquettes(spec: LatticeSpec) -> list[Plaquette]:
     return [(x, y) for y in range(py) for x in range(px)]
 
 
+def corner_ids(spec: LatticeSpec) -> np.ndarray:
+    """The (n_plaquettes, 4) row-major vertex ids y * lx + x of every
+    plaquette's corners TL, TR, BR, BL, plaquettes in `plaquettes` order."""
+    px, py = _plaquette_range(spec)
+    y, x = np.divmod(np.arange(px * py), px)
+    x1, y1 = (x + 1) % spec.lx, (y + 1) % spec.ly
+    return np.stack([y * spec.lx + x, y * spec.lx + x1, y1 * spec.lx + x1, y1 * spec.lx + x], axis=1)
+
+
+def vertices_of(spec: LatticeSpec, ids) -> list[Vertex]:
+    """The vertices (x, y) of row-major vertex ids."""
+    y, x = np.divmod(np.asarray(ids, dtype=np.int64), spec.lx)
+    return list(zip(x.tolist(), y.tolist()))
+
+
 def corners(spec: LatticeSpec, p: Plaquette) -> list[Vertex]:
     """The four corner vertices of plaquette p, in order TL, TR, BR, BL."""
     x, y = p
     px, py = _plaquette_range(spec)
     if not (0 <= x < px and 0 <= y < py):
         raise LatticeError(f"plaquette {p} out of range for {spec.lx}x{spec.ly} {spec.boundary}")
-    if spec.boundary == PERIODIC:
-        x1, y1 = (x + 1) % spec.lx, (y + 1) % spec.ly
-    else:
-        x1, y1 = x + 1, y + 1
+    x1, y1 = (x + 1) % spec.lx, (y + 1) % spec.ly  # no wrap on an open lattice, where x < lx - 1
     return [(x, y), (x1, y), (x1, y1), (x, y1)]
 
 
@@ -96,17 +115,10 @@ def incident_plaquettes(spec: LatticeSpec, v: Vertex, color: str | None = None) 
     if not (0 <= x < spec.lx and 0 <= y < spec.ly):
         raise LatticeError(f"vertex {v} out of range")
     px, py = _plaquette_range(spec)
-    found = []
-    for dx in (-1, 0):
-        for dy in (-1, 0):
-            qx, qy = x + dx, y + dy
-            if spec.boundary == PERIODIC:
-                qx, qy = qx % spec.lx, qy % spec.ly
-            if 0 <= qx < px and 0 <= qy < py:
-                q = (qx, qy)
-                if color is None or plaquette_color(q) == color:
-                    found.append(q)
-    return sorted(set(found), key=lambda q: (q[1], q[0]))
+    # on an open lattice a step off the edge wraps to x = lx - 1 or y = ly - 1, which holds no plaquette
+    near = {((x + dx) % spec.lx, (y + dy) % spec.ly) for dx in (-1, 0) for dy in (-1, 0)}
+    found = [q for q in near if q[0] < px and q[1] < py and (color is None or plaquette_color(q) == color)]
+    return sorted(found, key=lambda q: (q[1], q[0]))
 
 
 def edges(spec: LatticeSpec) -> list[Edge]:
@@ -132,34 +144,7 @@ def edge_owner(spec: LatticeSpec, a: Vertex, b: Vertex) -> Plaquette:
     the black one owns the edge when both exist, otherwise the single
     bordering plaquette does.
     """
-    px, py = _plaquette_range(spec)
-    (xa, ya), (xb, yb) = a, b
-    candidates: list[Plaquette] = []
-    if xa != xb:  # horizontal edge; plaquettes above and below
-        x = min(xa, xb)
-        if spec.boundary == PERIODIC and abs(xa - xb) != 1:
-            x = max(xa, xb)  # wrap edge, e.g. (lx-1,y)-(0,y)
-        y = ya
-        for qy in (y - 1, y):
-            qx = x
-            if spec.boundary == PERIODIC:
-                qy %= spec.ly
-            if 0 <= qx < px and 0 <= qy < py:
-                candidates.append((qx, qy))
-    else:  # vertical edge; plaquettes left and right
-        y = min(ya, yb)
-        if spec.boundary == PERIODIC and abs(ya - yb) != 1:
-            y = max(ya, yb)
-        x = xa
-        for qx in (x - 1, x):
-            qy = y
-            if spec.boundary == PERIODIC:
-                qx %= spec.lx
-            if 0 <= qx < px and 0 <= qy < py:
-                candidates.append((qx, qy))
+    candidates = [q for q in incident_plaquettes(spec, a) if b in corners(spec, q)]
     if not candidates:
         raise LatticeError(f"edge {a}-{b} borders no plaquette")
-    for q in candidates:
-        if is_black(q):
-            return q
-    return candidates[0]
+    return next((q for q in candidates if is_black(q)), candidates[0])

@@ -242,9 +242,19 @@ def _bloch_rank(ops: Sequence[np.ndarray]) -> tuple[int, np.ndarray | None]:
     return rank, (vt[0] if rank == 1 else None)
 
 
-def _axis_basis(n: np.ndarray) -> np.ndarray:
-    _, v = np.linalg.eigh(np.einsum("k,kij->ij", n, _PAULIS))
-    return canonical_basis_pair(v)
+def _axis_bases(n: np.ndarray) -> np.ndarray:
+    """The eigenstates of n.sigma per axis (row of n) as the columns of a
+    2x2 matrix, phased so that the first amplitude above PHASE_FLOOR is real
+    positive, the larger |amplitude on 0> first (ties: larger Re, then Im
+    of the amplitude on |1>)."""
+    _, v = np.linalg.eigh(np.einsum("mk,kij->mij", n, _PAULIS))
+    lead = np.where(np.abs(v[:, 0]) > PHASE_FLOOR, v[:, 0], v[:, 1])
+    v = v * (lead.conj() / np.abs(lead))[:, None, :]
+    key = np.stack([np.abs(v[:, 0]), v[:, 1].real, v[:, 1].imag], axis=1)  # (m, key, state)
+    diff = key[..., 0] - key[..., 1]
+    decisive = np.abs(diff) > ORDER_TOL
+    swap = np.take_along_axis(decisive & (diff < 0), np.argmax(decisive, axis=1)[:, None], axis=1)[:, 0]
+    return np.where(swap[:, None, None], v[..., ::-1], v)
 
 
 def algebra_classify(ops: Sequence[np.ndarray]) -> AlgebraClass:
@@ -258,7 +268,7 @@ def algebra_classify(ops: Sequence[np.ndarray]) -> AlgebraClass:
     if rank == 0:
         return AlgebraClass(TRIVIAL)
     if rank == 1:
-        return AlgebraClass(ABELIAN, _axis_basis(axis))
+        return AlgebraClass(ABELIAN, _axis_bases(axis[None])[0])
     return AlgebraClass(FULL)
 
 
@@ -274,33 +284,7 @@ def common_eigenbasis(ops: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("no non-scalar generators; eigenbasis is arbitrary")
     if rank > 1:
         raise BasisMismatch("generators do not share an eigenbasis")
-    return _axis_basis(axis)
-
-
-def canonical_state(vec: np.ndarray) -> np.ndarray:
-    """Fix the global phase: first non-negligible amplitude real positive."""
-    vec = np.asarray(vec, dtype=complex)
-    for a in vec:
-        if abs(a) > PHASE_FLOOR:
-            return vec * (a.conjugate() / abs(a))
-    raise ValueError("zero state")
-
-
-def canonical_basis_pair(v: np.ndarray) -> np.ndarray:
-    """Canonically phase and order two orthonormal qubit states (columns).
-
-    Order: larger |amplitude on 0> first; ties broken by the real part of
-    the amplitude on |1>, then by its imaginary part.
-    """
-    a, b = canonical_state(v[:, 0]), canonical_state(v[:, 1])
-
-    def key(s: np.ndarray) -> tuple[float, float, float]:
-        return (abs(s[0]), s[1].real, s[1].imag)
-
-    for xa, xb in zip(key(a), key(b)):
-        if abs(xa - xb) > ORDER_TOL:
-            return np.column_stack([a, b] if xa > xb else [b, a])
-    return np.column_stack([a, b])
+    return _axis_bases(axis[None])[0]
 
 
 def commutator_norm(a: LabeledOp, b: LabeledOp) -> float:

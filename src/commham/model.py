@@ -8,7 +8,6 @@ families used for testing.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -73,18 +72,19 @@ class CommutationReport:
     violations: PairNorms
 
 
-def _intersecting_pairs(model: CommutingModel) -> list[tuple[Plaquette, Plaquette]]:
-    """Plaquette pairs sharing a corner, each once, in row-major order of
-    (first, second), found through the <= 4 plaquettes at each corner."""
-    spec = model.spec
-    order = {p: i for i, p in enumerate(lattice.plaquettes(spec))}
-    at: dict[Vertex, list[Plaquette]] = {}
-    for p in order:
-        for v in lattice.corners(spec, p):
-            at.setdefault(v, []).append(p)
-    # each list is in row-major order, so every pair comes out (first, second)
-    pairs = {pq for ps in at.values() for pq in itertools.combinations(ps, 2)}
-    return sorted(pairs, key=lambda pq: (order[pq[0]], order[pq[1]]))
+def _intersecting_pairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plaquette index pairs (first, second) sharing a corner, each once, in
+    row-major order, and each pair's alignment: the bitmask with bit 4 a + b
+    set when corner a of the first is corner b of the second."""
+    cs = lattice.corner_ids(spec)
+    by_vertex = np.argsort(cs.ravel(), kind="stable")  # incidences 4 i + k, plaquettes ascending
+    v = cs.ravel()[by_vertex]
+    # a vertex has at most 4 incidences, so the two ends of a pair sit at most 3 apart
+    ends = [(s, s + d) for d in (1, 2, 3) for s in [np.flatnonzero(v[d:] == v[:-d])]]
+    a, b = (by_vertex[np.concatenate(e)] for e in zip(*ends))
+    keys, pair = np.unique(a // 4 * len(cs) + b // 4, return_inverse=True)
+    align = np.bincount(pair, weights=1 << (4 * (a % 4) + b % 4), minlength=len(keys))
+    return keys // len(cs), keys % len(cs), align.astype(np.int64)
 
 
 def _shared_factors(mats: np.ndarray, shared: tuple[int, ...]) -> np.ndarray:
@@ -98,27 +98,34 @@ def _shared_factors(mats: np.ndarray, shared: tuple[int, ...]) -> np.ndarray:
     return np.linalg.qr(m, mode="r").reshape(n, -1, 2**s, 2**s)
 
 
-def _distinct(mats: Mapping[Plaquette, np.ndarray]) -> tuple[dict, list[np.ndarray]]:
-    """Content ids of mats, and the matrix of each id: equal terms share work."""
+def _distinct(spec: LatticeSpec, mats: Mapping[Plaquette, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Content ids per plaquette in `plaquettes` order, and each id's matrix: equal terms share work."""
     ids = content_ids(mats)
-    return ids, [mats[p] for p in {i: p for p, i in ids.items()}.values()]
+    distinct = np.stack([mats[p] for p in {i: p for p, i in ids.items()}.values()])
+    return np.array([ids[p] for p in lattice.plaquettes(spec)]), distinct
 
 
-def _traceless(distinct: list[np.ndarray]) -> list[np.ndarray]:
+def _traceless(distinct: np.ndarray) -> np.ndarray:
     """A0 = A - tr(A)/16 of each: commutators from A0 round relative to |A0|, not |A|."""
-    return [m - np.trace(m) / 16 * np.eye(16) for m in distinct]
+    return distinct - np.trace(distinct, axis1=1, axis2=2)[:, None, None] / 16 * np.eye(16)
+
+
+def _named(spec: LatticeSpec, first: np.ndarray, second: np.ndarray, norms: np.ndarray) -> PairNorms:
+    plist = lattice.plaquettes(spec)
+    return [(plist[i], plist[j], n) for i, j, n in zip(first.tolist(), second.tolist(), norms.tolist())]
 
 
 def _pair_norms(model: CommutingModel, mats: Mapping[Plaquette, np.ndarray]) -> PairNorms:
     """|[mats[p], mats[q]]| for every intersecting pair, in `_intersecting_pairs` order."""
-    ids, distinct = _distinct(mats)
-    return _distinct_pair_norms(model, ids, _traceless(distinct))
+    ids, distinct = _distinct(model.spec, mats)
+    return _named(model.spec, *_distinct_pair_norms(model.spec, ids, _traceless(distinct)))
 
 
 def _distinct_pair_norms(
-    model: CommutingModel, ids: Mapping[Plaquette, int], distinct: list[np.ndarray]
-) -> PairNorms:
-    """Commutator norm of distinct[ids[p]] and distinct[ids[q]] per pair (p, q).
+    spec: LatticeSpec, ids: np.ndarray, distinct: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Commutator norm of distinct[ids[i]] and distinct[ids[j]] per
+    intersecting pair (i, j), with the pairs.
 
     With A = sum_i a_i (x) alpha_i and B = sum_j beta_j (x) b_j split at
     the shared corners, a_i and b_j orthonormal, the norm is exactly
@@ -126,41 +133,37 @@ def _distinct_pair_norms(
     128x128 embedding is formed.  Pairs are batched by alignment (which
     corners of p meet which of q); equal matrices share one evaluation.
     """
-    pairs = _intersecting_pairs(model)
-    groups: dict[tuple, dict[tuple[int, int], int]] = {}  # alignment -> ids -> slot
-    slots = []
-    for p, q in pairs:
-        cp, cq = lattice.corners(model.spec, p), lattice.corners(model.spec, q)
-        align = tuple((i, cq.index(v)) for i, v in enumerate(cp) if v in cq)
-        group = groups.setdefault(align, {})
-        slots.append(group.setdefault((ids[p], ids[q]), len(slots)))
-    norms = np.empty(len(pairs))
-    for align, group in groups.items():
-        on_p, on_q = zip(*align)
-        items = list(group.items())
-        for k in range(0, len(items), _PAIR_CHUNK):
-            chunk = items[k : k + _PAIR_CHUNK]
-            al = _shared_factors(np.stack([distinct[i] for (i, _), _ in chunk]), on_p)
-            be = _shared_factors(np.stack([distinct[j] for (_, j), _ in chunk]), on_q)
-            n, r, d, _ = al.shape
+    first, second, align = _intersecting_pairs(spec)
+    n = len(distinct)
+    # sorted by alignment, then ids: each alignment's evaluations are one run
+    keys, slot = np.unique((align * n + ids[first]) * n + ids[second], return_inverse=True)
+    norms = np.empty(len(keys))
+    starts = np.flatnonzero(np.diff(keys // n**2, prepend=-1)).tolist() + [len(keys)]
+    for start, stop in zip(starts, starts[1:]):
+        bits = [b for b in range(16) if keys[start] // n**2 >> b & 1]
+        on_p, on_q = tuple(b // 4 for b in bits), tuple(b % 4 for b in bits)
+        for k in range(start, stop, _PAIR_CHUNK):
+            chunk = keys[k : min(k + _PAIR_CHUNK, stop)]
+            al = _shared_factors(distinct[chunk // n % n], on_p)
+            be = _shared_factors(distinct[chunk % n], on_q)
+            m, r, d, _ = al.shape
             # blocks [i, :, j, :] of alpha_i beta_j and of beta_j alpha_i
-            ab = al.reshape(n, r * d, d) @ be.transpose(0, 2, 1, 3).reshape(n, d, -1)
-            ba = be.reshape(n, -1, d) @ al.transpose(0, 2, 1, 3).reshape(n, d, r * d)
-            diff = ab.reshape(n, r, d, -1, d) - ba.reshape(n, -1, d, r, d).transpose(0, 3, 2, 1, 4)
-            norms[[slot for _, slot in chunk]] = np.linalg.norm(diff.reshape(n, -1), axis=1)
-    return [(p, q, float(norms[s])) for (p, q), s in zip(pairs, slots)]
+            ab = al.reshape(m, r * d, d) @ be.transpose(0, 2, 1, 3).reshape(m, d, -1)
+            ba = be.reshape(m, -1, d) @ al.transpose(0, 2, 1, 3).reshape(m, d, r * d)
+            diff = ab.reshape(m, r, d, -1, d) - ba.reshape(m, -1, d, r, d).transpose(0, 3, 2, 1, 4)
+            norms[k : k + len(chunk)] = np.linalg.norm(diff.reshape(m, -1), axis=1)
+    return first, second, norms[slot]
 
 
-def _violations(model: CommutingModel, ids: dict, distinct: list, radius: list) -> PairNorms:
+def _violations(spec: LatticeSpec, ids: np.ndarray, distinct: np.ndarray, radius: np.ndarray) -> PairNorms:
     """Intersecting pairs with |[A, B]| > COMMUTATION_TOL |A0| |B0| + 2 (r_A + r_B),
     A = distinct[ids[p]] and r_A = radius[ids[p]] (a projector's radius)."""
     traceless = _traceless(distinct)
-    norm = [frob(m) for m in traceless]
-    return [
-        (p, q, n)
-        for p, q, n in _distinct_pair_norms(model, ids, traceless)
-        if n > COMMUTATION_TOL * norm[ids[p]] * norm[ids[q]] + 2 * (radius[ids[p]] + radius[ids[q]])
-    ]
+    norm = np.linalg.norm(traceless, axis=(1, 2))
+    first, second, norms = _distinct_pair_norms(spec, ids, traceless)
+    a, b = ids[first], ids[second]
+    bad = norms > COMMUTATION_TOL * norm[a] * norm[b] + 2 * (radius[a] + radius[b])
+    return _named(spec, first[bad], second[bad], norms[bad])
 
 
 def check_commuting(model: CommutingModel) -> CommutationReport:
@@ -168,8 +171,8 @@ def check_commuting(model: CommutingModel) -> CommutationReport:
 
     Disjoint pairs commute trivially and are skipped.
     """
-    ids, terms = _distinct(model.terms)
-    violations = _violations(model, ids, terms, [0.0] * len(terms))
+    ids, terms = _distinct(model.spec, model.terms)
+    violations = _violations(model.spec, ids, terms, np.zeros(len(terms)))
     return CommutationReport(not violations, violations)
 
 
@@ -180,16 +183,16 @@ def ground_projectors(model: CommutingModel) -> dict[Plaquette, np.ndarray]:
     that fail to commute beyond their radii (`linalg.ground_band`): input
     that does not commute, or a degeneracy split by the gap tolerance.
     """
-    ids, terms = _distinct(model.terms)  # equal terms share one eigendecomposition
+    ids, terms = _distinct(model.spec, model.terms)  # equal terms share one eigendecomposition
     projs, radius = zip(*map(ground_band, terms))
-    bad = _violations(model, ids, projs, radius)
+    bad = _violations(model.spec, ids, np.stack(projs), np.array(radius))
     if bad:
         (p, q, norm), rest = bad[0], bad[1:]
         more = "".join(f"; also at {a} and {b} (norm {n:.2e})" for a, b, n in rest)
         raise NonCommutingError(
             f"ground projectors at {p} and {q} do not commute (norm {norm:.2e}){more}", bad
         )
-    return {p: projs[i] for p, i in ids.items()}
+    return dict(zip(lattice.plaquettes(model.spec), map(projs.__getitem__, ids.tolist())))
 
 
 # ---------------------------------------------------------------------------

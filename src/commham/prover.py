@@ -117,11 +117,9 @@ def _certificate(prep: PreparedModel, labels: np.ndarray) -> Certificate:
 def _touches(c: CompiledModel, n: int) -> list[np.ndarray]:
     """Per label slot, the (at most two) plaquettes whose local pattern it
     changes."""
-    touches: list[list[int]] = [[] for _ in range(n + 1)]
-    for j, row in enumerate(c.own_slots.tolist()):
-        for i in row:
-            touches[i].append(j)
-    return [np.array(t, dtype=np.intp) for t in touches[:n]]
+    slots = c.own_slots.ravel()
+    by_slot = np.argsort(slots, kind="stable")  # rows ascending within a slot
+    return np.split(by_slot // 4, np.searchsorted(slots[by_slot], np.arange(1, n + 1)))[:n]
 
 
 def _dead_after_flip(c: CompiledModel, touches, dead: np.ndarray, bx: np.ndarray, i: int) -> np.ndarray:

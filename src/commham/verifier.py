@@ -31,13 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import lattice
-from .decompose import LayerDecomposition, decompose_layers
-from .lattice import BLACK, WHITE, Plaquette, Vertex
+from .decompose import LayerDecomposition, array_ids, decompose_layers
+from .lattice import BLACK, WHITE, LatticeSpec, Plaquette, Vertex
 from .linalg import (
     IMAG_RTOL, LOG2_TIE_TOL, POSITIVITY_TOL, PRUNE_RTOL, ZERO_FLOOR,
     LabeledOp, embed, frob, partial_trace,
@@ -112,59 +112,66 @@ def _corner_kron(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slice_tables(specs: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(norms, blocks) per (projector, frame per corner, role per corner:
-    0 own-split, 1 other-only, 2 free), batched per tuple of roles."""
-    u = _corner_kron(np.array([f for _, f, _ in specs]))
-    r = u.conj().transpose(0, 2, 1) @ np.array([p for p, _, _ in specs]) @ u
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for t, (*_, roles) in enumerate(specs):
-        groups.setdefault(roles, []).append(t)
-    out: list = [None] * len(specs)
-    for roles, members in groups.items():
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first of each distinct row of a 2-D array, and each
+    row's number among the distinct rows, numbered in sorted order."""
+    order = np.lexsort(rows.T[::-1])
+    new = np.concatenate([[True], np.any(rows[order[1:]] != rows[order[:-1]], axis=1)])
+    number = np.empty(len(rows), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return order[new], number
+
+
+def _slice_tables(projs: np.ndarray, frames: np.ndarray, roles: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(norms, blocks) per projector, frame per corner and role per corner
+    (0 own-split, 1 other-only, 2 free), batched per tuple of roles."""
+    u = _corner_kron(frames)
+    r = u.conj().transpose(0, 2, 1) @ projs @ u
+    first, kind_of = _distinct_rows(roles)
+    out: list = [None] * len(roles)
+    for g, kind in enumerate(roles[first].tolist()):
+        members = np.flatnonzero(kind_of == g)
         # corners reordered own-split, other-only, free, each in corner order
-        order = sorted(range(4), key=roles.__getitem__)
+        order = sorted(range(4), key=kind.__getitem__)
         rg = r[members].reshape((-1,) + (2,) * 8).transpose([0] + [1 + i for i in order] + [5 + i for i in order])
-        k, s = roles.count(0), 4 - roles.count(2)
+        k, s = kind.count(0), 4 - kind.count(2)
         own = np.einsum("nbxby->nbxy", rg.reshape(-1, 2**k, 16 >> k, 2**k, 16 >> k))
         norms = np.sqrt(np.einsum("nbxy,nbxy->nb", own, own.conj()).real)
         d = 16 >> s
         blocks = np.einsum("nbxby->nbxy", rg.reshape(-1, 2**s, d, 2**s, d)).copy()
-        for t, nm, bl in zip(members, norms, blocks):
+        for t, nm, bl in zip(members.tolist(), norms, blocks):
             out[t] = (nm.reshape((2,) * k), bl.reshape((2,) * s + (d, d)))
     return out
 
 
-class _VertexTables(NamedTuple):
-    """Vertices split in both layers, sorted: their rows of label slots
-    (padding, padding, black, white), so that a row's pattern 2a + b plus
-    4 i indexes `overlap`, tr[pi_a pibar_b] = |<black a|white b>|^2 of
-    vertex i; and the vertices split in neither layer, in vertex order."""
-
-    both: list[Vertex]
-    slots: np.ndarray
-    overlap: np.ndarray
-    unsplit: list[Vertex]
-
-
 @dataclass(eq=False)
 class CompiledModel:
-    """Certificate evaluation as array gathers.
+    """Certificate evaluation as array gathers, built from the corner table
+    and the layer arrays.
 
     Labels form one vector in `label_order` plus a trailing 0 that pads
     rows of slots to four.  Row j is the plaquette `plaquettes[j]`, black
-    first, each color in row-major order: its own-split slots and its
-    table's offset in `dead` (the pattern annihilates it), its own-split
-    then other-only slots and its table's offset in the state table, where
-    `scal` holds a scalar state, inf for a state with support or nan until
-    first read, and `kept` the pruned state as (kept positions in `free`,
-    matrix).  `vertices` is filled by the first evaluation that annihilates
-    no plaquette.
+    first, each color in row-major order: its corners' `roles` (0 own-split,
+    1 other-only, 2 free), its free corners' vertex ids then -1s, its table
+    `shared[which[j]]` (norms, blocks), its own-split slots and its table's
+    offset in `dead` (the pattern annihilates it), and its own-split then
+    other-only slots and its table's offset in the state table, where `scal`
+    holds a scalar state, inf for a state with support or nan until first
+    read, and `kept` the pruned state as (kept positions in `free`, matrix).
+    The vertices split in both layers, sorted, are `both`; their rows of
+    label slots (padding, padding, black, white) `both_slots` give the
+    pattern 2a + b that, plus 4 i, indexes `overlap`, tr[pi_a pibar_b] =
+    |<black a|white b>|^2 of vertex i.  `unsplit` lists the vertices split
+    in neither layer, in vertex order.
     """
 
-    tables: dict[Plaquette, PlaquetteTable]
+    spec: LatticeSpec
     plaquettes: list[Plaquette]
     n_black: int
+    roles: np.ndarray
+    free: list[list[int]]
+    which: np.ndarray
+    shared: list[tuple[np.ndarray, np.ndarray]]
     own_slots: np.ndarray
     norm_at: np.ndarray
     dead: np.ndarray
@@ -172,48 +179,65 @@ class CompiledModel:
     state_at: np.ndarray
     scal: np.ndarray
     kept: list
-    vertices: _VertexTables | None = None
+    both: list[Vertex]
+    both_slots: np.ndarray
+    overlap: np.ndarray
+    unsplit: list[Vertex]
 
     def annihilated(self, bx: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Whether the labels (a padded vector, or a stack of them)
         annihilate each plaquette of `rows`."""
         return self.dead[self.norm_at[rows] + bx[..., self.own_slots[rows]] @ _W4]
 
+    def overlaps(self, bx: np.ndarray) -> np.ndarray:
+        """The overlap of each vertex in `both` under the labels."""
+        return self.overlap[4 * np.arange(len(self.both)) + bx[self.both_slots] @ _W4]
+
+
+def _rows_by(key: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values with each row reordered by key ascending, ties in corner order."""
+    return np.take_along_axis(values, np.argsort(key, axis=1, kind="stable"), axis=1)
+
 
 def _compile(prep: PreparedModel) -> CompiledModel:
-    black, white = prep.label_order
-    slot = {(BLACK, v): i for i, v in enumerate(black)}
-    slot.update(((WHITE, v), len(black) + i) for i, v in enumerate(white))
-    pad, keys = len(slot), {}
-    specs, tables, which, own_slots, split_slots = [], {}, [], [], []
-    for p in sorted(lattice.plaquettes(prep.model.spec), key=lambda p: not lattice.is_black(p)):
-        color = lattice.plaquette_color(p)
-        own, other = (prep.black, prep.white) if color == BLACK else (prep.white, prep.black)
-        cs = tuple(lattice.corners(prep.model.spec, p))
-        roles = tuple(0 if v in own.split_vertices else 1 if v in other.split_vertices else 2 for v in cs)
-        bases = [(own.decomps[v].basis, other.decomps[v].basis, _ID2)[r] for v, r in zip(cs, roles)]
-        # equal terms share one projector array, and the vertices of one
-        # split pair one basis array
-        key = (id(prep.projectors[p]), roles, tuple(map(id, bases)))
-        if key not in keys:
-            keys[key] = len(specs)
-            specs.append((prep.projectors[p], bases, roles))
-        which.append(keys[key])
-        own_split, other_only, free = (tuple(v for v, r in zip(cs, roles) if r == x) for x in range(3))
-        tables[p] = (color, cs, own_split, other_only, free)
-        split = [slot[color, v] for v in own_split] + [slot[other.color, v] for v in other_only]
-        own_slots.append([pad] * (4 - len(own_split)) + split[: len(own_split)])
-        split_slots.append([pad] * len(free) + split)
-    built = _slice_tables(specs)
-    norm_at = np.cumsum([0] + [2 ** roles.count(0) for *_, roles in specs])
-    state_at = np.cumsum([0] + [2 ** (4 - roles.count(2)) for *_, roles in specs])
+    spec, black, white = prep.model.spec, prep.black, prep.white
+    ids, distinct = array_ids(spec, prep.projectors)
+    cs = lattice.corner_ids(spec)
+    is_black = (cs[:, 0] % spec.lx + cs[:, 0] // spec.lx) % 2 == 0
+    order = np.argsort(~is_black, kind="stable")
+    cs, ids, on_black = cs[order], ids[order], is_black[order][:, None]
+    own = np.where(on_black, black.split[cs], white.split[cs])
+    roles = np.where(own, 0, np.where(np.where(on_black, white.split[cs], black.split[cs]), 1, 2))
+
+    # a corner's role names the black layer's split or the white one's; the
+    # frame table holds black slice bases, white slice bases, the identity
+    nb, nw = len(black.basis), len(white.basis)
+    in_black, free = on_black == (roles == 0), roles == 2
+    frames = np.concatenate([black.basis, white.basis, np.eye(2)[None]])
+    frame = np.where(free, nb + nw, np.where(in_black, black.basis_row[cs], nb + white.basis_row[cs]))
+    # label slots per vertex: `label_order` sorts each layer's split vertices x-major
+    x_major = np.arange(spec.n_vertices).reshape(spec.ly, spec.lx).T.ravel()
+    sb, sw = np.zeros((2, spec.n_vertices), dtype=np.intp)
+    sb[x_major[black.split[x_major]]], sw[x_major[white.split[x_major]]] = np.arange(nb), nb + np.arange(nw)
+    slot = np.where(free, nb + nw, np.where(in_black, sb[cs], sw[cs]))
+    # rows with one projector array and equal frames in equal roles share a table
+    content = _distinct_rows(frames.reshape(-1, 4).view(float))[1]
+    first, which = _distinct_rows(np.column_stack([ids, roles, content[frame]]))
+    shared = _slice_tables(np.stack(distinct)[ids[first]], frames[frame[first]], roles[first])
+    norm_at = np.cumsum([0] + [nm.size for nm, _ in shared])
+    state_at = np.cumsum([0] + [bl.size // bl.shape[-1] ** 2 for _, bl in shared])
+    both = x_major[(black.split & white.split)[x_major]]
+    a, b = black.basis[black.basis_row[both]], white.basis[white.basis_row[both]]
     return CompiledModel(
-        {p: PlaquetteTable(*row, *built[t]) for (p, row), t in zip(tables.items(), which)},
-        list(tables), sum(map(lattice.is_black, tables)),
-        np.array(own_slots), norm_at[which],
-        np.concatenate([nm.ravel() for nm, _ in built]) <= ZERO_FLOOR,
-        np.array(split_slots), state_at[which],
+        spec, lattice.vertices_of(spec, cs[:, 0]), int(is_black.sum()), roles,
+        _rows_by(~free, np.where(free, cs, -1)).tolist(), which, shared,
+        _rows_by(roles == 0, np.where(roles == 0, slot, nb + nw)), norm_at[which],
+        np.concatenate([nm.ravel() for nm, _ in shared]) <= ZERO_FLOOR,
+        _rows_by((roles + 1) % 3, slot), state_at[which],
         np.full(state_at[-1], np.nan), [None] * int(state_at[-1]),
+        lattice.vertices_of(spec, both), np.column_stack([np.full((len(both), 2), nb + nw), sb[both], sw[both]]),
+        (np.abs(a.conj().transpose(0, 2, 1) @ b) ** 2).ravel(),
+        lattice.vertices_of(spec, np.flatnonzero(~(black.split | white.split))),
     )
 
 
@@ -223,15 +247,14 @@ class PreparedModel:
 
     Slicing and tracing of a plaquette depend only on the few certificate
     labels at its corners.  On the first evaluation (never in `prepare`)
-    the model is compiled to a `CompiledModel`: one `PlaquetteTable` per
-    plaquette, whose norm and block arrays are shared by the plaquettes
-    with the same projector array (equal terms get one) and the same slice
-    frames, and index arrays that turn a certificate into gathers;
-    effective states are memoized per (shared table, pattern).
-    Every array and entry is a deterministic function of the model, so a
-    concurrent duplicate write stores an equal value and concurrent
-    verification of distinct certificates against one prepared model is
-    safe.
+    the model is compiled to a `CompiledModel`: norm and block tables, one
+    per projector array (equal terms get one) and slice frames, and index
+    arrays that turn a certificate into gathers; `table(p)` reads one
+    plaquette's as a `PlaquetteTable`.  Effective states are memoized per
+    (shared table, pattern).  Every array and entry is a deterministic
+    function of the model, so a concurrent duplicate write stores an equal
+    value and concurrent verification of distinct certificates against one
+    prepared model is safe.
     """
 
     model: CommutingModel
@@ -264,7 +287,11 @@ class PreparedModel:
         return c
 
     def table(self, p: Plaquette) -> PlaquetteTable:
-        return self.compiled().tables[p]
+        c = self.compiled()
+        j = c.plaquettes.index(p)
+        cs, roles = tuple(lattice.corners(self.model.spec, p)), c.roles[j].tolist()
+        parts = (tuple(v for v, r in zip(cs, roles) if r == x) for x in range(3))
+        return PlaquetteTable(lattice.plaquette_color(p), cs, *parts, *c.shared[c.which[j]])
 
 
 def prepare(model: CommutingModel) -> PreparedModel:
@@ -361,11 +388,11 @@ def _state_index(c: CompiledModel, bx: np.ndarray) -> np.ndarray:
     entries not read before."""
     idx = c.state_at + bx[c.split_slots] @ _W4
     for j in np.flatnonzero(np.isnan(c.scal[idx])).tolist():
-        e, t = idx[j], c.tables[c.plaquettes[j]]
+        e, blocks = idx[j], c.shared[c.which[j]][1]
         if not np.isnan(c.scal[e]):  # shared with a plaquette filled above
             continue
-        d = t.blocks.shape[-1]
-        op = _prune_trivial_sites(LabeledOp(t.blocks.reshape(-1, d, d)[e - c.state_at[j]], range(len(t.free))))
+        d = blocks.shape[-1]
+        op = _prune_trivial_sites(LabeledOp(blocks.reshape(-1, d, d)[e - c.state_at[j]], range(d.bit_length() - 1)))
         norm = frob(op.mat)
         if norm > ZERO_FLOOR:
             w = np.linalg.eigvalsh(op.mat)
@@ -380,33 +407,12 @@ def _state_index(c: CompiledModel, bx: np.ndarray) -> np.ndarray:
 
 
 def _states(c: CompiledModel, idx: np.ndarray, rows) -> list[EffectiveState]:
-    out = []
+    out, lx = [], c.spec.lx
     for j in rows:
-        p = c.plaquettes[j]
-        t, (kept, mat) = c.tables[p], c.kept[idx[j]]
-        out.append(EffectiveState(p, t.color, tuple(t.free[k] for k in kept), mat))
+        (kept, mat), free = c.kept[idx[j]], c.free[j]
+        support = tuple((free[k] % lx, free[k] // lx) for k in kept)
+        out.append(EffectiveState(c.plaquettes[j], BLACK if j < c.n_black else WHITE, support, mat))
     return out
-
-
-def _vertex_tables(prep: PreparedModel) -> _VertexTables:
-    c = prep.compiled()
-    if c.vertices is None:
-        black, white = prep.label_order
-        both = sorted(prep.f_black & prep.f_white)
-        at_black = {v: i for i, v in enumerate(black)}
-        at_white = {v: len(black) + i for i, v in enumerate(white)}
-        pad = len(black) + len(white)
-        a, b = (np.array([x.decomps[v].basis for v in both]).reshape(-1, 2, 2) for x in (prep.black, prep.white))
-        c.vertices = _VertexTables(
-            both, np.array([[pad, pad, at_black[v], at_white[v]] for v in both], dtype=np.intp).reshape(-1, 4),
-            (np.abs(a.conj().transpose(0, 2, 1) @ b) ** 2).ravel(),
-            [v for v in prep.model.spec.vertices() if v not in prep.f_black and v not in prep.f_white],
-        )
-    return c.vertices
-
-
-def _overlaps(vt: _VertexTables, bx: np.ndarray) -> np.ndarray:
-    return vt.overlap[4 * np.arange(len(vt.both)) + bx[vt.slots] @ _W4]
 
 
 def effective_states(
@@ -422,8 +428,7 @@ def effective_states(
     bx = _label_vector(prep, cert)
     c = prep.compiled()
     states = _states(c, _state_index(c, bx), range(len(c.plaquettes)))
-    vt = _vertex_tables(prep)
-    overlaps = list(zip(vt.both, _overlaps(vt, bx).tolist()))
+    overlaps = list(zip(c.both, c.overlaps(bx).tolist()))
     return states[: c.n_black], states[c.n_black :], overlaps
 
 
@@ -625,8 +630,7 @@ def compute_omega(m: CommutingModel | PreparedModel, cert: Certificate | np.ndar
         keys = sorted((c.plaquettes[j],) for j in dead)
         return OmegaResult(True, -math.inf, 0, lambda: [_factor(COMPONENT, k, 0.0) for k in keys])
 
-    vt = _vertex_tables(prep)
-    overlaps = _overlaps(vt, bx)
+    overlaps = c.overlaps(bx)
     idx = _state_index(c, bx)
     vals = c.scal[idx]
     scalar = np.isfinite(vals)
@@ -634,7 +638,7 @@ def compute_omega(m: CommutingModel | PreparedModel, cert: Certificate | np.ndar
     nonzero = int(np.count_nonzero(overlaps > ZERO_FLOOR) + np.count_nonzero(scalars > ZERO_FLOOR))
 
     def local_factors() -> list[OmegaFactor]:
-        out = [_factor(VERTEX_OVERLAP, v, x) for v, x in zip(vt.both, overlaps.tolist())]
+        out = [_factor(VERTEX_OVERLAP, v, x) for v, x in zip(c.both, overlaps.tolist())]
         rows = np.flatnonzero(scalar).tolist()
         return out + [_factor(COMPONENT, (c.plaquettes[j],), x) for j, x in zip(rows, scalars.tolist())]
 
@@ -649,7 +653,7 @@ def compute_omega(m: CommutingModel | PreparedModel, cert: Certificate | np.ndar
         for comp in graph.components
     ]
     supported = {v for s in states for v in s.support}
-    free = tuple(v for v in vt.unsplit if v not in supported)
+    free = tuple(v for v in c.unsplit if v not in supported)
     live = sum(val > ZERO_FLOOR for _, val in comps)
     nonzero += live + bool(free)
 

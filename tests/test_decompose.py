@@ -298,3 +298,40 @@ def test_prepare_runs_without_the_schmidt_route(monkeypatch):
         monkeypatch.setattr(module, "algebra_classify", refuse)
     prep = verifier.prepare(gen_rotated_classical(LatticeSpec(4, 3), seed=0)[0])
     assert prep.f_black and prep.f_white
+
+
+VIEW_MODELS = {
+    "toric-4x4-open": lambda conj: gen_toric(LatticeSpec(4, 4)),
+    "toric-4x4-periodic": lambda conj: gen_toric(LatticeSpec(4, 4, "periodic")),
+    "rotated-classical-4x4": lambda conj: gen_random(LatticeSpec(4, 4), 3, "rotated-classical"),
+    "haar-toric-4x4": lambda conj: conj(gen_toric(LatticeSpec(4, 4)), 1),
+}
+
+
+@pytest.mark.parametrize("name", VIEW_MODELS)
+def test_decomps_view_matches_layer_arrays(name, haar_conjugated):
+    # the per-vertex view reads the split mask, the owner ids and the basis
+    # stack, in vertex order, and cannot be written to
+    m = VIEW_MODELS[name](haar_conjugated)
+    spec = m.spec
+    for layer in layer_pair(m):
+        view = layer.decomps
+        assert list(view) == spec.vertices() and len(view) == spec.n_vertices
+        assert layer.basis.shape == (int(layer.split.sum()), 2, 2)
+        row = 0
+        for i, v in enumerate(spec.vertices()):
+            d = view[v]
+            assert d.split == layer.split[i]
+            if d.split:
+                assert d.owner is None and np.array_equal(d.basis, layer.basis[row])
+                row += 1
+            else:
+                owner = layer.owner[i]
+                assert d.basis is None
+                assert d.owner == (None if owner < 0 else (owner % spec.lx, owner // spec.lx))
+        assert layer.split_vertices == frozenset(v for v, d in view.items() if d.split)
+        assert any(d.owner is not None for d in view.values()) == (spec.boundary == "open")
+        with pytest.raises(TypeError):
+            view[(0, 0)] = view[(0, 0)]
+        with pytest.raises(KeyError):
+            view[(spec.lx, 0)]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from commham import lattice
@@ -60,6 +61,35 @@ def test_incident_open_corner_and_interior():
 def test_periodic_odd_rejected():
     with pytest.raises(LatticeError):
         LatticeSpec(3, 3, "periodic")
+
+
+@pytest.mark.parametrize(
+    "lx, ly", [(4.0, 4), (4.5, 4), (4, 4.0), (True, 4), (4, np.float64(4)), (np.bool_(True), 4), ("4", 4)]
+)
+def test_non_integer_sizes_rejected(lx, ly):
+    # floats would reach the numpy geometry as float sizes, not fail there
+    with pytest.raises(LatticeError, match="must be an integer"):
+        LatticeSpec(lx, ly)
+
+
+def test_numpy_integer_sizes_become_int():
+    spec = LatticeSpec(np.int64(4), np.int32(6), "periodic")
+    assert type(spec.lx) is int and type(spec.ly) is int
+    assert spec == LatticeSpec(4, 6, "periodic")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(2, 2), LatticeSpec(2, 7), LatticeSpec(5, 3), LatticeSpec(4, 4, "periodic"),
+     LatticeSpec(6, 4, "periodic")],
+    ids=str,
+)
+def test_corner_ids_match_corners(spec):
+    ids = lattice.corner_ids(spec)
+    assert ids.shape == (len(lattice.plaquettes(spec)), 4)
+    want = [[y * spec.lx + x for x, y in lattice.corners(spec, p)] for p in lattice.plaquettes(spec)]
+    assert ids.tolist() == want
+    assert lattice.vertices_of(spec, ids[:, 0]) == lattice.plaquettes(spec)
 
 
 def test_periodic_width_two_rejected():

@@ -11,6 +11,8 @@ from commham.linalg import (
     PAULI_Y,
     PAULI_Z,
     TRIVIAL,
+    ORDER_TOL,
+    PHASE_FLOOR,
     CapExceeded,
     I2,
     LabeledOp,
@@ -412,3 +414,33 @@ def test_commutator_toric_neighbors():
     a = LabeledOp(z4, (0, 1, 2, 3))
     b = LabeledOp(x4, (2, 3, 4, 5))
     assert commutator_norm(a, b) < 1e-12
+
+
+def canonical_basis_reference(v):
+    """The eigenbasis columns of v phased and ordered one state at a time."""
+
+    def phased(vec):
+        a = next(a for a in vec if abs(a) > PHASE_FLOOR)
+        return vec * (a.conjugate() / abs(a))
+
+    a, b = phased(v[:, 0]), phased(v[:, 1])
+    for xa, xb in zip((abs(a[0]), a[1].real, a[1].imag), (abs(b[0]), b[1].real, b[1].imag)):
+        if abs(xa - xb) > ORDER_TOL:
+            return np.column_stack([a, b] if xa > xb else [b, a])
+    return np.column_stack([a, b])
+
+
+def test_axis_bases_match_one_state_at_a_time_reference():
+    # random axes, the coordinate axes and their diagonals (ties in |amplitude
+    # on 0>), each batched and one row at a time
+    rng = np.random.default_rng(4)
+    special = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                        [1, 1, 0], [1, -1, 0], [0, 1, 1], [1, 0, -1]], dtype=float)
+    axes = np.concatenate([rng.standard_normal((500, 3)), special])
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    got = linalg._axis_bases(axes)
+    for n, basis in zip(axes, got):
+        _, v = np.linalg.eigh(np.einsum("k,kij->ij", n, linalg._PAULIS))
+        want = canonical_basis_reference(v)
+        assert np.array_equal(basis, want)
+        assert np.array_equal(linalg._axis_bases(n[None])[0], want)

@@ -97,16 +97,31 @@ def test_non_finite_rejected(value):
         CommutingModel(spec, {(0, 0): bad})
 
 
+def intersecting_pairs(spec):
+    """`model._intersecting_pairs` as plaquettes (p, q) with their alignments
+    as (corner of p, corner of q) pairs."""
+    plist = lattice.plaquettes(spec)
+    first, second, align = model._intersecting_pairs(spec)
+    return [
+        (plist[i], plist[j], [(b // 4, b % 4) for b in range(16) if m >> b & 1])
+        for i, j, m in zip(first.tolist(), second.tolist(), align.tolist())
+    ]
+
+
 def test_intersecting_pairs_match_all_pairs_scan():
-    for spec in (LatticeSpec(4, 3), LatticeSpec(4, 4, "periodic"), LatticeSpec(6, 4, "periodic")):
+    # the same pairs in the same order as the scan over all pairs, each with
+    # the corners it shares
+    for spec in (LatticeSpec(2, 2), LatticeSpec(4, 3), LatticeSpec(2, 7), LatticeSpec(4, 4, "periodic"),
+                 LatticeSpec(6, 4, "periodic")):
         plist = lattice.plaquettes(spec)
-        want = [
-            (p, q)
-            for i, p in enumerate(plist)
-            for q in plist[i + 1 :]
-            if set(lattice.corners(spec, p)) & set(lattice.corners(spec, q))
-        ]
-        assert list(model._intersecting_pairs(gen_toric(spec))) == want
+        want = []
+        for i, p in enumerate(plist):
+            for q in plist[i + 1 :]:
+                cp, cq = lattice.corners(spec, p), lattice.corners(spec, q)
+                shared = [(a, cq.index(v)) for a, v in enumerate(cp) if v in cq]
+                if shared:
+                    want.append((p, q, shared))
+        assert intersecting_pairs(spec) == want
 
 
 def test_toric_projectors_match_stabilizers():
@@ -240,7 +255,7 @@ def reference_norms(m, mats):
     """(p, q, commutator_norm, |A| |B|) per intersecting pair, one dense
     embedding each."""
     out = []
-    for p, q in model._intersecting_pairs(m):
+    for p, q, _ in intersecting_pairs(m.spec):
         a = LabeledOp(mats[p], tuple(lattice.corners(m.spec, p)))
         b = LabeledOp(mats[q], tuple(lattice.corners(m.spec, q)))
         out.append((p, q, commutator_norm(a, b), frob(a.mat) * frob(b.mat)))
@@ -293,7 +308,7 @@ def test_check_commuting_matches_reference_loop(spec, eps, perturbed):
     ]
     if eps == 3e-10:
         # the pair norms lie on both sides of the bound
-        assert 0 < len(want) < len(list(model._intersecting_pairs(m)))
+        assert 0 < len(want) < len(intersecting_pairs(m.spec))
     got = check_commuting(m).violations
     assert [(p, q) for p, q, _ in got] == [(p, q) for p, q, _ in want]
     assert all(abs(a[2] - b[2]) <= 1e-12 for a, b in zip(got, want))

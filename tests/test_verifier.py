@@ -32,7 +32,6 @@ from commham.verifier import (
     compute_omega,
     contract_component,
     effective_states,
-    _vertex_tables,
     prepare,
     verify,
 )
@@ -536,13 +535,37 @@ def test_effective_states_match_sandwich_trace_reference(family, haar_conjugated
             assert frob(st.mat - ref.mat) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "model, values",
+    [(gen_random(LatticeSpec(5, 5), 1, "diagonal-field"), {0.0, 1.0}), (gen_toric(LatticeSpec(4, 4)), {0.5})],
+    ids=["diagonal-field-5x5", "toric-4x4"],
+)
+def test_vertex_overlap_gather_reads_both_labels(model, values):
+    # every vertex split in both layers under all four label pairs (a, b):
+    # the gathered overlap is |<black a|white b>|^2 of the two slice bases
+    prep = prepare(model)
+    both = sorted(prep.f_black & prep.f_white)
+    assert both
+    seen = set()
+    for v in both:
+        black, white = prep.black.decomps[v].basis, prep.white.decomps[v].basis
+        for a, b in itertools.product((0, 1), repeat=2):
+            cert = all_zero_cert(prep)
+            cert.alpha[v], cert.beta[v] = a, b
+            got = dict(effective_states(prep, cert)[2])[v]
+            want = abs(np.vdot(black[:, a], white[:, b])) ** 2
+            assert abs(got - want) <= 1e-12
+            seen.add(round(want, 12))
+    assert seen == values
+
+
 @pytest.mark.parametrize("family", ["rotated-classical", "haar-toric"])
 def test_overlap_table_matches_trace_formula(family, haar_conjugated):
     if family == "haar-toric":
         prep = prepare(haar_conjugated(gen_toric(LatticeSpec(4, 4)), 1))
     else:
         prep = prepare(gen_random(LatticeSpec(5, 5), 1, family))
-    vertices = _vertex_tables(prep)
+    vertices = prep.compiled()
     assert vertices.both == sorted(prep.f_black & prep.f_white) != []
     for i, v in enumerate(vertices.both):
         table = vertices.overlap[4 * i : 4 * i + 4].reshape(2, 2)
@@ -597,7 +620,7 @@ def property_model(family, shape, seed, haar_conjugated):
 
 def test_property_models_have_other_only_corners_and_chains(haar_conjugated):
     preps = [prepare(property_model(f, (4, 4), 0, haar_conjugated)) for f in PROPERTY_FAMILIES]
-    assert any(t.other_only for prep in preps for t in prep.compiled().tables.values())
+    assert any(prep.table(p).other_only for prep in preps for p in lattice.plaquettes(prep.model.spec))
     states = [s for prep in preps for layer in effective_states(prep, all_zero_cert(prep))[:2] for s in layer]
     assert any(s.support for s in states)
 
