@@ -2,11 +2,12 @@
 
 Operators carry an ordered tuple of qubit labels; label 0 is the most
 significant tensor factor.  Everything here works on a handful of qubits
-(16x16 plaquette matrices) except
-:func:`trace_product_embedded`, which evaluates traces of products of
-locally-supported operators on up to 22 qubits as one tensor-network
-contraction over qubit wires (Markov & Shi, quant-ph/0511069), holding at
-most _MAX_OPEN_WIRES open wires at a time.
+(16x16 plaquette matrices) except :func:`trace_product_embedded`, the one
+contraction kernel of the package: it evaluates traces of products of
+locally-supported operators as a tensor network of qubit wires (Markov &
+Shi, quant-ph/0511069), bounded by the open wires it holds at a time
+(_MAX_OPEN_WIRES), not by the qubit count.  The verifier's chains and the
+oracle's traces both go through it.
 
 The algebra a set of 2x2 operators generates is read off the rank of
 their Bloch vectors (the qubit case of the Bravyi-Vyalyi structure
@@ -58,6 +59,7 @@ PHASE_FLOOR = 1e-12  # the first amplitude above it fixes a unit vector's phase
 ORDER_TOL = 1e-9  # amplitudes closer than this tie when slice states are ordered
 
 _MAX_OPEN_WIRES = 24  # trace_product_embedded's widest tensor: 2**24 entries, 256 MiB
+_BLAS_WIRES = 12  # its steps over more distinct wires than this use einsum's BLAS path
 
 
 class NonHermitianError(ValueError):
@@ -307,26 +309,28 @@ def content_ids(mats: Mapping) -> dict:
 # Traces of products of locally-supported operators on many qubits.
 
 
-def trace_product_embedded(ops: Sequence[LabeledOp], cap: int = 22) -> complex:
+def trace_product_embedded(ops: Sequence[LabeledOp], order: Sequence[int] | None = None) -> complex:
     """tr of the ordered product of operators embedded on their label union.
 
     The product is contracted as a network of qubit wires: each qubit's wire
     runs through the operators acting on it in product order, and the last
     of them closes back onto the first (a self-loop when only one operator
-    acts on the qubit).  Operators are absorbed one at a time, each time the
-    one that leaves the fewest open wires, ties going to product order.
-    Raises CapExceeded when the labels span more than `cap` qubits, or,
-    before anything is allocated, when the contraction would hold more than
-    _MAX_OPEN_WIRES open wires.
+    acts on the qubit).  Operators are absorbed one at a time, in `order` (a
+    permutation of their indices) if given, else each time the one that
+    leaves the fewest open wires, ties going to product order; the value
+    does not depend on it.  Raises CapExceeded, before anything is
+    allocated, when the contraction would hold more than _MAX_OPEN_WIRES
+    open wires.  Steps over more than _BLAS_WIRES distinct wires go through
+    einsum's BLAS path; on fewer, its plain loop is cheaper.
     """
     if not ops:
         raise ValueError("need at least one operator")
+    if order is not None and sorted(order) != list(range(len(ops))):
+        raise ValueError(f"order must list each of the {len(ops)} operator indices once")
     users: dict = {}
     for i, op in enumerate(ops):
         for a, label in enumerate(op.labels):
             users.setdefault(label, []).append((i, a))
-    if len(users) > cap:
-        raise CapExceeded(f"{len(users)} qubits exceeds cap {cap}")
     # wire w joins the column index of one user of a qubit to the row index
     # of the next user; the row indices of an operator come first
     wires = [[0] * (2 * op.n_qubits) for op in ops]
@@ -337,7 +341,7 @@ def trace_product_embedded(ops: Sequence[LabeledOp], cap: int = 22) -> complex:
     ends = [frozenset(x for x in ws if ws.count(x) == 1) for ws in wires]
     todo, plan, open_ = list(range(len(ops))), [], frozenset()
     while todo:
-        i = min(todo, key=lambda i: len(open_ ^ ends[i]))
+        i = order[len(plan)] if order is not None else min(todo, key=lambda i: len(open_ ^ ends[i]))
         todo.remove(i)
         open_ = open_ ^ ends[i]
         if len(open_) > _MAX_OPEN_WIRES:
@@ -348,10 +352,9 @@ def trace_product_embedded(ops: Sequence[LabeledOp], cap: int = 22) -> complex:
         out = [x for x in state_wires + wires[i] if x in open_]
         num = {x: n for n, x in enumerate(dict.fromkeys(state_wires + wires[i]))}
         t = ops[i].mat.reshape((2,) * len(wires[i]))
-        # optimize=True lets einsum hand the contraction to BLAS
         state = np.einsum(
             state, [num[x] for x in state_wires], t, [num[x] for x in wires[i]],
-            [num[x] for x in out], optimize=True,
+            [num[x] for x in out], optimize=len(num) > _BLAS_WIRES,
         )
         state_wires = out
     return complex(state)

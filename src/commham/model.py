@@ -226,17 +226,19 @@ def gen_signed_toric(
 ) -> CommutingModel:
     """Stabilizer model with per-plaquette signs h = -s Z^(x)4 / -s X^(x)4.
 
-    Signs default to an independent seeded +-1 draw per plaquette.  On a
-    periodic lattice the product of all signs of one color must be +1 for a
-    common ground state to exist, so random draws are frustrated half the
-    time.
+    A plaquette without a given sign gets an independent seeded +-1 draw; a
+    given sign other than +-1 raises ModelError.  On a periodic lattice the
+    product of all signs of one color must be +1 for a common ground state
+    to exist, so random draws are frustrated half the time.
     """
     rng = np.random.default_rng(seed)
     terms = {}
     for p in lattice.plaquettes(spec):
         given = (black_signs if is_black(p) else white_signs) or {}
-        s = int(given.get(p, 0)) or int(rng.choice((-1, 1)))
-        terms[p] = (-s * _Z4) if is_black(p) else (-s * _X4)
+        s = given[p] if p in given else int(rng.choice((-1, 1)))
+        if s not in (-1, 1):
+            raise ModelError(f"sign {s!r} at plaquette {p} must be +1 or -1")
+        terms[p] = -int(s) * (_Z4 if is_black(p) else _X4)
     return CommutingModel(spec, terms)
 
 

@@ -1,10 +1,10 @@
 """Brute-force ground truth on the full 2**N-dimensional space.
 
-Everything here evaluates exact traces by embedding plaquette operators on
-all N qubits, deliberately bypassing the chain machinery of the verifier,
-so the two paths can certify each other.  The trace of the product of all
-ground projectors is the joint ground-space dimension and must come out an
-integer for genuinely commuting input.
+Exact traces of plaquette operators on all N qubits bypass the verifier's
+effective states and overlap graph, so the two paths can certify each other
+(they share only the wire-network kernel, tested on literal dense products).
+The trace of the product of all ground projectors is the joint ground-space
+dimension and must come out an integer for genuinely commuting input.
 """
 from __future__ import annotations
 
@@ -51,13 +51,13 @@ def _projector_ops(model: CommutingModel, cap: int) -> dict[Plaquette, LabeledOp
 def total_overlap(model: CommutingModel, cap: int = 22) -> float:
     """tr[(product of black projectors)(product of white projectors)]."""
     ops = _projector_ops(model, cap)
-    return trace_product_embedded([ops[p] for p in _black_first(model.spec)], cap=cap).real
+    return trace_product_embedded([ops[p] for p in _black_first(model.spec)]).real
 
 
 def ground_dim(model: CommutingModel, cap: int = 22) -> int:
     """Dimension of the joint ground space, tr of the product of all
     projectors, asserted to be integral."""
-    val = trace_product_embedded(list(_projector_ops(model, cap).values()), cap=cap).real
+    val = trace_product_embedded(list(_projector_ops(model, cap).values())).real
     count = nearest_count(val)
     if count is None:
         raise IntegralityError(f"trace {val!r} is no non-negative integer within {INTEGRALITY_TOL}")
@@ -67,14 +67,14 @@ def ground_dim(model: CommutingModel, cap: int = 22) -> int:
 def dense_omega(
     m: CommutingModel | PreparedModel, cert: Certificate, cap: int = 12
 ) -> float:
-    """Certificate value evaluated as one embedded trace on all N qubits,
-    bypassing effective states, overlap graphs, and chain contraction."""
+    """Certificate value as one trace on all N qubits of the literally
+    sliced projectors, bypassing effective states and overlap graphs."""
     prep = _as_prepared(m)
     n = prep.model.n_qubits
     if n > cap:
         raise CapExceeded(f"{n} qubits exceeds dense cap {cap}")
     sliced = apply_certificate(prep, cert)
-    return trace_product_embedded([sliced[p] for p in _black_first(prep.model.spec)], cap=cap).real
+    return trace_product_embedded([sliced[p] for p in _black_first(prep.model.spec)]).real
 
 
 def certificate_sum(

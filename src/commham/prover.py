@@ -151,8 +151,8 @@ def greedy_search(
     tie-broken by the number of non-vanishing factors; a candidate must beat
     the current score, so the first certificate found wins a tie.  Restart 0
     starts from the all-zeros labelling, later restarts from seeded random
-    labels; the result is deterministic given the seed and is re-verified
-    before being returned.
+    labels, `restarts` (at least 1, else ValueError) in all; the result is
+    deterministic given the seed and is re-verified before being returned.
 
     Labels are one 0/1 vector in `label_order`, padded as the compiled
     model reads it.  A flip changes the local slice pattern of at most the
@@ -161,6 +161,8 @@ def greedy_search(
     re-reads only those two; compute_omega runs only for candidates that
     annihilate none.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     prep = _as_prepared(m)
     c = prep.compiled()
     n = len(prep.f_black) + len(prep.f_white)
@@ -168,7 +170,7 @@ def greedy_search(
     rng = np.random.default_rng(seed)
     evaluated = 0
 
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         bx = np.zeros(n + 1, dtype=np.intp)  # the labels and the padding 0
         if restart:
             bx[:n] = rng.integers(0, 2, n)

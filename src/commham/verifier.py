@@ -17,7 +17,8 @@ Hilbert space:
 * effective states of one color never share a qubit, and a state can
   overlap states of the other color on at most two neighbors, so the
   overlap structure decomposes into isolated nodes, paths, and cycles
-  that contract with a constant-size frontier;
+  that contract with a constant-size frontier, absorbed in chain order by
+  the wire-network kernel the oracle's traces use;
 * on its first evaluation a model is compiled to index arrays, so a
   certificate is one 0/1 vector and annihilated plaquettes, vertex
   overlaps and scalar states are each one gather; only states with
@@ -40,7 +41,7 @@ from .decompose import LayerDecomposition, array_ids, decompose_layers
 from .lattice import BLACK, WHITE, LatticeSpec, Plaquette, Vertex
 from .linalg import (
     IMAG_RTOL, LOG2_TIE_TOL, POSITIVITY_TOL, PRUNE_RTOL, ZERO_FLOOR,
-    LabeledOp, embed, frob, partial_trace,
+    LabeledOp, embed, frob, partial_trace, trace_product_embedded,
 )
 from .model import CommutingModel, ground_projectors
 
@@ -523,63 +524,15 @@ def _trace_component(start: int, adjacency: dict[int, dict[int, tuple]]) -> Comp
     return Component(kind, order)
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
 def contract_component(component: Component, nodes: list[EffectiveState]) -> float:
     """Trace of (product of black states)(product of white states) on the
-    component's support, contracted sequentially along the chain.
-
-    The trace tr[B W] is Sum B[i, j] W[j, i]; each qubit carries an index
-    pair (i, j), a black state plugs row legs into i and column legs into
-    j, a white state the other way around, and a missing color closes the
-    pair.  Processing nodes in chain order keeps at most two qubits open
-    (plus the wrap-around pair for cycles).
+    component's support.  Each qubit's wire runs through at most one black
+    and one white state, so the network is the same in any listing order;
+    `trace_product_embedded` absorbs the states in chain order, which keeps
+    at most two qubits open (plus the wrap-around pair for cycles).
     """
-    if component.kind == "isolated":
-        s = nodes[component.node_ids[0]]
-        return float(np.trace(s.mat).real)
-
-    touch: dict[Vertex, int] = {}
-    for i in component.node_ids:
-        for v in nodes[i].support:
-            touch[v] = touch.get(v, 0) + 1
-
-    frontier = np.array(1.0 + 0.0j)
-    open_wires: list[tuple[Vertex, str]] = []
-    remaining = dict(touch)
-    for i in component.node_ids:
-        s = nodes[i]
-        k = len(s.support)
-        tensor = s.mat.reshape((2,) * (2 * k))
-        row = "i" if s.color == BLACK else "j"
-        col = "j" if s.color == BLACK else "i"
-        node_wires = [(v, row) for v in s.support] + [(v, col) for v in s.support]
-
-        # qubits touched by a single node get the same letter on both wires,
-        # which einsum reads as a trace over the missing color's identity
-        def canon(w: tuple[Vertex, str]) -> tuple[Vertex, str]:
-            return (w[0], "i") if touch[w[0]] == 1 else w
-
-        letters: dict[tuple[Vertex, str], str] = {}
-        pool = iter(_LETTERS)
-        for w in open_wires + node_wires:
-            letters.setdefault(canon(w), next(pool))
-
-        for v in s.support:
-            remaining[v] -= 1
-        out_wires = []
-        for w in open_wires + node_wires:
-            if remaining[w[0]] > 0 and w not in out_wires:
-                out_wires.append(w)
-
-        sub_f = "".join(letters[canon(w)] for w in open_wires)
-        sub_n = "".join(letters[canon(w)] for w in node_wires)
-        sub_o = "".join(letters[canon(w)] for w in out_wires)
-        frontier = np.einsum(f"{sub_f},{sub_n}->{sub_o}", frontier, tensor)
-        open_wires = out_wires
-
-    value = complex(frontier)
+    ops = [LabeledOp(nodes[i].mat, nodes[i].support) for i in component.node_ids]
+    value = trace_product_embedded(ops, range(len(ops)))
     if abs(value.imag) > IMAG_RTOL * (1.0 + abs(value)):
         raise DegreeViolation(f"component trace came out non-real: {value}")
     return float(value.real)

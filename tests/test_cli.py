@@ -237,6 +237,14 @@ def test_prove_not_found_exit_1(tmp_path):
                  "-o", str(tmp_path / "c.json")]) == 1
 
 
+def test_prove_greedy_bad_restarts_exit_2(tmp_path):
+    mfile = str(tmp_path / "m.json")
+    save_model(gen_toric(LatticeSpec(3, 3)), mfile)
+    assert main(["prove", mfile, "--greedy", "--restarts", "-1",
+                 "-o", str(tmp_path / "c.json")]) == 2
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_prove_oversized_exhaustive_exit_2(tmp_path):
     mfile = str(tmp_path / "m.json")
     save_model(gen_toric(LatticeSpec(4, 4, "periodic")), mfile)

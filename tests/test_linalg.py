@@ -364,15 +364,18 @@ def _labeled_products(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_labeled_products())
-def test_trace_matches_literal_embedding(ops):
-    # reference: a literal embedding of every operator, multiplied densely
+@given(_labeled_products(), st.data())
+def test_trace_matches_literal_embedding(ops, data):
+    # reference: a literal embedding of every operator, multiplied densely;
+    # the absorption order, greedy or given, does not change the network
+    order = data.draw(st.permutations(range(len(ops))))
     full = list(dict.fromkeys(l for op in ops for l in op.labels))
     product = np.eye(2 ** len(full), dtype=complex)
     for op in ops:
         product = product @ embed(op, full).mat
     expected = np.trace(product)
     assert abs(trace_product_embedded(ops) - expected) <= 1e-9 * max(1.0, abs(expected))
+    assert abs(trace_product_embedded(ops, order) - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_trace_consistency_with_partial_trace():
@@ -382,10 +385,27 @@ def test_trace_consistency_with_partial_trace():
     assert abs(trace_product_embedded([op]) - partial_trace(op, []).mat[0, 0]) < 1e-10
 
 
-def test_trace_cap():
-    op = LabeledOp(PAULI_Z, (0,))
+def test_trace_wire_bound_applies_to_given_order(monkeypatch):
+    # a path of four two-qubit operators: absorbed along the path the
+    # frontier holds 2 wires, absorbed from both ends at once it holds 4
+    rng = np.random.default_rng(5)
+    ops = [
+        LabeledOp(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), (q, q + 1))
+        for q in range(4)
+    ]
+    expected = trace_product_embedded(ops)
+    monkeypatch.setattr(linalg, "_MAX_OPEN_WIRES", 3)
     with pytest.raises(CapExceeded):
-        trace_product_embedded([op], cap=0)
+        trace_product_embedded(ops, [0, 3, 1, 2])
+    assert trace_product_embedded(ops) == expected
+    assert abs(trace_product_embedded(ops, [0, 1, 2, 3]) - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("order", [[0, 0], [0], [0, 1, 2], [1, 2]])
+def test_trace_order_must_be_a_permutation(order):
+    op = LabeledOp(PAULI_Z, (0,))
+    with pytest.raises(ValueError):
+        trace_product_embedded([op, op], order)
 
 
 # -------------------------------------------------------- commutator_norm

@@ -25,6 +25,7 @@ from commham.model import (
     gen_ising,
     gen_random,
     gen_rotated_classical,
+    gen_signed_toric,
     gen_toric,
     ground_projectors,
 )
@@ -228,6 +229,15 @@ def test_rotated_classical_commutes(seed):
 def test_signed_toric_commutes(seed):
     m = gen_random(LatticeSpec(4, 4, "periodic"), seed, "signed-toric")
     assert check_commuting(m).ok
+
+
+@pytest.mark.parametrize("sign", [0, 5, -2])
+def test_signed_toric_rejects_signs_other_than_one(sign):
+    # 0 must not fall back to the seeded draw, and 5 or -2 must not scale the term
+    spec = LatticeSpec(3, 3)
+    for signs in ({"black_signs": {(0, 0): sign}}, {"white_signs": {(1, 0): sign}}):
+        with pytest.raises(ModelError, match=rf"sign {sign} at plaquette \(\d, 0\)"):
+            gen_signed_toric(spec, seed=1, **signs)
 
 
 def test_generators_deterministic():

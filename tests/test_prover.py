@@ -98,6 +98,12 @@ def test_greedy_frustrated_not_found():
     assert not r.found
 
 
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_greedy_rejects_fewer_than_one_restart(restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        greedy_search(gen_toric(LatticeSpec(3, 3)), restarts=restarts)
+
+
 def test_greedy_periodic_ferromagnet():
     from commham.oracle import ground_dim
 

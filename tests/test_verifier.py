@@ -12,7 +12,6 @@ from commham import lattice
 from commham.lattice import BLACK, WHITE, LatticeSpec
 from commham.linalg import (
     PAULI_Z, PRUNE_RTOL, LabeledOp, embed, frob, partial_trace, sandwich_site,
-    trace_product_embedded,
 )
 from commham.model import CommutingModel, gen_ising, gen_random, gen_toric
 from commham.oracle import dense_omega
@@ -256,14 +255,23 @@ def test_same_color_support_sharing_rejected():
 # ------------------------------------------------------- chain contraction
 
 
+def dense_chain_trace(states):
+    """tr of the product of the states, black first, each embedded on the
+    union of their supports by a literal Kronecker product."""
+    ops = [LabeledOp(s.mat, s.support) for s in sorted(states, key=lambda s: s.color != BLACK)]
+    full = list(dict.fromkeys(l for op in ops for l in op.labels))
+    product = np.eye(2 ** len(full), dtype=complex)
+    for op in ops:
+        product = product @ embed(op, full).mat
+    return np.trace(product).real
+
+
 def test_contract_path_matches_embedded_trace():
     a = bell_state(["q1", "q2"], BLACK, (0, 0))
     b = bell_state(["q2", "q3"], WHITE, (1, 0))
     g = build_overlap_graph([a], [b])
     val = contract_component(g.components[0], g.nodes)
-    expected = trace_product_embedded(
-        [LabeledOp(a.mat, a.support), LabeledOp(b.mat, b.support)]
-    ).real
+    expected = dense_chain_trace([a, b])
     assert abs(val - expected) < 1e-12
     assert abs(val - 0.5) < 1e-12
 
@@ -285,10 +293,7 @@ def test_contract_cycle_of_four_bells():
     g = build_overlap_graph(blacks, whites)
     assert len(g.components) == 1 and g.components[0].kind == "cycle"
     val = contract_component(g.components[0], g.nodes)
-    ops = [LabeledOp(s.mat, s.support) for s in blacks] + [
-        LabeledOp(s.mat, s.support) for s in whites
-    ]
-    expected = trace_product_embedded(ops).real
+    expected = dense_chain_trace(blacks + whites)
     assert abs(val - expected) < 1e-12
     # rotations and reflections of the cycle order give the same trace
     ids = g.components[0].node_ids
@@ -318,10 +323,7 @@ def test_contract_direction_invariance(seed):
     fwd = contract_component(comp, g.nodes)
     rev = contract_component(Component(comp.kind, list(reversed(comp.node_ids))), g.nodes)
     assert abs(fwd - rev) < 1e-12 * max(1.0, abs(fwd))
-    ops = [LabeledOp(s.mat, s.support) for s in blacks] + [
-        LabeledOp(s.mat, s.support) for s in whites
-    ]
-    assert abs(fwd - trace_product_embedded(ops).real) < 1e-9
+    assert abs(fwd - dense_chain_trace(blacks + whites)) < 1e-9
 
 
 # ------------------------------------------------- chain vs dense equivalence
