@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="brute-force layer trace and audits")
     o.add_argument("model")
     o.add_argument("--sum-check", action="store_true")
-    o.add_argument("--cap", type=int, default=22)
     return p
 
 
@@ -145,7 +144,7 @@ def cmd_prove(args) -> int:
 
 def cmd_oracle(args) -> int:
     m = serialize.load_model(args.model)
-    val = oracle.total_overlap(m, cap=args.cap)
+    val = oracle.total_overlap(m)
     count = oracle.nearest_count(val)
     print(f"layer_trace: {val:.12g}")
     print(f"integrality: {'FAILED' if count is None else 'ok'} (nearest integer {round(val)})")

@@ -53,7 +53,8 @@ LOG2_TIE_TOL = 1e-9  # log2 values closer than this tie, so searches ignore roun
 PRUNE_RTOL = 1e-9  # an effective state is the identity on a qubit within PRUNE_RTOL |op|
 POSITIVITY_TOL = 1e-9  # effective-state eigenvalues are >= -POSITIVITY_TOL max(1, |op|)
 IMAG_RTOL = 1e-8  # a component trace's imaginary part is <= IMAG_RTOL (1 + |value|)
-INTEGRALITY_TOL = 1e-6  # a trace that counts states is this close to an integer
+INTEGRALITY_TOL = 1e-6  # a trace that counts n states is within max(INTEGRALITY_TOL,
+INTEGRALITY_RTOL = 1e-13  # INTEGRALITY_RTOL n) of n: rounding grows with n (1.7e-14 at 2**44)
 SUM_TOL = 1e-8  # the certificate values sum to the layer trace within this
 PHASE_FLOOR = 1e-12  # the first amplitude above it fixes a unit vector's phase
 ORDER_TOL = 1e-9  # amplitudes closer than this tie when slice states are ordered

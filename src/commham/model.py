@@ -210,6 +210,16 @@ _Z4 = _pauli_word(np.array([[1, 0], [0, -1]], dtype=complex))
 _X4 = _pauli_word(np.array([[0, 1], [1, 0]], dtype=complex))
 
 
+def _check_keys(given: Mapping, keys: list, what: str, complete: bool = False) -> None:
+    """ModelError naming the first key of `given` that is no `what` of the
+    lattice, or, if `complete`, the first of `keys` that `given` lacks."""
+    allowed = set(keys)
+    odd = [k for k in given if k not in allowed] or [k for k in keys if complete and k not in given]
+    if odd:
+        k = odd[0]
+        raise ModelError(f"no value for {what} {k!r}" if k in allowed else f"key {k!r} is no {what} of the lattice")
+
+
 def gen_toric(spec: LatticeSpec) -> CommutingModel:
     """Stabilizer model: h = -Z^(x)4 on black plaquettes, -X^(x)4 on white."""
     terms = {}
@@ -227,13 +237,17 @@ def gen_signed_toric(
     """Stabilizer model with per-plaquette signs h = -s Z^(x)4 / -s X^(x)4.
 
     A plaquette without a given sign gets an independent seeded +-1 draw; a
-    given sign other than +-1 raises ModelError.  On a periodic lattice the
-    product of all signs of one color must be +1 for a common ground state
-    to exist, so random draws are frustrated half the time.
+    given sign other than +-1, or at no plaquette of its color, raises
+    ModelError.  On a periodic lattice the product of all signs of one color
+    must be +1 for a common ground state to exist, so random draws are
+    frustrated half the time.
     """
+    plist = lattice.plaquettes(spec)
+    _check_keys(black_signs or {}, [p for p in plist if is_black(p)], "black plaquette")
+    _check_keys(white_signs or {}, [p for p in plist if not is_black(p)], "white plaquette")
     rng = np.random.default_rng(seed)
     terms = {}
-    for p in lattice.plaquettes(spec):
+    for p in plist:
         given = (black_signs if is_black(p) else white_signs) or {}
         s = given[p] if p in given else int(rng.choice((-1, 1)))
         if s not in (-1, 1):
@@ -253,13 +267,16 @@ def gen_ising(
     black one when the edge borders two, else the unique one) and each
     vertex field is split evenly over the plaquettes containing it, so the
     terms sum to -sum_e J_e Z Z - sum_v f_v Z_v exactly once.  All terms
-    are diagonal, hence commuting.
+    are diagonal, hence commuting.  A mapping must key exactly every edge
+    (a sorted vertex pair) or vertex, else ModelError names the odd key.
     """
     all_edges = lattice.edges(spec)
     if not isinstance(couplings, Mapping):
         couplings = {e: float(couplings) for e in all_edges}
     if not isinstance(fields, Mapping):
         fields = {v: float(fields) for v in spec.vertices()}
+    _check_keys(couplings, all_edges, "edge", complete=True)
+    _check_keys(fields, spec.vertices(), "vertex", complete=True)
 
     owned: dict[Plaquette, list[tuple[lattice.Edge, float]]] = {}
     for e in all_edges:

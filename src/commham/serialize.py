@@ -86,7 +86,10 @@ def certificate_from_dict(data: dict) -> Certificate:
         out = {}
         for key, b in data.get(name, {}).items():
             x, y = key.split(",")
-            out[(int(x), int(y))] = _integer(b, f"{name}[{key}]")
+            v = (int(x), int(y))
+            if v in out:
+                raise FormatError(f"{name} key {key!r} names vertex {v} a second time")
+            out[v] = _integer(b, f"{name}[{key}]")
         return out
 
     try:

@@ -88,6 +88,15 @@ def test_certificate_non_integer_label_rejected(tmp_path, label):
         load_certificate(path)
 
 
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_certificate_repeated_vertex_rejected(tmp_path, side):
+    # "1,1" and "01,1" name one vertex; the second must not replace the first
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({side: {"1,1": 0, "01,1": 1}}), encoding="utf-8")
+    with pytest.raises(FormatError, match="'01,1' names vertex \\(1, 1\\) a second time"):
+        load_certificate(path)
+
+
 # --------------------------------------------------------------------- CLI
 
 
@@ -261,7 +270,21 @@ def test_oracle_sum_check(tmp_path, capsys):
     assert "sum_matches_trace: ok" in out
 
 
-def test_oracle_over_cap_exit_2(tmp_path):
+def test_oracle_sum_check_24_qubits(tmp_path, capsys):
+    # N is not capped: the 6x4 strip has 16 certificate bits and traces in
+    # milliseconds
     mfile = str(tmp_path / "m.json")
-    save_model(gen_toric(LatticeSpec(3, 3)), mfile)
-    assert main(["oracle", mfile, "--cap", "4"]) == 2
+    save_model(gen_toric(LatticeSpec(6, 4)), mfile)
+    assert main(["oracle", mfile, "--sum-check"]) == 0
+    out = capsys.readouterr().out
+    assert "layer_trace: 512" in out
+    assert "sum_matches_trace: ok" in out
+
+
+def test_oracle_over_cap_exit_2(tmp_path, capsys):
+    # the 6x6 torus exceeds the kernel's open-wire bound
+    mfile = str(tmp_path / "m.json")
+    save_model(gen_toric(LatticeSpec(6, 6, "periodic")), mfile)
+    assert main(["oracle", mfile]) == 2
+    assert "open wires" in capsys.readouterr().err
+    assert main(["oracle", mfile, "--cap", "30"]) == 2  # the flag is gone

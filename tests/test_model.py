@@ -240,6 +240,44 @@ def test_signed_toric_rejects_signs_other_than_one(sign):
             gen_signed_toric(spec, seed=1, **signs)
 
 
+@pytest.mark.parametrize(
+    "signs, key",
+    [
+        ({"black_signs": {(0, 0): -1, (1, 0): -1}}, "(1, 0)"),  # a white plaquette
+        ({"black_signs": {(9, 9): -1}}, "(9, 9)"),  # off the lattice
+        ({"white_signs": {(1, 1): 1}}, "(1, 1)"),  # a black plaquette
+        ({"white_signs": {"1,0": 1}}, "'1,0'"),
+    ],
+)
+def test_signed_toric_rejects_misplaced_keys(signs, key):
+    # a sign at no plaquette of its color must not be ignored silently
+    with pytest.raises(ModelError, match=re.escape(f"key {key} is no")):
+        gen_signed_toric(LatticeSpec(4, 4), 1, **signs)
+
+
+def _ising_maps(spec):
+    return {e: 1.0 for e in lattice.edges(spec)}, {v: 0.3 for v in spec.vertices()}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda j, f: j.update({((1, 0), (0, 0)): 2.0}), "key ((1, 0), (0, 0)) is no edge"),  # unsorted
+        (lambda j, f: j.update({((0, 0), (2, 2)): 2.0}), "key ((0, 0), (2, 2)) is no edge"),
+        (lambda j, f: f.update({(7, 7): 1.0}), "key (7, 7) is no vertex"),
+        (lambda j, f: j.pop(((0, 0), (1, 0))), "no value for edge ((0, 0), (1, 0))"),
+        (lambda j, f: f.pop((2, 1)), "no value for vertex (2, 1)"),
+    ],
+)
+def test_ising_rejects_misplaced_keys(change, message):
+    spec = LatticeSpec(3, 3)
+    couplings, fields = _ising_maps(spec)
+    gen_ising(spec, couplings, fields)  # the full maps are accepted
+    change(couplings, fields)
+    with pytest.raises(ModelError, match=re.escape(message)):
+        gen_ising(spec, couplings, fields)
+
+
 def test_generators_deterministic():
     a = gen_random(LatticeSpec(3, 3), 7, "rotated-classical")
     b = gen_random(LatticeSpec(3, 3), 7, "rotated-classical")

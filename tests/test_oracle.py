@@ -20,6 +20,7 @@ from commham.oracle import (
     certificate_sum,
     dense_omega,
     ground_dim,
+    nearest_count,
     total_overlap,
 )
 from commham.prover import exhaustive_search
@@ -67,11 +68,24 @@ def test_ferromagnet_dims():
 
 
 def test_cap_enforced():
-    m = gen_toric(LatticeSpec(3, 3))
-    with pytest.raises(CapExceeded):
-        total_overlap(m, cap=8)
-    with pytest.raises(CapExceeded):
-        dense_omega(m, Certificate({(1, 1): 0}, {(1, 1): 0}), cap=8)
+    # the kernel's wire bound is the oracle's only size guard: the 6x6
+    # torus needs 26 open wires and is refused before anything is allocated
+    m = gen_toric(LatticeSpec(6, 6, "periodic"))
+    with pytest.raises(CapExceeded, match="open wires"):
+        total_overlap(m)
+    with pytest.raises(CapExceeded, match="open wires"):
+        ground_dim(m)
+    prep = prepare(m)
+    zeros = Certificate(dict.fromkeys(prep.f_black, 0), dict.fromkeys(prep.f_white, 0))
+    with pytest.raises(CapExceeded, match="open wires"):
+        dense_omega(prep, zeros)
+
+
+def test_wide_torus_refused_at_once():
+    m = gen_toric(LatticeSpec(40, 40, "periodic"))
+    for f in (total_overlap, ground_dim):
+        with pytest.raises(CapExceeded, match="open wires"):
+            f(m)
 
 
 def test_wire_bound_enforced(monkeypatch):
@@ -94,16 +108,69 @@ def test_ground_dim_equals_total_overlap():
 
 @pytest.mark.parametrize(
     "spec",
-    [LatticeSpec(2, 11), LatticeSpec(11, 2), LatticeSpec(4, 5), LatticeSpec(5, 4), LatticeSpec(4, 4, "periodic")],
+    [
+        LatticeSpec(2, 11), LatticeSpec(11, 2), LatticeSpec(4, 5), LatticeSpec(5, 4),
+        LatticeSpec(4, 4, "periodic"), LatticeSpec(4, 20), LatticeSpec(5, 40),
+    ],
     ids=str,
 )
 def test_ground_dim_at_cap(spec):
-    # the largest toric products within cap=22; an open lattice has
-    # 2^(N - #plaquettes) ground states, the 4x4 torus 4
+    # an open lattice has 2^(N - #plaquettes) toric ground states, the 4x4
+    # torus 4; strips of 80 and 200 qubits stay within the wire bound
     m = gen_toric(spec)
     want = 4 if spec.boundary == "periodic" else 2 ** (m.n_qubits - len(lattice.plaquettes(spec)))
     assert abs(total_overlap(m) - want) < 1e-9 * want
     assert ground_dim(m) == want
+
+
+def test_wide_strip_layer_trace_only():
+    # black-first order keeps 20x4 within the wire bound; plaquette order
+    # (ground_dim) needs 26 wires there, and is refused
+    m = gen_toric(LatticeSpec(20, 4))
+    want = 2 ** (m.n_qubits - len(lattice.plaquettes(m.spec)))
+    assert abs(total_overlap(m) - want) < 1e-9 * want
+    with pytest.raises(CapExceeded, match="open wires"):
+        ground_dim(m)
+
+
+@pytest.mark.parametrize("n", [0, 1, 32, 10**7, 2**30, 2**40])
+def test_nearest_count_relative(n):
+    # the tolerance grows with the count, but never reaches half a state
+    assert nearest_count(n + 1e-7) == n
+    assert nearest_count(n + 0.5) is None
+    assert nearest_count(n - 0.5) is None
+
+
+def test_nearest_count_large_trace():
+    # the layer trace measured on toric 5x40 open, 2^44 within 1.7e-14
+    assert nearest_count(17592186044415.693) == 2**44
+    assert nearest_count(10**7 + 2e-6) is None  # small counts keep the absolute test
+    assert nearest_count(-1.0) is None
+
+
+STRIP_MODELS = {
+    "toric": gen_toric,
+    "rotated-classical": lambda spec: gen_random(spec, 0, "rotated-classical"),
+    "diagonal-field": lambda spec: gen_random(spec, 0, "diagonal-field"),
+    "ising f=0.3": lambda spec: gen_ising(spec, 1.0, 0.3),
+}
+
+
+@pytest.mark.parametrize(
+    "family, spec",
+    [("toric", LatticeSpec(3, 8))]
+    + [(f, s) for f in list(STRIP_MODELS)[1:] for s in (LatticeSpec(3, 8), LatticeSpec(6, 4))],
+    ids=str,
+)
+def test_strip_completeness_soundness(family, spec):
+    # criteria 5 and 6 at N = 24: the search decides as the layer trace and
+    # ground_dim do, and a found certificate clears the 2^(-2N) floor
+    m = STRIP_MODELS[family](spec)
+    result = exhaustive_search(m)
+    assert result.found == (total_overlap(m) >= 0.5) == (ground_dim(m) >= 1)
+    if result.found:
+        assert result.verdict.accept
+        assert result.omega.log2_magnitude >= -2 * m.n_qubits - 1e-9
 
 
 def _rotated_terms(model, units, diag_of):
@@ -202,8 +269,9 @@ def test_certificate_sum_dense_method():
 
 
 def test_certificate_sum_cap():
-    with pytest.raises(CapExceeded):
-        certificate_sum(gen_toric(LatticeSpec(4, 4, "periodic")), max_bits=8)
+    # the 4x4 torus has 32 certificate bits, over the enumeration limit of 24
+    with pytest.raises(CapExceeded, match="certificate space"):
+        certificate_sum(gen_toric(LatticeSpec(4, 4, "periodic")))
 
 
 @pytest.mark.parametrize("seed", range(3))

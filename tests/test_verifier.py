@@ -649,7 +649,7 @@ def test_compute_omega_matches_dense_trace_along_flips(haar_conjugated, family, 
         labels = bits.tolist()
         cert = Certificate(dict(zip(black, labels)), dict(zip(white, labels[len(black) :])))
         res = compute_omega(prep, cert)
-        dense = dense_omega(prep, cert, cap=25)
+        dense = dense_omega(prep, cert)
         if res.zero:
             assert abs(dense) <= 1e-11
         else:
