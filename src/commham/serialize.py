@@ -53,6 +53,14 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _matrix(rows, p) -> np.ndarray:
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            if type(c) is not list or len(c) != 2 or type(c[0]) not in (int, float) or type(c[1]) not in (int, float):
+                raise FormatError(f"plaquette {p} entry ({i}, {j}) = {c!r} is not two real numbers [re, im]")
+    return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
+
+
 def model_from_dict(data: dict) -> CommutingModel:
     try:
         lat = data["lattice"]
@@ -64,11 +72,7 @@ def model_from_dict(data: dict) -> CommutingModel:
             p = (_integer(x, "plaquette x"), _integer(y, "plaquette y"))
             if p in terms:
                 raise FormatError(f"plaquette {p} is listed twice")
-            rows = entry["matrix"]
-            m = np.array(
-                [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
-            )
-            terms[p] = m
+            terms[p] = _matrix(entry["matrix"], p)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise FormatError(f"malformed model data: {exc}") from exc
     return CommutingModel(spec, terms)

@@ -41,7 +41,7 @@ from .decompose import LayerDecomposition, array_ids, decompose_layers
 from .lattice import BLACK, WHITE, LatticeSpec, Plaquette, Vertex
 from .linalg import (
     IMAG_RTOL, LOG2_TIE_TOL, POSITIVITY_TOL, PRUNE_RTOL, ZERO_FLOOR,
-    LabeledOp, embed, frob, partial_trace, trace_product_embedded,
+    LabeledOp, frob, trace_product_embedded,
 )
 from .model import CommutingModel, ground_projectors
 
@@ -368,20 +368,24 @@ class EffectiveState:
     mat: np.ndarray
 
 
-def _prune_trivial_sites(op: LabeledOp) -> LabeledOp:
-    """Drop qubits the operator acts on as the identity (within tolerance).
-
-    If op = id_v (x) rest, replacing it by rest (= tr_v op / 2) is exact; a
-    later factor of 2 is credited to v only if no other state acts there.
-    One pass suffices: tracing out an identity factor leaves every other
-    qubit's factor, and so its test, as it was.
-    """
-    for v in op.labels:
-        reduced = partial_trace(op, [l for l in op.labels if l != v])
-        half = LabeledOp(reduced.mat / 2.0, reduced.labels)
-        if frob(embed(half, op.labels).mat - op.mat) <= PRUNE_RTOL * frob(op.mat):
-            op = half
-    return op
+def _prune(block: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The qubits a (d, d) block B acts on, by position (0 most significant),
+    and B pruned: qubit q is dropped, B becoming tr_q(B)/2, when
+    |B - id_q (x) tr_q(B)/2| <= PRUNE_RTOL |B|.  If B = id_q (x) rest this is
+    exact; a later factor of 2 is credited to q only if no other state acts
+    there.  One pass suffices: tracing out an identity factor leaves every
+    other qubit's factor, and so its test, as it was."""
+    s = block.shape[0].bit_length() - 1
+    kept, t = [], block.reshape((2,) * 2 * s)
+    for q in range(s):
+        # qubit q is row axis len(kept); its column axis follows the rows of the qubits left
+        m = np.moveaxis(t, (len(kept), len(kept) + t.ndim // 2), (0, 1))
+        half = (m[0, 0] + m[1, 1]) / 2.0
+        if frob(np.stack([m[0, 1], m[1, 0], half - m[0, 0], half - m[1, 1]])) <= PRUNE_RTOL * frob(t):
+            t = half
+        else:
+            kept.append(q)
+    return tuple(kept), t.reshape(2 ** len(kept), -1)
 
 
 def _state_index(c: CompiledModel, bx: np.ndarray) -> np.ndarray:
@@ -393,17 +397,17 @@ def _state_index(c: CompiledModel, bx: np.ndarray) -> np.ndarray:
         if not np.isnan(c.scal[e]):  # shared with a plaquette filled above
             continue
         d = blocks.shape[-1]
-        op = _prune_trivial_sites(LabeledOp(blocks.reshape(-1, d, d)[e - c.state_at[j]], range(d.bit_length() - 1)))
-        norm = frob(op.mat)
+        kept, mat = _prune(blocks.reshape(-1, d, d)[e - c.state_at[j]])
+        norm = frob(mat)
         if norm > ZERO_FLOOR:
-            w = np.linalg.eigvalsh(op.mat)
+            w = np.linalg.eigvalsh(mat)
             if w[0] < -POSITIVITY_TOL * max(1.0, norm):
                 raise DegreeViolation(
                     f"effective state at {c.plaquettes[j]} lost positivity (min eig {w[0]:.2e}); "
                     "input terms likely do not commute"
                 )
-        c.kept[e] = (op.labels, op.mat)  # before `scal`, which tells readers it is there
-        c.scal[e] = math.inf if op.labels else op.mat[0, 0].real
+        c.kept[e] = (kept, mat)  # before `scal`, which tells readers it is there
+        c.scal[e] = math.inf if kept else mat[0, 0].real
     return idx
 
 
@@ -453,22 +457,20 @@ def build_overlap_graph(
     """Connect effective states that share support; the result must be a
     disjoint union of isolated nodes, paths, and cycles."""
     nodes = [s for s in blacks + whites if s.support]
-    by_vertex: dict[Vertex, dict[str, int]] = {}
+    owner: dict[tuple[Vertex, str], int] = {}
     for i, s in enumerate(nodes):
         for v in s.support:
-            slot = by_vertex.setdefault(v, {})
-            if s.color in slot:
-                other = nodes[slot[s.color]]
+            if (v, s.color) in owner:
                 raise DegreeViolation(
-                    f"two {s.color} effective states ({other.plaquette} and "
+                    f"two {s.color} effective states ({nodes[owner[v, s.color]].plaquette} and "
                     f"{s.plaquette}) both act on {v}"
                 )
-            slot[s.color] = i
+            owner[v, s.color] = i
 
     adjacency: dict[int, dict[int, tuple[Vertex, ...]]] = {i: {} for i in range(len(nodes))}
-    for v, slot in by_vertex.items():
-        if len(slot) == 2:
-            i, j = slot[BLACK], slot[WHITE]
+    for (v, color), i in owner.items():
+        j = owner.get((v, WHITE))
+        if color == BLACK and j is not None:
             adjacency[i][j] = adjacency[i].get(j, ()) + (v,)
             adjacency[j][i] = adjacency[j].get(i, ()) + (v,)
 
@@ -481,47 +483,22 @@ def build_overlap_graph(
                 f"{len(nbrs)} neighbors; chains allow at most 2"
             )
 
+    # path ends and isolated nodes first, in id order, so each path is walked
+    # from its smaller end; what remains are cycles, each walked from its
+    # smallest node towards the smaller of that node's neighbours
     components = []
     seen: set[int] = set()
-    for i in sorted(range(len(nodes)), key=lambda k: nodes[k].plaquette):
-        if i in seen:
+    for start in sorted(range(len(nodes)), key=lambda k: (len(adjacency[k]) == 2, k)):
+        if start in seen:
             continue
-        comp = _trace_component(i, adjacency)
-        seen.update(comp.node_ids)
-        components.append(comp)
+        order, prev, node = [start], start, min(adjacency[start], default=None)
+        while node is not None and node != start:
+            order.append(node)
+            prev, node = node, next((j for j in adjacency[node] if j != prev), None)
+        seen.update(order)
+        components.append(Component(("isolated", "path", "cycle")[len(adjacency[start])], order))
+    components.sort(key=lambda comp: min(nodes[i].plaquette for i in comp.node_ids))
     return OverlapGraph(nodes, adjacency, components, max_degree)
-
-
-def _trace_component(start: int, adjacency: dict[int, dict[int, tuple]]) -> Component:
-    # collect the connected component
-    stack, members = [start], {start}
-    while stack:
-        i = stack.pop()
-        for j in adjacency[i]:
-            if j not in members:
-                members.add(j)
-                stack.append(j)
-    if len(members) == 1:
-        kind = "isolated" if not adjacency[start] else "cycle"
-        return Component(kind, [start])
-    ends = sorted(i for i in members if len(adjacency[i]) <= 1)
-    if ends:
-        kind, first = "path", ends[0]
-    else:
-        kind, first = "cycle", min(members)
-    order = [first]
-    prev = None
-    while True:
-        nxt = [j for j in adjacency[order[-1]] if j != prev]
-        if kind == "cycle" and len(order) > 1:
-            nxt = [j for j in nxt if j != first]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(min(nxt))
-        if len(order) == len(members):
-            break
-    return Component(kind, order)
 
 
 def contract_component(component: Component, nodes: list[EffectiveState]) -> float:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,22 @@ def test_model_non_integer_coordinate_rejected(tmp_path, field, value):
         raw["terms"][-1]["plaquette"]["xy".index(field)] = value
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(FormatError, match="is not an integer"):
+        load_model(path)
+    assert main(["check", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "entry", [[-1.0, 0.0, 99.0], [True, False], [1.0]], ids=["three numbers", "bools", "one number"]
+)
+def test_model_malformed_matrix_entry_rejected(tmp_path, entry):
+    # complex(c[0], c[1]) would read [-1, 0, 99] as -1 and [true, false] as 1
+    path = tmp_path / "m.json"
+    save_model(gen_toric(LatticeSpec(3, 3)), path)
+    raw = json.loads(path.read_text())
+    raw["terms"][1]["matrix"][2][5] = entry
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    p = tuple(raw["terms"][1]["plaquette"])
+    with pytest.raises(FormatError, match=re.escape(f"plaquette {p} entry (2, 5) = {entry!r}")):
         load_model(path)
     assert main(["check", str(path)]) == 2
 

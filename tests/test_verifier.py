@@ -25,6 +25,8 @@ from commham.verifier import (
     Component,
     DegreeViolation,
     EffectiveState,
+    PreparedModel,
+    _prune,
     apply_certificate,
     build_overlap_graph,
     certificates_lex,
@@ -252,6 +254,39 @@ def test_same_color_support_sharing_rejected():
         build_overlap_graph([a, b], [])
 
 
+def walked(blacks, whites):
+    return [(c.kind, c.node_ids) for c in build_overlap_graph(blacks, whites).components]
+
+
+def test_graph_path_walked_from_its_smaller_end():
+    # node ids 0 and 1 are the blacks, 2 the white; the path runs 1 - 2 - 0
+    # and its first plaquette in plaquette order is node 1's
+    blacks = [bell_state(["c", "d"], BLACK, (2, 0)), bell_state(["a", "b"], BLACK, (0, 0))]
+    assert walked(blacks, [bell_state(["b", "c"], WHITE, (1, 0))]) == [("path", [0, 2, 1])]
+
+
+def test_graph_cycle_walked_from_its_smallest_node_to_the_smaller_neighbour():
+    # node 0 meets node 3 first (on "a"), yet the walk turns to node 2
+    blacks = [bell_state(["a", "b"], BLACK, (0, 0)), bell_state(["c", "d"], BLACK, (1, 1))]
+    whites = [bell_state(["b", "c"], WHITE, (1, 0)), bell_state(["d", "a"], WHITE, (0, 1))]
+    assert list(build_overlap_graph(blacks, whites).adjacency[0]) == [3, 2]
+    assert walked(blacks, whites) == [("cycle", [0, 2, 1, 3])]
+
+
+def test_graph_states_sharing_two_qubits_are_one_path():
+    g = build_overlap_graph([bell_state(["a", "b"], BLACK)], [bell_state(["b", "a"], WHITE, (1, 0))])
+    assert [(c.kind, c.node_ids) for c in g.components] == [("path", [0, 1])]
+    assert g.adjacency == {0: {1: ("a", "b")}, 1: {0: ("a", "b")}}
+
+
+def test_graph_components_in_plaquette_order():
+    # an isolated state, a two-state path and a lone white state, listed so
+    # that node ids and plaquette order disagree
+    blacks = [bell_state(["x", "y"], BLACK, (3, 3)), bell_state(["a", "b"], BLACK, (0, 2))]
+    whites = [bell_state(["b", "c"], WHITE, (1, 2)), bell_state(["p", "q"], WHITE, (0, 1))]
+    assert walked(blacks, whites) == [("isolated", [3]), ("path", [1, 2]), ("isolated", [0])]
+
+
 # ------------------------------------------------------- chain contraction
 
 
@@ -394,6 +429,18 @@ def test_effective_states_positive():
             assert w[0] >= -1e-9 * max(1.0, frob(s.mat))
 
 
+@pytest.mark.parametrize("entry", [compute_omega, lambda prep, cert: effective_states(prep, cert)])
+def test_lost_positivity_detected(entry):
+    # I - 2P is Hermitian but has eigenvalue -1: its effective state is not
+    # a positive operator, which commuting projectors never produce
+    base = prepare(gen_toric(LatticeSpec(3, 3)))
+    projectors = dict(base.projectors)
+    projectors[(1, 0)] = np.eye(16) - 2 * projectors[(1, 0)]
+    prep = PreparedModel(base.model, projectors, base.black, base.white)
+    with pytest.raises(DegreeViolation, match="lost positivity"):
+        entry(prep, all_zero_cert(prep))
+
+
 def test_dot_cross_rule():
     # vertices outside both split sets host at most one black and one white
     # effective state
@@ -483,6 +530,28 @@ def prune_reference(op):
                 op, changed = half, True
                 break
     return op
+
+
+def test_prune_threshold_from_both_sides():
+    # I (x) X plus noise along Z (x) I, which only qubit 0's test sees, of
+    # norm 0.5 and 2 PRUNE_RTOL |block|: qubit 0 goes, then stays
+    block = np.kron(np.eye(2), [[0, 1], [1, 0]]).astype(complex)
+    for scale, kept in ((0.5, (1,)), (2.0, (0, 1))):
+        noisy = block + scale * PRUNE_RTOL * frob(block) * np.kron(PAULI_Z, np.eye(2)) / 2
+        ref = prune_reference(LabeledOp(noisy, (0, 1)))
+        got = _prune(noisy)
+        assert got[0] == ref.labels == kept
+        assert frob(got[1] - ref.mat) <= 1e-15
+
+
+def test_prune_drops_two_identity_factors_in_one_pass():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    block = np.kron(np.kron(np.eye(2), a @ a.conj().T), np.eye(2))
+    ref = prune_reference(LabeledOp(block, (0, 1, 2)))
+    kept, mat = _prune(block)
+    assert kept == ref.labels == (1,)
+    assert frob(mat - ref.mat) <= 1e-15 and frob(mat - a @ a.conj().T) <= 1e-15
 
 
 @pytest.mark.parametrize("family", TABLE_FAMILIES)

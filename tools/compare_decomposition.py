@@ -6,6 +6,11 @@ Run the dump once per tree, then diff the two dumps:
     PYTHONPATH=<new tree>/src python tools/compare_decomposition.py dump new.pkl old.pkl
     python tools/compare_decomposition.py diff old.pkl new.pkl
 
+The diff exits with status 1 when it reports a structural difference:
+commutation pairs, a model that prepares on one tree only, split sets,
+owners, zero outcomes, or factor kinds or keys.  Numeric differences are
+printed only.
+
 The dump prepares a fixed model set (toric, rotated-classical,
 diagonal-field, signed-toric, Haar-conjugated toric and Ising models,
 rotated-classical 24x24 seeds 0-9, the greedy benchmark models: toric
@@ -183,14 +188,15 @@ def dump(out: str, older: str | None = None) -> None:
         pickle.dump(res, f)
 
 
-def diff(old_path: str, new_path: str) -> None:
+def diff(old_path: str, new_path: str) -> bool:
+    """Print the comparison; True when it found a structural difference."""
     with open(old_path, "rb") as f:
         old = pickle.load(f)
     with open(new_path, "rb") as f:
         new = pickle.load(f)
     both = nonzero = 0
     max_basis = max_log2 = max_norm = max_factor = 0.0
-    problems, ties, paths, scans = [], [], [], []
+    problems, ties, paths, scans, one_tree = [], [], [], [], []
     searches = violations = factor_lists = 0
 
     def compare_log2(name, a, b, what):
@@ -210,6 +216,8 @@ def diff(old_path: str, new_path: str) -> None:
         else:
             max_norm = max([max_norm] + [abs(a[2] - b[2]) for a, b in zip(va, vb)])
         if ra[0] != "ok" or rb[0] != "ok":
+            if (ra[0] == "ok") != (rb[0] == "ok"):
+                one_tree.append(name)
             print(f"{name}: old {'ok' if ra[0] == 'ok' else ra[1]}, "
                   f"new {'ok' if rb[0] == 'ok' else rb[1]}")
             continue
@@ -236,7 +244,8 @@ def diff(old_path: str, new_path: str) -> None:
         if (fa is None) != (fb is None):
             problems.append(f"{name}: search found a certificate on one tree only")
         elif fa is not None:
-            compare_log2(name, fa[1], older_found, "old search certificate")
+            if older_found is not None:  # the new dump was given the old one
+                compare_log2(name, fa[1], older_found, "old search certificate")
             compare_log2(name, fa[1], fb[1], "search optimum")
             if fa[0] != fb[0]:
                 ties.append(name)
@@ -265,6 +274,7 @@ def diff(old_path: str, new_path: str) -> None:
           f"{searches - len(paths)} of {searches}")
     for p in paths:
         print("  ", p)
+    return bool(scans or one_tree or problems)
 
 
 if __name__ == "__main__":
@@ -273,4 +283,4 @@ if __name__ == "__main__":
     if sys.argv[1] == "dump":
         dump(*sys.argv[2:4])
     else:
-        diff(sys.argv[2], sys.argv[3])
+        sys.exit(1 if diff(sys.argv[2], sys.argv[3]) else 0)
