@@ -39,6 +39,9 @@ _HALF_PAULIS = np.concatenate([np.eye(2)[None], _PAULIS]) / 2  # I, X, Y, Z; fou
 # the flat Pauli-table index of sigma_s on corner k and the t-th string on the others
 _BLOCK_INDEX = np.stack([np.moveaxis(np.arange(256).reshape((4,) * 4), k, 0)[1:] for k in range(4)])
 _CHUNK = 32  # projectors per batched table; bounds the working set
+_TABLE = "nabcdABCD,iAa,jBb,kCc,lDd->nijkl"  # Pauli tables of n projectors
+# its contraction order, searched once (the same for any chunk size), not per chunk
+_TABLE_PATH = np.einsum_path(_TABLE, np.empty((_CHUNK,) + (2,) * 8, complex), *[_HALF_PAULIS] * 4, optimize=True)[0]
 
 
 class ImpossibleAlgebraPair(ValueError):
@@ -100,10 +103,8 @@ def _bloch_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per 16x16 Hermitian P_n and corner k, a 3x3 F with C_k = F Q^T (the QR
     of C_k^T), so with the singular values and left singular vectors of the
     block C_k; and the norm of P_n's Pauli table, |P_n| / 4."""
-    t = np.einsum(
-        "nabcdABCD,iAa,jBb,kCc,lDd->nijkl",
-        mats.reshape((-1,) + (2,) * 8), *[_HALF_PAULIS] * 4, optimize=True,
-    ).real.reshape(-1, 256)
+    t = np.einsum(_TABLE, mats.reshape((-1,) + (2,) * 8), *[_HALF_PAULIS] * 4, optimize=_TABLE_PATH)
+    t = t.real.reshape(-1, 256)
     blocks = t[:, _BLOCK_INDEX].reshape(-1, 4, 3, 64).transpose(0, 1, 3, 2)
     return np.linalg.qr(blocks, mode="r").transpose(0, 1, 3, 2), np.linalg.norm(t, axis=1)
 

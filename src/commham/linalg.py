@@ -154,29 +154,35 @@ def state_projector(vec: np.ndarray) -> np.ndarray:
 
 
 def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack
+    (..., d, d), eigenvalues ascending.
 
-    Raises NonHermitianError when |m - m^dag| > HERMITICITY_RTOL |m|.
+    Raises NonHermitianError when |m - m^dag| > HERMITICITY_RTOL |m| for any m.
     """
     mat = np.asarray(mat, dtype=complex)
-    if frob(mat - mat.conj().T) > HERMITICITY_RTOL * frob(mat):
+    err = np.linalg.norm(mat - mat.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.any(err > HERMITICITY_RTOL * np.linalg.norm(mat, axis=(-2, -1))):
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     return np.linalg.eigh(mat)
 
 
-def ground_band(mat: np.ndarray) -> tuple[np.ndarray, float]:
+def ground_band(mat: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Projector onto the ground band (eigenvalues within max(GAP_RTOL spread,
     EIGH_RTOL |mat|_2) of the minimum), and the radius r = EIGH_RTOL spread / gap
     forgiven in its commutators (gap: band top to next eigenvalue).  r is a policy
     after Davis-Kahan, below the eigensolver's |mat|_2-relative error for shifted
-    terms; r = 0 if all is band or the gap is below GAP_RTOL spread (unresolved)."""
+    terms; r = 0 if all is band or the gap is below GAP_RTOL spread (unresolved).
+    A stack (..., d, d) gives the stacked projectors and an array of radii."""
     w, v = herm_eig(mat)
-    spread = w[-1] - w[0]
-    sel = v[:, w <= w[0] + max(GAP_RTOL * spread, EIGH_RTOL * max(-w[0], w[-1]))]
-    m = sel.shape[1]
-    gap = w[m] - w[m - 1] if m < len(w) else 0.0
-    radius = EIGH_RTOL * spread / gap if gap >= GAP_RTOL * spread > 0 else 0.0
-    return sel @ sel.conj().T, radius
+    lo, hi = w[..., :1], w[..., -1:]
+    spread = hi - lo
+    band = w <= lo + np.maximum(GAP_RTOL * spread, EIGH_RTOL * np.maximum(-lo, hi))
+    # the band is a prefix of the ascending w: the gap is the step after its top, 0 past the end
+    gap = np.take_along_axis(np.diff(w, append=hi), band.sum(axis=-1, keepdims=True) - 1, -1)
+    resolved = (gap >= GAP_RTOL * spread) & (GAP_RTOL * spread > 0)
+    radius = np.divide(EIGH_RTOL * spread, gap, out=np.zeros_like(gap), where=resolved)[..., 0]
+    proj = (v * band[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (proj, float(radius)) if w.ndim == 1 else (proj, radius)
 
 
 def ground_space_projector(mat: np.ndarray) -> np.ndarray:

@@ -90,12 +90,14 @@ def _intersecting_pairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.n
 def _shared_factors(mats: np.ndarray, shared: tuple[int, ...]) -> np.ndarray:
     """The alpha_i of each 16x16 plaquette matrix written as
     sum_i a_i (x) alpha_i across (other corners | shared corners, in the
-    given order) with orthonormal a_i: the rows of the R factor of a QR."""
+    given order) with orthonormal a_i: the rows of the reshaped matrix (the
+    a_i are matrix units), compressed by the R factor of a QR when there are
+    more rows than columns (one shared corner: 64 rows to 4)."""
     n, s = len(mats), len(shared)
     own = [k for k in range(4) if k not in shared]
     axes = [0] + [b + k for ks in (own, shared) for b in (1, 5) for k in ks]
     m = mats.reshape((n,) + (2,) * 8).transpose(axes).reshape(n, 4 ** (4 - s), 4**s)
-    return np.linalg.qr(m, mode="r").reshape(n, -1, 2**s, 2**s)
+    return (np.linalg.qr(m, mode="r") if s < 2 else m).reshape(n, -1, 2**s, 2**s)
 
 
 def _distinct(spec: LatticeSpec, mats: Mapping[Plaquette, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +149,12 @@ def _distinct_pair_norms(
             al = _shared_factors(distinct[chunk // n % n], on_p)
             be = _shared_factors(distinct[chunk % n], on_q)
             m, r, d, _ = al.shape
-            # blocks [i, :, j, :] of alpha_i beta_j and of beta_j alpha_i
-            ab = al.reshape(m, r * d, d) @ be.transpose(0, 2, 1, 3).reshape(m, d, -1)
+            # blocks [i, :, j, :] of alpha_i beta_j and of beta_j alpha_i, then of their difference
+            ab = (al.reshape(m, r * d, d) @ be.transpose(0, 2, 1, 3).reshape(m, d, -1)).reshape(m, r, d, -1, d)
             ba = be.reshape(m, -1, d) @ al.transpose(0, 2, 1, 3).reshape(m, d, r * d)
-            diff = ab.reshape(m, r, d, -1, d) - ba.reshape(m, -1, d, r, d).transpose(0, 3, 2, 1, 4)
-            norms[k : k + len(chunk)] = np.linalg.norm(diff.reshape(m, -1), axis=1)
+            ab -= ba.reshape(m, -1, d, r, d).transpose(0, 3, 2, 1, 4)
+            x = ab.reshape(m, -1).view(float)
+            norms[k : k + len(chunk)] = np.sqrt(np.einsum("mi,mi->m", x, x))
     return first, second, norms[slot]
 
 
@@ -184,14 +187,16 @@ def ground_projectors(model: CommutingModel) -> dict[Plaquette, np.ndarray]:
     that does not commute, or a degeneracy split by the gap tolerance.
     """
     ids, terms = _distinct(model.spec, model.terms)  # equal terms share one eigendecomposition
-    projs, radius = zip(*map(ground_band, terms))
-    bad = _violations(model.spec, ids, np.stack(projs), np.array(radius))
+    stack, radius = ground_band(terms)
+    bad = _violations(model.spec, ids, stack, radius)
     if bad:
         (p, q, norm), rest = bad[0], bad[1:]
         more = "".join(f"; also at {a} and {b} (norm {n:.2e})" for a, b, n in rest)
         raise NonCommutingError(
             f"ground projectors at {p} and {q} do not commute (norm {norm:.2e}){more}", bad
         )
+    # one array object per distinct term: `decompose.array_ids` numbers them by id()
+    projs = list(stack)
     return dict(zip(lattice.plaquettes(model.spec), map(projs.__getitem__, ids.tolist())))
 
 

@@ -116,6 +116,45 @@ def test_ground_projector_is_projector(seed):
     assert frob(p @ m @ p - w[0] * p) <= 1e-8 * max(1.0, abs(w[0]))
 
 
+def _band_member(kind, rng):
+    """A Hermitian 16x16 matrix with a ground band of one kind, in a random basis."""
+    if kind == "flat":  # c I: all band, radius 0
+        return rng.uniform(-2.0, 2.0) * np.eye(16, dtype=complex)
+    w = {
+        "random": rng.standard_normal(16),
+        "toric": np.repeat([-1.0, 1.0], 8),  # the spectrum of -Z^(x)4: rank-8 band
+        # band edge at GAP_RTOL spread = 1e-9, straddled: the gap 2e-12 is below it, so unresolved
+        "unresolved": np.concatenate([[0.0, 1e-9 - 1e-12, 1e-9 + 1e-12], np.linspace(0.5, 1.0, 13)]),
+    }[kind]
+    u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    h = u @ np.diag(w) @ u.conj().T
+    return (h + h.conj().T) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(["random", "toric", "flat", "unresolved"]), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_ground_band_stack_matches_single_matrices(kinds, seed):
+    rng = np.random.default_rng(seed)
+    mats = np.stack([_band_member(k, rng) for k in kinds])
+    projs, radii = linalg.ground_band(mats)
+    assert projs.shape == mats.shape and radii.shape == (len(kinds),)
+    for kind, m, proj, radius in zip(kinds, mats, projs, radii):
+        want, r = linalg.ground_band(m)
+        assert type(r) is float
+        assert np.array_equal(proj, want) and radius == r
+        if kind != "random":
+            assert round(np.trace(proj).real) == {"toric": 8, "flat": 16, "unresolved": 2}[kind]
+        if kind in ("flat", "unresolved"):
+            assert r == 0.0
+    bad = mats.copy()
+    bad[rng.integers(len(kinds)), 0, 1] += 1.0
+    with pytest.raises(NonHermitianError, match="not Hermitian within tolerance"):
+        linalg.ground_band(bad)
+
+
 # ------------------------------------------------------- operator_schmidt
 
 

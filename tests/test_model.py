@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commham import lattice, model
+from commham.decompose import array_ids
 from commham.lattice import LatticeSpec
 from commham.linalg import (
     PAULI_X,
@@ -327,6 +328,22 @@ def test_pair_norms_match_commutator_norm(spec, eps, perturbed):
     assert_kernel_matches(m, {p: ground_space_projector(h) for p, h in m.terms.items()})
 
 
+# rank-deficient terms: at one- and two-corner alignments many factor rows are exactly 0
+RANK_DEFICIENT = {
+    "toric": gen_toric,
+    "signed-toric": lambda spec: gen_signed_toric(spec, seed=1),
+    "ising-field": lambda spec: gen_ising(spec, 1.0, 0.3),
+}
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+@pytest.mark.parametrize("family", sorted(RANK_DEFICIENT))
+def test_pair_norms_match_on_rank_deficient_terms(spec, family):
+    m = RANK_DEFICIENT[family](spec)
+    assert_kernel_matches(m, m.terms)
+    assert_kernel_matches(m, ground_projectors(m))
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-9])
 def test_pair_norms_share_identical_terms(eps):
     # one perturbation per color keeps two distinct matrices, so every
@@ -377,6 +394,17 @@ def test_pair_norms_random_hermitian_perturbations(spec, seed, exponent):
         g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         terms[p] = h + 10.0**exponent * rng.random() * (g + g.conj().T)
     assert_kernel_matches(m, terms)
+
+
+def test_ground_projectors_share_one_array_per_distinct_term():
+    # `decompose.array_ids` numbers projector arrays by identity, so equal
+    # terms must get the same array object, and distinct terms one each
+    toric = gen_toric(LatticeSpec(40, 40, "periodic"))
+    assert len(array_ids(toric.spec, ground_projectors(toric))[1]) == 2
+    rot = gen_random(LatticeSpec(4, 4), 0, "rotated-classical")
+    n_distinct = len(set(content_ids(rot.terms).values()))
+    assert n_distinct == len(rot.terms)
+    assert len(array_ids(rot.spec, ground_projectors(rot))[1]) == n_distinct
 
 
 def test_ground_projectors_report_every_violation():
