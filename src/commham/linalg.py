@@ -4,8 +4,9 @@ Operators carry an ordered tuple of qubit labels; label 0 is the most
 significant tensor factor.  Everything here works on a handful of qubits
 (16x16 plaquette matrices) except :func:`trace_product_embedded`, the one
 contraction kernel of the package: it evaluates traces of products of
-locally-supported operators as a tensor network of qubit wires (Markov &
-Shi, quant-ph/0511069), bounded by the open wires it holds at a time
+locally-supported operators as a tensor network of qubit wires, contracted
+two tensors at a time along a left-deep chain or a pairwise tree (Markov &
+Shi, quant-ph/0511069), bounded by the open wires of its widest tensor
 (_MAX_OPEN_WIRES), not by the qubit count.  The verifier's chains and the
 oracle's traces both go through it.
 
@@ -16,6 +17,7 @@ numerical threshold of the package is in the tolerance block below.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -316,52 +318,147 @@ def content_ids(mats: Mapping) -> dict:
 # Traces of products of locally-supported operators on many qubits.
 
 
+def _wire_network(ops: Sequence[LabeledOp]) -> tuple[list[list[int]], list[frozenset]]:
+    """Each operator's wire per tensor index, row indices first, and the
+    wires it shares.  Wires are numbered by the column index they leave, for
+    the row index of the qubit's next user in product order; the last
+    user's wire closes onto the first user (a self-loop if it is the only one)."""
+    ids = itertools.count()
+    cols = [[next(ids) for _ in op.labels] for op in ops]
+    last = {label: w for op, ws in zip(ops, cols) for label, w in zip(op.labels, ws)}
+    wires, ends = [], []
+    for op, ws in zip(ops, cols):
+        rows = [last[label] for label in op.labels]
+        last.update(zip(op.labels, ws))
+        wires.append(rows + ws)
+        ends.append(frozenset(rows) ^ frozenset(ws))
+    return wires, ends
+
+
+# A plan is a list of merges (a, b, out): tensors a and b are contracted into
+# a tensor open on the wires out.  Tensors 0..n-1 are the operators, n is a
+# scalar 1, and the k-th merge makes tensor n + 1 + k.  The planners stop at
+# the first tensor over _MAX_OPEN_WIRES: such a plan cannot run.
+
+
+def _left_deep(ends: list[frozenset], order: Iterable[int]) -> list[tuple]:
+    """Absorb the operators one at a time, in `order`, into the scalar 1."""
+    n, plan, open_ = len(ends), [], frozenset()
+    for step, i in enumerate(order):
+        open_ = open_ ^ ends[i]
+        plan.append((n + step, i, open_))
+        if len(open_) > _MAX_OPEN_WIRES:
+            break
+    return plan
+
+
+def _greedy_order(ends: list[frozenset]) -> list[int]:
+    """Each time the operator on an open wire that leaves the fewest open
+    wires, ties to product order; with no wire open, the first one left."""
+    touch: dict = {}
+    for i, e in enumerate(ends):
+        for x in e:
+            touch.setdefault(x, []).append(i)
+    left, order, open_, first = [True] * len(ends), [], set(), 0
+    for _ in ends:
+        near = {j for x in open_ for j in touch[x] if left[j]}
+        if near:
+            i = min(near, key=lambda j: (len(ends[j]) - 2 * len(ends[j] & open_), j))
+        else:
+            i = first = left.index(True, first)
+        left[i] = False
+        order.append(i)
+        open_ ^= ends[i]
+        if len(open_) > _MAX_OPEN_WIRES:
+            break
+    return order
+
+
+def _pairwise(ends: list[frozenset]) -> list[tuple]:
+    """Each time merge the two tensors sharing a wire that minimise
+    2**|out| - 2**|a| - 2**|b|, ties to the smaller ids (a heap, kept by
+    each wire's owners); then multiply the scalars left in id order."""
+    sets, owners, heap = [*ends, frozenset()], {}, []
+    for t, e in enumerate(ends):
+        for x in e:
+            owners.setdefault(x, []).append(t)
+
+    def push(a, b):
+        heapq.heappush(heap, (2 ** len(sets[a] ^ sets[b]) - 2 ** len(sets[a]) - 2 ** len(sets[b]), a, b))
+
+    for a, b in dict.fromkeys(map(tuple, owners.values())):
+        push(a, b)
+    live, plan = set(range(len(sets))), []
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a in live and b in live:
+            k = len(sets)
+            sets.append(sets[a] ^ sets[b])
+            live -= {a, b}
+            live.add(k)
+            plan.append((a, b, sets[k]))
+            if len(sets[k]) > _MAX_OPEN_WIRES:
+                return plan
+            for x in sets[k]:
+                owners[x] = [k if t in (a, b) else t for t in owners[x]]
+            for t in {t for x in sets[k] for t in owners[x]} - {k}:
+                push(t, k)
+    acc, *rest = sorted(live)
+    for t in rest:
+        plan.append((acc, t, frozenset()))
+        acc = len(ends) + len(plan)
+    return plan
+
+
+def _plan_cost(ends: list[frozenset], plan: list[tuple]) -> tuple[bool, int]:
+    """Whether a tensor of the plan exceeds _MAX_OPEN_WIRES, and its
+    predicted cost, the sum of 2**|a | b| over its merges."""
+    sets = [*ends, frozenset(), *(out for _, _, out in plan)]
+    width = max([len(out) for _, _, out in plan])
+    return width > _MAX_OPEN_WIRES, sum(2 ** len(sets[a] | sets[b]) for a, b, _ in plan)
+
+
+def _plan(ends: list[frozenset], order: Sequence[int] | None = None) -> list[tuple]:
+    """The left-deep plan in `order` if given, else the cheaper of the greedy
+    left-deep and pairwise plans, one within the wire bound first."""
+    if order is not None:
+        return _left_deep(ends, order)
+    return min(_left_deep(ends, _greedy_order(ends)), _pairwise(ends), key=lambda p: _plan_cost(ends, p))
+
+
 def trace_product_embedded(ops: Sequence[LabeledOp], order: Sequence[int] | None = None) -> complex:
     """tr of the ordered product of operators embedded on their label union.
 
-    The product is contracted as a network of qubit wires: each qubit's wire
-    runs through the operators acting on it in product order, and the last
-    of them closes back onto the first (a self-loop when only one operator
-    acts on the qubit).  Operators are absorbed one at a time, in `order` (a
-    permutation of their indices) if given, else each time the one that
-    leaves the fewest open wires, ties going to product order; the value
-    does not depend on it.  Raises CapExceeded, before anything is
-    allocated, when the contraction would hold more than _MAX_OPEN_WIRES
-    open wires.  Steps over more than _BLAS_WIRES distinct wires go through
-    einsum's BLAS path; on fewer, its plain loop is cheaper.
+    The product is a network of qubit wires (`_wire_network`), contracted
+    two tensors at a time along a plan (`_plan`) made before anything is
+    allocated: given `order`, a permutation of the operator indices, the
+    operators are absorbed one at a time in that order; else the cheaper of
+    two greedy plans runs, one at a time or a pairwise tree (Markov & Shi).
+    The value does not depend on the plan.  Raises CapExceeded when the plan
+    holds a tensor of more than _MAX_OPEN_WIRES open wires.  Steps over more
+    than _BLAS_WIRES distinct wires go through einsum's BLAS path; on fewer,
+    its plain loop is cheaper.
     """
     if not ops:
         raise ValueError("need at least one operator")
     if order is not None and sorted(order) != list(range(len(ops))):
         raise ValueError(f"order must list each of the {len(ops)} operator indices once")
-    users: dict = {}
-    for i, op in enumerate(ops):
-        for a, label in enumerate(op.labels):
-            users.setdefault(label, []).append((i, a))
-    # wire w joins the column index of one user of a qubit to the row index
-    # of the next user; the row indices of an operator come first
-    wires = [[0] * (2 * op.n_qubits) for op in ops]
-    ids = itertools.count()
-    for chain in users.values():
-        for (i, a), (nxt, b) in zip(chain, chain[1:] + chain[:1]):
-            wires[i][ops[i].n_qubits + a] = wires[nxt][b] = next(ids)
-    ends = [frozenset(x for x in ws if ws.count(x) == 1) for ws in wires]
-    todo, plan, open_ = list(range(len(ops))), [], frozenset()
-    while todo:
-        i = order[len(plan)] if order is not None else min(todo, key=lambda i: len(open_ ^ ends[i]))
-        todo.remove(i)
-        open_ = open_ ^ ends[i]
-        if len(open_) > _MAX_OPEN_WIRES:
-            raise CapExceeded(f"{len(open_)} open wires exceed {_MAX_OPEN_WIRES}")
-        plan.append((i, open_))
-    state, state_wires = np.ones((), dtype=complex), []
-    for i, open_ in plan:
-        out = [x for x in state_wires + wires[i] if x in open_]
-        num = {x: n for n, x in enumerate(dict.fromkeys(state_wires + wires[i]))}
-        t = ops[i].mat.reshape((2,) * len(wires[i]))
-        state = np.einsum(
-            state, [num[x] for x in state_wires], t, [num[x] for x in wires[i]],
+    wires, ends = _wire_network(ops)
+    plan = _plan(ends, order)
+    width = max([len(out) for _, _, out in plan])
+    if width > _MAX_OPEN_WIRES:
+        raise CapExceeded(f"{width} open wires exceed {_MAX_OPEN_WIRES}")
+    tensors = [op.mat.reshape((2,) * len(ws)) for op, ws in zip(ops, wires)]
+    tensors.append(np.ones((), dtype=complex))
+    wires.append([])
+    for a, b, open_ in plan:
+        both = wires[a] + wires[b]
+        num = {x: n for n, x in enumerate(dict.fromkeys(both))}
+        out = [x for x in both if x in open_]
+        tensors.append(np.einsum(
+            tensors[a], [num[x] for x in wires[a]], tensors[b], [num[x] for x in wires[b]],
             [num[x] for x in out], optimize=len(num) > _BLAS_WIRES,
-        )
-        state_wires = out
-    return complex(state)
+        ))
+        tensors[a] = tensors[b] = None
+        wires.append(out)
+    return complex(tensors[-1])

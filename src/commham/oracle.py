@@ -5,8 +5,10 @@ effective states and overlap graph, so the two paths can certify each other
 (they share only the wire-network kernel, tested on literal dense products).
 The trace of the product of all ground projectors is the joint ground-space
 dimension and must come out an integer for genuinely commuting input.  N is
-not capped: the kernel's open-wire bound, checked before it allocates, keeps
-each plaquette's step within 2**24 entries and refuses wider plans.
+not capped: the kernel plans each trace as a one-at-a-time chain or a
+pairwise tree, whichever is cheaper, and its open-wire bound, checked before
+it allocates, keeps every tensor of the plan within 2**24 entries and
+refuses wider plans.
 """
 from __future__ import annotations
 

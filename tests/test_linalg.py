@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -402,19 +404,62 @@ def _labeled_products(draw):
     return ops
 
 
-@settings(max_examples=200, deadline=None)
-@given(_labeled_products(), st.data())
-def test_trace_matches_literal_embedding(ops, data):
-    # reference: a literal embedding of every operator, multiplied densely;
-    # the absorption order, greedy or given, does not change the network
-    order = data.draw(st.permutations(range(len(ops))))
+@st.composite
+def _disconnected_products(draw):
+    """1-3 groups of 1-4 random operators, each group on its own 1-3 qubits,
+    in any product order: each group closes to a scalar, and an operator
+    alone on its qubits is one already (its wires are all self-loops)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for g in range(draw(st.integers(1, 3))):
+        qubits = [(g, q) for q in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 4))):
+            labels = draw(st.lists(st.sampled_from(qubits), min_size=1, max_size=len(qubits), unique=True))
+            d = 2 ** len(labels)
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            ops.append(LabeledOp(m / np.sqrt(d), labels))
+    return draw(st.permutations(ops))
+
+
+def _literal_trace(ops):
+    """Reference: a literal embedding of every operator, multiplied densely."""
     full = list(dict.fromkeys(l for op in ops for l in op.labels))
     product = np.eye(2 ** len(full), dtype=complex)
     for op in ops:
         product = product @ embed(op, full).mat
-    expected = np.trace(product)
+    return np.trace(product)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labeled_products(), st.data())
+def test_trace_matches_literal_embedding(ops, data):
+    # the absorption order, greedy or given, does not change the network
+    order = data.draw(st.permutations(range(len(ops))))
+    expected = _literal_trace(ops)
     assert abs(trace_product_embedded(ops) - expected) <= 1e-9 * max(1.0, abs(expected))
     assert abs(trace_product_embedded(ops, order) - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+PLANNERS = {
+    "chosen": linalg._plan,
+    "pairwise": lambda ends, order=None: linalg._pairwise(ends),
+    "one at a time": lambda ends, order=None: linalg._left_deep(ends, linalg._greedy_order(ends)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_labeled_products(), _disconnected_products()),
+    st.sampled_from(sorted(PLANNERS)),
+    st.sampled_from([0, 4, linalg._BLAS_WIRES]),
+)
+def test_tree_plans_match_literal_embedding(ops, planner, blas_wires):
+    # every plan of the order=None path, with steps over blas_wires distinct
+    # wires on einsum's BLAS path, contracts the same network
+    expected = _literal_trace(ops)
+    with mock.patch.object(linalg, "_plan", PLANNERS[planner]), mock.patch.object(linalg, "_BLAS_WIRES", blas_wires):
+        value = trace_product_embedded(ops)
+    assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_trace_consistency_with_partial_trace():
