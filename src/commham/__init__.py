@@ -44,7 +44,6 @@ from .decompose import (
     ImpossibleAlgebraPair,
     LayerDecomposition,
     VertexDecomposition,
-    certificate_space,
     decompose_layers,
 )
 from .verifier import (

@@ -163,17 +163,3 @@ def decompose_layers(
         LayerDecomposition(WHITE, spec, split[nv:], owner[nv:], bases[white]),
     )
 
-
-@dataclass
-class CertificateSpace:
-    """Label alphabets per (layer, vertex): {0, 1} at split vertices, a
-    singleton everywhere else."""
-
-    alphabets: dict[tuple[str, Vertex], tuple[int, ...]]
-    count: int
-
-
-def certificate_space(black: LayerDecomposition, white: LayerDecomposition) -> CertificateSpace:
-    alphabets = {(layer.color, v): (0, 1) if split else (0,)
-                 for layer in (black, white) for v, split in zip(layer.spec.vertices(), layer.split.tolist())}
-    return CertificateSpace(alphabets, 2 ** int(black.split.sum() + white.split.sum()))

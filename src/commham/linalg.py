@@ -17,6 +17,7 @@ numerical threshold of the package is in the tolerance block below.
 """
 from __future__ import annotations
 
+import cmath
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -435,7 +436,8 @@ def trace_product_embedded(ops: Sequence[LabeledOp], order: Sequence[int] | None
     operators are absorbed one at a time in that order; else the cheaper of
     two greedy plans runs, one at a time or a pairwise tree (Markov & Shi).
     The value does not depend on the plan.  Raises CapExceeded when the plan
-    holds a tensor of more than _MAX_OPEN_WIRES open wires.  Steps over more
+    holds a tensor of more than _MAX_OPEN_WIRES open wires, or when the
+    trace leaves the float64 range (inf or nan).  Steps over more
     than _BLAS_WIRES distinct wires go through einsum's BLAS path; on fewer,
     its plain loop is cheaper.
     """
@@ -461,4 +463,7 @@ def trace_product_embedded(ops: Sequence[LabeledOp], order: Sequence[int] | None
         ))
         tensors[a] = tensors[b] = None
         wires.append(out)
-    return complex(tensors[-1])
+    value = complex(tensors[-1])
+    if not cmath.isfinite(value):
+        raise CapExceeded(f"the trace came out {value}: it leaves the float64 range (about 1.8e308)")
+    return value

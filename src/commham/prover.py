@@ -2,10 +2,9 @@
 
 Both searches only propose; every certificate handed back has been
 re-checked by the verifier.  Both evaluate label vectors through the
-compiled model.  Exhaustive search prunes layer by layer: a slice
-assignment that annihilates some plaquette projector of its own color
-kills every certificate extending it, so surviving black and white
-assignments are enumerated independently before being paired.
+compiled model.  Exhaustive search walks the verifier's pruned scan of the
+certificate space (`_live_labels`, shared with `oracle.certificate_sum`),
+which skips every certificate that annihilates a plaquette.
 """
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CapExceeded
 from .model import CommutingModel
 from .verifier import (
     Certificate,
@@ -23,13 +21,11 @@ from .verifier import (
     PreparedModel,
     Verdict,
     _as_prepared,
+    _live_labels,
     compute_omega,
     log2_exceeds,
     verify,
 )
-
-
-_CHUNK = 4096  # label rows per step of the layer scan
 
 
 @dataclass
@@ -41,20 +37,6 @@ class SearchResult:
     evaluated: int = 0
 
 
-def _surviving(c: CompiledModel, lo: int, hi: int, n: int, rows: range) -> np.ndarray:
-    """The 0/1 label rows of slots lo..hi-1 in lexicographic order, dropping
-    any that annihilates one of the plaquettes `rows`; n is the slot count."""
-    k = hi - lo
-    out = []
-    for start in range(0, 1 << k, _CHUNK):
-        a = np.arange(start, min(start + _CHUNK, 1 << k))
-        bits = (a[:, None] >> np.arange(k - 1, -1, -1)) & 1
-        bx = np.zeros((len(a), n + 1), dtype=np.intp)
-        bx[:, lo:hi] = bits
-        out.append(bits[~c.annihilated(bx, rows).any(axis=1)])
-    return np.concatenate(out)
-
-
 def exhaustive_search(
     m: CommutingModel | PreparedModel,
     threshold: float | None = None,
@@ -62,27 +44,18 @@ def exhaustive_search(
 ) -> SearchResult:
     """Scan the whole certificate space and return the largest-value
     certificate (lexicographically first on ties), or not-found when every
-    certificate evaluates to zero."""
+    certificate evaluates to zero.  Only certificates that annihilate no
+    plaquette are evaluated; above 2**cap certificates, CapExceeded."""
     prep = _as_prepared(m)
-    bits = len(prep.f_black) + len(prep.f_white)
-    if bits > cap:
-        raise CapExceeded(
-            f"certificate space 2**{bits} exceeds the cap 2**{cap}; raise `cap` to force the scan"
-        )
-    c, nb = prep.compiled(), len(prep.f_black)
-    alphas = _surviving(c, 0, nb, bits, range(c.n_black))
-    betas = _surviving(c, nb, bits, bits, range(c.n_black, len(c.plaquettes)))
     best: tuple[float, np.ndarray, OmegaResult] | None = None
     evaluated = 0
-    for alpha in alphas:
-        for beta in betas:
-            labels = np.concatenate([alpha, beta])
-            res = compute_omega(prep, labels)
-            evaluated += 1
-            if res.zero:
-                continue
-            if best is None or log2_exceeds(res.log2_magnitude, best[0]):
-                best = (res.log2_magnitude, labels, res)
+    for labels in _live_labels(prep, cap):
+        res = compute_omega(prep, labels)
+        evaluated += 1
+        if res.zero:
+            continue
+        if best is None or log2_exceeds(res.log2_magnitude, best[0]):
+            best = (res.log2_magnitude, labels, res)
     if best is None:
         return SearchResult(False, evaluated=evaluated)
     _, labels, res = best

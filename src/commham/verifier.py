@@ -41,7 +41,7 @@ from .decompose import LayerDecomposition, array_ids, decompose_layers
 from .lattice import BLACK, WHITE, LatticeSpec, Plaquette, Vertex
 from .linalg import (
     IMAG_RTOL, LOG2_TIE_TOL, POSITIVITY_TOL, PRUNE_RTOL, ZERO_FLOOR,
-    LabeledOp, frob, trace_product_embedded,
+    CapExceeded, LabeledOp, frob, trace_product_embedded,
 )
 from .model import CommutingModel, ground_projectors
 
@@ -101,6 +101,7 @@ class PlaquetteTable:
 
 _ID2 = np.eye(2)
 _W4 = np.array([8, 4, 2, 1])  # a left-padded row of four 0/1 labels as a big-endian pattern
+_CHUNK = 4096  # label rows per step of the layer scan
 
 
 def _corner_kron(mats: np.ndarray) -> np.ndarray:
@@ -640,3 +641,32 @@ def certificates_lex(
         for b in range(1 << nw):
             beta = {v: (b >> (nw - 1 - i)) & 1 for i, v in enumerate(fw)}
             yield Certificate(dict(alpha), beta)
+
+
+def _live_rows(c: CompiledModel, lo: int, hi: int, n: int, rows: range):
+    """The 0/1 label rows of slots lo..hi-1 in lexicographic order, a chunk
+    at a time, dropping any that annihilates one of the plaquettes `rows`;
+    n is the slot count."""
+    k = hi - lo
+    for start in range(0, 1 << k, _CHUNK):
+        a = np.arange(start, min(start + _CHUNK, 1 << k))
+        bits = (a[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        bx = np.zeros((len(a), n + 1), dtype=np.intp)
+        bx[:, lo:hi] = bits
+        yield bits[~c.annihilated(bx, rows).any(axis=1)]
+
+
+def _live_labels(prep: PreparedModel, max_bits: int):
+    """The label vector of every certificate that annihilates no plaquette
+    (those `compute_omega` zeroes at its first stage), lexicographically,
+    black labels outermost; CapExceeded above 2**max_bits certificates.  A
+    plaquette reads only its own layer's labels, so the surviving white rows
+    are held and paired with the black ones as they are scanned."""
+    nb = len(prep.f_black)
+    bits = nb + len(prep.f_white)
+    if bits > max_bits:
+        raise CapExceeded(f"certificate space 2**{bits} exceeds 2**{max_bits}")
+    c = prep.compiled()
+    betas = np.concatenate(list(_live_rows(c, nb, bits, bits, range(c.n_black, len(c.plaquettes)))))
+    alphas = _live_rows(c, 0, nb, bits, range(c.n_black))
+    return (np.concatenate([alpha, beta]) for chunk in alphas for alpha in chunk for beta in betas)

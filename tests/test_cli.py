@@ -298,6 +298,23 @@ def test_oracle_sum_check_24_qubits(tmp_path, capsys):
     assert "sum_matches_trace: ok" in out
 
 
+def test_oracle_sum_check_counts_live_certificates(tmp_path, capsys):
+    # toric 4x4 open: half of its 256 certificates annihilate a plaquette
+    mfile = str(tmp_path / "m.json")
+    save_model(gen_toric(LatticeSpec(4, 4)), mfile)
+    assert main(["oracle", mfile, "--sum-check"]) == 0
+    out = capsys.readouterr().out
+    assert "certificate_sum: 128 over 128 certificates that annihilate no plaquette" in out
+
+
+def test_oracle_beyond_float64_exit_2(tmp_path, capsys):
+    # the layer trace of toric 4x1100 open, 2**1103, overflows float64
+    mfile = str(tmp_path / "m.json")
+    save_model(gen_toric(LatticeSpec(4, 1100)), mfile)
+    assert main(["oracle", mfile]) == 2
+    assert "float64" in capsys.readouterr().err
+
+
 def test_oracle_over_cap_exit_2(tmp_path, capsys):
     # the 6x6 torus exceeds the kernel's open-wire bound
     mfile = str(tmp_path / "m.json")

@@ -3,7 +3,7 @@ import pytest
 
 from commham import lattice
 from commham import decompose, linalg, verifier
-from commham.decompose import ImpossibleAlgebraPair, certificate_space, decompose_layers
+from commham.decompose import ImpossibleAlgebraPair, decompose_layers
 from commham.lattice import BLACK, WHITE, LatticeSpec
 from commham.linalg import (
     TRIVIAL,
@@ -230,19 +230,19 @@ def test_determinism_bitwise():
 
 
 def test_certificate_space_counts():
-    m = gen_toric(LatticeSpec(4, 4, "periodic"))
-    black, white = layer_pair(m)
-    space = certificate_space(black, white)
-    assert space.count == 2**32
+    # the certificate space has 2**(label bits) members, one bit per split
+    # vertex per layer
+    def label_bits(model):
+        prep = verifier.prepare(model)
+        return len(prep.f_black) + len(prep.f_white)
+
+    assert label_bits(gen_toric(LatticeSpec(4, 4, "periodic"))) == 32
 
     spec = LatticeSpec(3, 3)
     empty = CommutingModel(spec, {p: np.zeros((16, 16)) for p in lattice.plaquettes(spec)})
-    black, white = layer_pair(empty)
-    assert certificate_space(black, white).count == 1
+    assert label_bits(empty) == 0
 
-    m = gen_toric(LatticeSpec(3, 3))
-    black, white = layer_pair(m)
-    assert certificate_space(black, white).count == 4
+    assert label_bits(gen_toric(LatticeSpec(3, 3))) == 2
 
 
 def schmidt_reference(spec, projs, color, v):

@@ -485,6 +485,15 @@ def test_trace_wire_bound_applies_to_given_order(monkeypatch):
     assert abs(trace_product_embedded(ops, [0, 1, 2, 3]) - expected) <= 1e-12 * abs(expected)
 
 
+def test_trace_beyond_float64_refused():
+    # 1100 one-qubit 2 I factors trace to 4**1100 = 2**2200, which float64
+    # cannot hold; the kernel refuses it instead of returning inf or nan
+    ops = [LabeledOp(2 * I2, (q,)) for q in range(1100)]
+    with pytest.raises(CapExceeded, match="float64"):
+        trace_product_embedded(ops)
+    assert trace_product_embedded(ops[:500]) == 4.0**500
+
+
 @pytest.mark.parametrize("order", [[0, 0], [0], [0, 1, 2], [1, 2]])
 def test_trace_order_must_be_a_permutation(order):
     op = LabeledOp(PAULI_Z, (0,))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from commham import lattice, linalg
 from commham.lattice import LatticeSpec
-from commham.linalg import CapExceeded, LabeledOp, embed
+from commham.linalg import ZERO_FLOOR, CapExceeded, LabeledOp, embed
 from commham.model import (
     CommutingModel,
     NonCommutingError,
@@ -24,7 +24,7 @@ from commham.oracle import (
     total_overlap,
 )
 from commham.prover import exhaustive_search
-from commham.verifier import Certificate, certificates_lex, compute_omega, prepare
+from commham.verifier import Certificate, apply_certificate, certificates_lex, compute_omega, prepare
 
 
 def frustrated_signed_toric(spec=None):
@@ -131,6 +131,13 @@ def test_wide_strip_layer_trace_only():
     want = 2 ** (m.n_qubits - len(lattice.plaquettes(m.spec)))
     assert abs(total_overlap(m) - want) < 1e-9 * want
     assert ground_dim(m) == want
+
+
+def test_ground_dim_beyond_float64_refused():
+    # toric 4x1100 open has 2**1103 ground states, past float64's 2**1024;
+    # the kernel refuses the trace rather than return nan
+    with pytest.raises(CapExceeded, match="float64"):
+        ground_dim(gen_toric(LatticeSpec(4, 1100)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 32, 10**7, 2**30, 2**40])
@@ -256,9 +263,9 @@ def test_dense_omega_specific_values():
 
 
 def test_certificate_sum_toric():
-    total, table = certificate_sum(gen_toric(LatticeSpec(3, 3)))
+    total, evaluated = certificate_sum(gen_toric(LatticeSpec(3, 3)))
     assert abs(total - 32.0) < 1e-8
-    assert len(table) == 4
+    assert evaluated == 4
 
 
 def test_certificate_sum_dense_method():
@@ -272,6 +279,37 @@ def test_certificate_sum_cap():
     # the 4x4 torus has 32 certificate bits, over the enumeration limit of 24
     with pytest.raises(CapExceeded, match="certificate space"):
         certificate_sum(gen_toric(LatticeSpec(4, 4, "periodic")))
+
+
+SCAN_MODELS = {
+    "toric 3x3 open": lambda: gen_toric(LatticeSpec(3, 3)),
+    "toric 4x3 open": lambda: gen_toric(LatticeSpec(4, 3)),
+    "toric 4x4 open": lambda: gen_toric(LatticeSpec(4, 4)),
+    "signed-toric 4x3 open": lambda: gen_signed_toric(LatticeSpec(4, 3), 1),
+    "diagonal-field 4x3": lambda: gen_random(LatticeSpec(4, 3), 1, "diagonal-field"),
+    "diagonal-field 4x4": lambda: gen_random(LatticeSpec(4, 4), 2, "diagonal-field"),
+    "rotated-classical 4x3": lambda: gen_rotated_classical(LatticeSpec(4, 3), 1)[0],
+    "ising 3x3": lambda: gen_ising(LatticeSpec(3, 3), 1.0, 0.0),
+    "all-zero terms 3x3": lambda: CommutingModel(
+        LatticeSpec(3, 3), {p: np.zeros((16, 16)) for p in lattice.plaquettes(LatticeSpec(3, 3))}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_MODELS)
+def test_certificate_sum_scans_live_certificates(name):
+    # the pruned scan against the dict enumeration of the whole space: the
+    # same total, bit for bit, and `evaluated` counts the certificates under
+    # which every literally sliced plaquette keeps a norm above ZERO_FLOOR
+    prep = prepare(SCAN_MODELS[name]())
+    total, evaluated = certificate_sum(prep)
+    reference, live = 0.0, 0
+    for cert in certificates_lex(prep.f_black, prep.f_white):
+        res = compute_omega(prep, cert)
+        reference += 0.0 if res.zero else 2.0**res.log2_magnitude
+        live += all(linalg.frob(op.mat) > ZERO_FLOOR for op in apply_certificate(prep, cert).values())
+    assert total == reference
+    assert evaluated == live
 
 
 @pytest.mark.parametrize("seed", range(3))
