@@ -109,20 +109,13 @@ def _bloch_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(blocks, mode="r").transpose(0, 1, 3, 2), np.linalg.norm(t, axis=1)
 
 
-def array_ids(spec: LatticeSpec, projectors: Mapping[Plaquette, np.ndarray]) -> tuple[np.ndarray, list]:
-    """Per plaquette in `plaquettes` order, the number of its projector array,
-    and the arrays: plaquettes with equal terms share one (`ground_projectors`)."""
-    arrays = {id(m): m for m in projectors.values()}
-    number = {key: n for n, key in enumerate(arrays)}
-    return np.array([number[id(projectors[p])] for p in lattice.plaquettes(spec)]), list(arrays.values())
-
-
 def decompose_layers(
-    spec: LatticeSpec, projectors: Mapping[Plaquette, np.ndarray]
+    spec: LatticeSpec, ids: np.ndarray, projectors: np.ndarray
 ) -> tuple[LayerDecomposition, LayerDecomposition]:
-    """Vertex decompositions of the black and the white layer."""
-    ids, distinct = array_ids(spec, projectors)
-    chunks = [_bloch_factors(np.stack(distinct[i : i + _CHUNK])) for i in range(0, len(distinct), _CHUNK)]
+    """Vertex decompositions of the black and the white layer, plaquette i
+    (in `plaquettes` order) carrying the projector `projectors[ids[i]]`, as
+    `ground_projectors` numbers them."""
+    chunks = [_bloch_factors(projectors[i : i + _CHUNK]) for i in range(0, len(projectors), _CHUNK)]
     factors, norms = (np.concatenate(parts) for parts in zip(*chunks))
     # one block per (distinct projector, corner), numbered 4 id + corner
     factors, cut = factors.reshape(-1, 3, 3), np.repeat(NOISE_RTOL * norms, 4)

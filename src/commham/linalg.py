@@ -21,7 +21,7 @@ import cmath
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -307,14 +307,6 @@ def commutator_norm(a: LabeledOp, b: LabeledOp) -> float:
     return frob(am @ bm - bm @ am)
 
 
-def content_ids(mats: Mapping) -> dict:
-    """Number the distinct matrices in mats by contents, per key.  Caches
-    keyed on ids let equal plaquette terms share work while holding one
-    byte string per distinct matrix, not one per use."""
-    index: dict[bytes, int] = {}
-    return {k: index.setdefault(m.tobytes(), len(index)) for k, m in mats.items()}
-
-
 # ---------------------------------------------------------------------------
 # Traces of products of locally-supported operators on many qubits.
 
@@ -453,16 +445,17 @@ def trace_product_embedded(ops: Sequence[LabeledOp], order: Sequence[int] | None
     tensors = [op.mat.reshape((2,) * len(ws)) for op, ws in zip(ops, wires)]
     tensors.append(np.ones((), dtype=complex))
     wires.append([])
-    for a, b, open_ in plan:
-        both = wires[a] + wires[b]
-        num = {x: n for n, x in enumerate(dict.fromkeys(both))}
-        out = [x for x in both if x in open_]
-        tensors.append(np.einsum(
-            tensors[a], [num[x] for x in wires[a]], tensors[b], [num[x] for x in wires[b]],
-            [num[x] for x in out], optimize=len(num) > _BLAS_WIRES,
-        ))
-        tensors[a] = tensors[b] = None
-        wires.append(out)
+    with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check below reports it
+        for a, b, open_ in plan:
+            both = wires[a] + wires[b]
+            num = {x: n for n, x in enumerate(dict.fromkeys(both))}
+            out = [x for x in both if x in open_]
+            tensors.append(np.einsum(
+                tensors[a], [num[x] for x in wires[a]], tensors[b], [num[x] for x in wires[b]],
+                [num[x] for x in out], optimize=len(num) > _BLAS_WIRES,
+            ))
+            tensors[a] = tensors[b] = None
+            wires.append(out)
     value = complex(tensors[-1])
     if not cmath.isfinite(value):
         raise CapExceeded(f"the trace came out {value}: it leaves the float64 range (about 1.8e308)")

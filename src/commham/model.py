@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import LatticeSpec, Plaquette, Vertex, is_black
-from .linalg import COMMUTATION_TOL, HERMITICITY_RTOL, content_ids, frob, ground_band
+from .linalg import COMMUTATION_TOL, HERMITICITY_RTOL, frob, ground_band
 
 # pairs per batched factorization; bounds the kernel's working set
 _PAIR_CHUNK = 32
@@ -101,10 +101,13 @@ def _shared_factors(mats: np.ndarray, shared: tuple[int, ...]) -> np.ndarray:
 
 
 def _distinct(spec: LatticeSpec, mats: Mapping[Plaquette, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Content ids per plaquette in `plaquettes` order, and each id's matrix: equal terms share work."""
-    ids = content_ids(mats)
-    distinct = np.stack([mats[p] for p in {i: p for p, i in ids.items()}.values()])
-    return np.array([ids[p] for p in lattice.plaquettes(spec)]), distinct
+    """Per plaquette in `plaquettes` order, the row of its matrix among the
+    distinct ones, numbered by first appearance, and those rows stacked:
+    equal terms share work, keyed by one byte string per distinct matrix."""
+    rows: dict[bytes, int] = {}
+    plist = lattice.plaquettes(spec)
+    ids = np.array([rows.setdefault(mats[p].tobytes(), len(rows)) for p in plist])
+    return ids, np.stack([mats[plist[i]] for i in np.unique(ids, return_index=True)[1]])
 
 
 def _traceless(distinct: np.ndarray) -> np.ndarray:
@@ -179,8 +182,11 @@ def check_commuting(model: CommutingModel) -> CommutationReport:
     return CommutationReport(not violations, violations)
 
 
-def ground_projectors(model: CommutingModel) -> dict[Plaquette, np.ndarray]:
-    """Per-plaquette projectors onto each term's ground band.
+def ground_projectors(model: CommutingModel) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors onto the terms' ground bands as (ids, projectors):
+    `projectors` stacks one per distinct term, numbered by first appearance
+    in `lattice.plaquettes` order, and `ids` gives each plaquette's row, in
+    that order.
 
     Raises NonCommutingError, naming every pair of overlapping projectors
     that fail to commute beyond their radii (`linalg.ground_band`): input
@@ -195,9 +201,7 @@ def ground_projectors(model: CommutingModel) -> dict[Plaquette, np.ndarray]:
         raise NonCommutingError(
             f"ground projectors at {p} and {q} do not commute (norm {norm:.2e}){more}", bad
         )
-    # one array object per distinct term: `decompose.array_ids` numbers them by id()
-    projs = list(stack)
-    return dict(zip(lattice.plaquettes(model.spec), map(projs.__getitem__, ids.tolist())))
+    return ids, stack
 
 
 # ---------------------------------------------------------------------------

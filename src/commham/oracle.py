@@ -49,8 +49,9 @@ def _black_first(spec: lattice.LatticeSpec) -> list[Plaquette]:
 
 def _projector_ops(model: CommutingModel, order: list[Plaquette]) -> list[LabeledOp]:
     """The ground projectors of the plaquettes in `order`, each on its corners."""
-    projs = ground_projectors(model)
-    return [LabeledOp(projs[p], tuple(lattice.corners(model.spec, p))) for p in order]
+    ids, projs = ground_projectors(model)
+    rows = dict(zip(lattice.plaquettes(model.spec), ids.tolist()))
+    return [LabeledOp(projs[rows[p]], tuple(lattice.corners(model.spec, p))) for p in order]
 
 
 def total_overlap(model: CommutingModel) -> float:

@@ -1,10 +1,11 @@
 """Certificate search: exhaustive enumeration and a greedy hill climber.
 
 Both searches only propose; every certificate handed back has been
-re-checked by the verifier.  Both evaluate label vectors through the
-compiled model.  Exhaustive search walks the verifier's pruned scan of the
-certificate space (`_live_labels`, shared with `oracle.certificate_sum`),
-which skips every certificate that annihilates a plaquette.
+re-checked by the verifier at its default threshold.  Both evaluate label
+vectors through the compiled model.  Exhaustive search walks the verifier's
+pruned scan of the certificate space (`_live_labels`, shared with
+`oracle.certificate_sum`), which skips every certificate that annihilates a
+plaquette.
 """
 from __future__ import annotations
 
@@ -38,9 +39,7 @@ class SearchResult:
 
 
 def exhaustive_search(
-    m: CommutingModel | PreparedModel,
-    threshold: float | None = None,
-    cap: int = 26,
+    m: CommutingModel | PreparedModel, cap: int = 26
 ) -> SearchResult:
     """Scan the whole certificate space and return the largest-value
     certificate (lexicographically first on ties), or not-found when every
@@ -60,7 +59,7 @@ def exhaustive_search(
         return SearchResult(False, evaluated=evaluated)
     _, labels, res = best
     cert = _certificate(prep, labels)
-    verdict = verify(prep, cert, threshold)
+    verdict = verify(prep, cert)
     return SearchResult(True, cert, res, verdict, evaluated)
 
 
@@ -116,7 +115,6 @@ def greedy_search(
     m: CommutingModel | PreparedModel,
     seed: int = 0,
     restarts: int = 8,
-    threshold: float | None = None,
 ) -> SearchResult:
     """Single-label hill climbing on the factorized objective.
 
@@ -165,7 +163,7 @@ def greedy_search(
                     bx[i] ^= 1
         if res is not None and not res.zero:
             cert = _certificate(prep, bx[:n])
-            verdict = verify(prep, cert, threshold)
+            verdict = verify(prep, cert)
             if verdict.accept:
                 return SearchResult(True, cert, res, verdict, evaluated)
     return SearchResult(False, evaluated=evaluated)

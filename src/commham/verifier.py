@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import lattice
-from .decompose import LayerDecomposition, array_ids, decompose_layers
+from .decompose import LayerDecomposition, decompose_layers
 from .lattice import BLACK, WHITE, LatticeSpec, Plaquette, Vertex
 from .linalg import (
     IMAG_RTOL, LOG2_TIE_TOL, POSITIVITY_TOL, PRUNE_RTOL, ZERO_FLOOR,
@@ -86,7 +86,7 @@ class PlaquetteTable:
     Frobenius norm of the block whose own-split rows and columns equal b,
     the sliced projector's norm since U is unitary.  `blocks[own + other]`
     is the diagonal block over all split corners: the effective state on
-    the free corners before pruning.  Plaquettes with one projector array
+    the free corners before pruning.  Plaquettes with one projector row
     and the same frames in the same roles share one `norms` and one `blocks`.
     """
 
@@ -202,8 +202,7 @@ def _rows_by(key: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _compile(prep: PreparedModel) -> CompiledModel:
-    spec, black, white = prep.model.spec, prep.black, prep.white
-    ids, distinct = array_ids(spec, prep.projectors)
+    spec, black, white, ids = prep.model.spec, prep.black, prep.white, prep.ids
     cs = lattice.corner_ids(spec)
     is_black = (cs[:, 0] % spec.lx + cs[:, 0] // spec.lx) % 2 == 0
     order = np.argsort(~is_black, kind="stable")
@@ -222,10 +221,10 @@ def _compile(prep: PreparedModel) -> CompiledModel:
     sb, sw = np.zeros((2, spec.n_vertices), dtype=np.intp)
     sb[x_major[black.split[x_major]]], sw[x_major[white.split[x_major]]] = np.arange(nb), nb + np.arange(nw)
     slot = np.where(free, nb + nw, np.where(in_black, sb[cs], sw[cs]))
-    # rows with one projector array and equal frames in equal roles share a table
+    # rows with one projector and equal frames in equal roles share a table
     content = _distinct_rows(frames.reshape(-1, 4).view(float))[1]
     first, which = _distinct_rows(np.column_stack([ids, roles, content[frame]]))
-    shared = _slice_tables(np.stack(distinct)[ids[first]], frames[frame[first]], roles[first])
+    shared = _slice_tables(prep.projectors[ids[first]], frames[frame[first]], roles[first])
     norm_at = np.cumsum([0] + [nm.size for nm, _ in shared])
     state_at = np.cumsum([0] + [bl.size // bl.shape[-1] ** 2 for _, bl in shared])
     both = x_major[(black.split & white.split)[x_major]]
@@ -247,20 +246,25 @@ def _compile(prep: PreparedModel) -> CompiledModel:
 class PreparedModel:
     """Model with its ground projectors and layer decompositions attached.
 
+    `projectors` stacks one ground projector per distinct term and `ids`
+    gives each plaquette's row of it, in `plaquettes` order, as
+    `ground_projectors` returns them.
+
     Slicing and tracing of a plaquette depend only on the few certificate
     labels at its corners.  On the first evaluation (never in `prepare`)
     the model is compiled to a `CompiledModel`: norm and block tables, one
-    per projector array (equal terms get one) and slice frames, and index
-    arrays that turn a certificate into gathers; `table(p)` reads one
-    plaquette's as a `PlaquetteTable`.  Effective states are memoized per
-    (shared table, pattern).  Every array and entry is a deterministic
+    per projector row and slice frames, and index arrays that turn a
+    certificate into gathers; `table(p)` reads one plaquette's as a
+    `PlaquetteTable`.  Effective states are memoized per (shared table,
+    pattern).  Every array and entry is a deterministic
     function of the model, so a concurrent duplicate write stores an equal
     value and concurrent verification of distinct certificates against one
     prepared model is safe.
     """
 
     model: CommutingModel
-    projectors: dict[Plaquette, np.ndarray]
+    ids: np.ndarray
+    projectors: np.ndarray
     black: LayerDecomposition
     white: LayerDecomposition
     _compiled: CompiledModel | None = field(default=None, repr=False)
@@ -279,8 +283,13 @@ class PreparedModel:
         of a certificate's labels as a vector."""
         return sorted(self.f_black), sorted(self.f_white)
 
-    def projector_op(self, p: Plaquette) -> LabeledOp:
-        return LabeledOp(self.projectors[p], tuple(lattice.corners(self.model.spec, p)))
+    def projector_ops(self) -> dict[Plaquette, LabeledOp]:
+        """Each plaquette's ground projector on its corners, in `plaquettes` order."""
+        spec = self.model.spec
+        return {
+            p: LabeledOp(self.projectors[i], tuple(lattice.corners(spec, p)))
+            for p, i in zip(lattice.plaquettes(spec), self.ids.tolist())
+        }
 
     def compiled(self) -> CompiledModel:
         c = self._compiled
@@ -297,9 +306,9 @@ class PreparedModel:
 
 
 def prepare(model: CommutingModel) -> PreparedModel:
-    projs = ground_projectors(model)
-    black, white = decompose_layers(model.spec, projs)
-    return PreparedModel(model, projs, black, white)
+    ids, projs = ground_projectors(model)
+    black, white = decompose_layers(model.spec, ids, projs)
+    return PreparedModel(model, ids, projs, black, white)
 
 
 def _as_prepared(m: CommutingModel | PreparedModel) -> PreparedModel:
@@ -346,9 +355,8 @@ def apply_certificate(prep: PreparedModel, cert: Certificate) -> dict[Plaquette,
     plaquette tables replace inside `compute_omega`."""
     _label_vector(prep, cert)
     out = {}
-    for p in lattice.plaquettes(prep.model.spec):
+    for p, op in prep.projector_ops().items():
         own, labels = (prep.black, cert.alpha) if lattice.is_black(p) else (prep.white, cert.beta)
-        op = prep.projector_op(p)
         pi = _corner_kron(np.array([
             own.decomps[v].slice_projector(labels[v]) if v in labels else _ID2
             for v in op.labels

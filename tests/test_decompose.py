@@ -36,7 +36,13 @@ def kron(*ms):
 
 
 def layer_pair(model):
-    return decompose_layers(model.spec, ground_projectors(model))
+    return decompose_layers(model.spec, *ground_projectors(model))
+
+
+def projector_map(model):
+    """The ground projector of each plaquette, keyed by plaquette."""
+    ids, stack = ground_projectors(model)
+    return dict(zip(lattice.plaquettes(model.spec), stack[ids]))
 
 
 def test_toric_black_layer_splits_on_z():
@@ -98,8 +104,8 @@ def test_rotated_classical_rediscovers_conjugated_basis(seed):
 def test_slice_projectors_commute_with_incident(seed):
     spec = LatticeSpec(4, 3)
     m, _ = gen_rotated_classical(spec, seed=seed)
-    projs = ground_projectors(m)
-    black, white = decompose_layers(spec, projs)
+    projs = projector_map(m)
+    black, white = layer_pair(m)
     for layer, color in ((black, BLACK), (white, WHITE)):
         for v, d in layer.decomps.items():
             if not d.split:
@@ -125,7 +131,7 @@ def shared_vertex_pair(a, b):
     projs = {p: np.zeros((16, 16), dtype=complex) for p in lattice.plaquettes(spec)}
     for p, m, labels in (((0, 0), a, ((0, 1), (1, 1))), ((1, 1), b, ((1, 1), (2, 1)))):
         projs[p] = embed(LabeledOp(m, labels), lattice.corners(spec, p)).mat
-    return decompose_layers(spec, projs)
+    return decompose_layers(spec, np.arange(len(projs)), np.stack(list(projs.values())))
 
 
 def test_impossible_pair_raises():
@@ -182,8 +188,8 @@ def test_factorization_after_full_slice_choice():
     # tensor product of per-plaquette sandwiches; dense check on 9 qubits
     spec = LatticeSpec(3, 3)
     m = gen_toric(spec)
-    projs = ground_projectors(m)
-    black, _ = decompose_layers(spec, projs)
+    projs = projector_map(m)
+    black, _ = layer_pair(m)
     labels = sorted(spec.vertices())
 
     full = np.eye(2**9, dtype=complex)
@@ -218,9 +224,9 @@ def test_factorization_after_full_slice_choice():
 def test_determinism_bitwise():
     spec = LatticeSpec(4, 3)
     m, _ = gen_rotated_classical(spec, seed=2)
-    projs = ground_projectors(m)
-    b1, w1 = decompose_layers(spec, projs)
-    b2, w2 = decompose_layers(spec, projs)
+    ids, projs = ground_projectors(m)
+    b1, w1 = decompose_layers(spec, ids, projs)
+    b2, w2 = decompose_layers(spec, ids, projs)
     for v in spec.vertices():
         for l1, l2 in ((b1, b2), (w1, w2)):
             d1, d2 = l1.decomps[v], l2.decomps[v]
@@ -277,9 +283,9 @@ def test_pauli_table_matches_schmidt_reference(make, haar_conjugated):
     # every vertex's split flag, owner and slice basis agree with
     # algebra_classify and common_eigenbasis on operator-Schmidt factors
     m = make(haar_conjugated)
-    projs = ground_projectors(m)
+    projs = projector_map(m)
     splits = 0
-    for layer in decompose_layers(m.spec, projs):
+    for layer in layer_pair(m):
         for v, d in layer.decomps.items():
             split, owner, basis = schmidt_reference(m.spec, projs, layer.color, v)
             assert (d.split, d.owner) == (split, owner)

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commham import lattice, model
-from commham.decompose import array_ids
+from commham import lattice, model, verifier
 from commham.lattice import LatticeSpec
 from commham.linalg import (
     PAULI_X,
     PAULI_Z,
     LabeledOp,
     commutator_norm,
-    content_ids,
     frob,
     ground_space_projector,
 )
@@ -30,6 +28,12 @@ from commham.model import (
     gen_toric,
     ground_projectors,
 )
+
+
+def projector_map(m):
+    """The ground projector of each plaquette, keyed by plaquette."""
+    ids, stack = ground_projectors(m)
+    return dict(zip(lattice.plaquettes(m.spec), stack[ids]))
 
 
 def kron(*ms):
@@ -76,8 +80,8 @@ def test_all_zero_terms_commute():
     spec = LatticeSpec(3, 3)
     m = CommutingModel(spec, {p: np.zeros((16, 16)) for p in lattice.plaquettes(spec)})
     assert check_commuting(m).ok
-    projs = ground_projectors(m)
-    for p in projs.values():
+    ids, projs = ground_projectors(m)
+    for p in projs[ids]:
         assert np.allclose(p, np.eye(16))
 
 
@@ -128,8 +132,7 @@ def test_intersecting_pairs_match_all_pairs_scan():
 
 def test_toric_projectors_match_stabilizers():
     m = gen_toric(LatticeSpec(4, 4, "periodic"))
-    projs = ground_projectors(m)
-    for p, mat in projs.items():
+    for p, mat in projector_map(m).items():
         want = (np.eye(16) + (Z4 if lattice.is_black(p) else X4)) / 2
         assert frob(mat - want) < 1e-10
 
@@ -172,8 +175,7 @@ def test_ising_ferromagnet_ground_configs():
 def test_ising_ferromagnet_symmetric_ground_space():
     spec = LatticeSpec(3, 3)
     m = gen_ising(spec, 1.0, 0.0)
-    projs = ground_projectors(m)
-    for p, mat in projs.items():
+    for p, mat in projector_map(m).items():
         assert abs(mat[0, 0] - 1) < 1e-12  # |0000> in every term's ground space
         assert abs(mat[15, 15] - 1) < 1e-12
 
@@ -341,7 +343,7 @@ RANK_DEFICIENT = {
 def test_pair_norms_match_on_rank_deficient_terms(spec, family):
     m = RANK_DEFICIENT[family](spec)
     assert_kernel_matches(m, m.terms)
-    assert_kernel_matches(m, ground_projectors(m))
+    assert_kernel_matches(m, projector_map(m))
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-9])
@@ -354,7 +356,7 @@ def test_pair_norms_share_identical_terms(eps):
     h = eps * (g + g.conj().transpose(0, 2, 1)) / 2
     terms = {p: -Z4 + h[0] if lattice.is_black(p) else -X4 + h[1] for p in lattice.plaquettes(spec)}
     m = CommutingModel(spec, terms)
-    assert len(set(content_ids(m.terms).values())) == 2
+    assert len(model._distinct(spec, m.terms)[1]) == 2
     assert_kernel_matches(m, m.terms)
 
 
@@ -396,15 +398,21 @@ def test_pair_norms_random_hermitian_perturbations(spec, seed, exponent):
     assert_kernel_matches(m, terms)
 
 
-def test_ground_projectors_share_one_array_per_distinct_term():
-    # `decompose.array_ids` numbers projector arrays by identity, so equal
-    # terms must get the same array object, and distinct terms one each
+def test_ground_projectors_number_the_distinct_terms():
+    # one stack row per distinct term, numbered by first appearance in
+    # plaquette order whatever the order or the objects of the terms; the
+    # compile's shared tables follow the rows
     toric = gen_toric(LatticeSpec(40, 40, "periodic"))
-    assert len(array_ids(toric.spec, ground_projectors(toric))[1]) == 2
+    ids, stack = ground_projectors(toric)
+    assert len(stack) == 2
+    assert ids.tolist() == [0 if lattice.is_black(p) else 1 for p in lattice.plaquettes(toric.spec)]
+    assert len(verifier.prepare(toric).compiled().shared) == 2
     rot = gen_random(LatticeSpec(4, 4), 0, "rotated-classical")
-    n_distinct = len(set(content_ids(rot.terms).values()))
-    assert n_distinct == len(rot.terms)
-    assert len(array_ids(rot.spec, ground_projectors(rot))[1]) == n_distinct
+    rot_ids, rot_stack = ground_projectors(rot)
+    assert rot_ids.tolist() == list(range(len(rot.terms))) and len(rot_stack) == len(rot.terms)
+    for m, want in ((toric, ids), (rot, rot_ids)):
+        copied = CommutingModel(m.spec, {p: h.copy() for p, h in reversed(m.terms.items())})
+        assert np.array_equal(ground_projectors(copied)[0], want)
 
 
 def test_ground_projectors_report_every_violation():

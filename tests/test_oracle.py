@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,9 +137,12 @@ def test_wide_strip_layer_trace_only():
 
 def test_ground_dim_beyond_float64_refused():
     # toric 4x1100 open has 2**1103 ground states, past float64's 2**1024;
-    # the kernel refuses the trace rather than return nan
-    with pytest.raises(CapExceeded, match="float64"):
-        ground_dim(gen_toric(LatticeSpec(4, 1100)))
+    # the kernel refuses the trace rather than return nan, and numpy's
+    # overflow warnings on the way there do not surface
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapExceeded, match="float64"):
+            ground_dim(gen_toric(LatticeSpec(4, 1100)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 32, 10**7, 2**30, 2**40])

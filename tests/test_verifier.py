@@ -434,9 +434,11 @@ def test_lost_positivity_detected(entry):
     # I - 2P is Hermitian but has eigenvalue -1: its effective state is not
     # a positive operator, which commuting projectors never produce
     base = prepare(gen_toric(LatticeSpec(3, 3)))
-    projectors = dict(base.projectors)
-    projectors[(1, 0)] = np.eye(16) - 2 * projectors[(1, 0)]
-    prep = PreparedModel(base.model, projectors, base.black, base.white)
+    j = lattice.plaquettes(base.model.spec).index((1, 0))
+    ids = base.ids.copy()
+    ids[j] = len(base.projectors)  # a new stack row for (1, 0) alone
+    projectors = np.concatenate([base.projectors, [np.eye(16) - 2 * base.projectors[base.ids[j]]]])
+    prep = PreparedModel(base.model, ids, projectors, base.black, base.white)
     with pytest.raises(DegreeViolation, match="lost positivity"):
         entry(prep, all_zero_cert(prep))
 
@@ -568,7 +570,7 @@ def test_plaquette_table_matches_sandwich_reference(family, haar_conjugated):
         corners = tuple(lattice.corners(prep.model.spec, p))
         assert table.own_split == tuple(v for v in corners if v in layer.split_vertices)
         for bits in itertools.product((0, 1), repeat=len(table.own_split)):
-            ref = prep.projector_op(p)
+            ref = prep.projector_ops()[p]
             for v, b in zip(table.own_split, bits):
                 ref = sandwich_site(ref, v, layer.decomps[v].slice_projector(b))
             op = apply_certificate(prep, local_cert(prep, table, bits))[p]
@@ -596,7 +598,7 @@ def test_effective_states_match_sandwich_trace_reference(family, haar_conjugated
         k = len(table.own_split)
         split = table.own_split + table.other_only
         for bits in itertools.product((0, 1), repeat=len(split)):
-            ref = prep.projector_op(p)
+            ref = prep.projector_ops()[p]
             for i, (v, b) in enumerate(zip(split, bits)):
                 ref = sandwich_site(ref, v, (own if i < k else other).decomps[v].slice_projector(b))
             ref = prune_reference(partial_trace(ref, [v for v in ref.labels if v not in split]))
