@@ -80,7 +80,10 @@ class CapExceeded(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LabeledOp:
-    """A square operator on 2**k dimensions with k ordered qubit labels."""
+    """A square operator on 2**k dimensions with k ordered qubit labels.
+    `mat` may carry leading batch axes, (..., 2**k, 2**k): a stack of
+    operators on the same labels, which `trace_product_embedded` traces
+    member by member; the other functions here take single operators."""
 
     mat: np.ndarray
     labels: tuple
@@ -90,7 +93,7 @@ class LabeledOp:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "labels", tuple(self.labels))
         k = len(self.labels)
-        if mat.shape != (2**k, 2**k):
+        if mat.shape[-2:] != (2**k, 2**k):
             raise ValueError(f"matrix shape {mat.shape} does not match {k} labels")
 
     @property
@@ -419,7 +422,7 @@ def _plan(ends: list[frozenset], order: Sequence[int] | None = None) -> list[tup
     return min(_left_deep(ends, _greedy_order(ends)), _pairwise(ends), key=lambda p: _plan_cost(ends, p))
 
 
-def trace_product_embedded(ops: Sequence[LabeledOp], order: Sequence[int] | None = None) -> complex:
+def trace_product_embedded(ops: Sequence[LabeledOp], order: Sequence[int] | None = None) -> complex | np.ndarray:
     """tr of the ordered product of operators embedded on their label union.
 
     The product is a network of qubit wires (`_wire_network`), contracted
@@ -427,11 +430,17 @@ def trace_product_embedded(ops: Sequence[LabeledOp], order: Sequence[int] | None
     allocated: given `order`, a permutation of the operator indices, the
     operators are absorbed one at a time in that order; else the cheaper of
     two greedy plans runs, one at a time or a pairwise tree (Markov & Shi).
-    The value does not depend on the plan.  Raises CapExceeded when the plan
-    holds a tensor of more than _MAX_OPEN_WIRES open wires, or when the
-    trace leaves the float64 range (inf or nan).  Steps over more
-    than _BLAS_WIRES distinct wires go through einsum's BLAS path; on fewer,
-    its plain loop is cheaper.
+    The value does not depend on the plan.  Operators whose `mat` carries
+    leading batch axes, (B, d, d) say, are stacks: the batch axes
+    broadcast, every member is traced along the same plan and the B traces
+    come back as an array; with none, one complex.  A member's trace agrees
+    with its own call to rounding: einsum may add a step's terms in another
+    order once a batch axis is present (seen on steps that sum over two or
+    more wires).  Raises CapExceeded when the plan holds a tensor of more
+    than _MAX_OPEN_WIRES open wires (per member), or when a trace leaves
+    the float64 range (inf or nan).  Steps over more than _BLAS_WIRES
+    distinct wires go through einsum's BLAS path; on fewer, its plain loop
+    is cheaper.
     """
     if not ops:
         raise ValueError("need at least one operator")
@@ -442,7 +451,8 @@ def trace_product_embedded(ops: Sequence[LabeledOp], order: Sequence[int] | None
     width = max([len(out) for _, _, out in plan])
     if width > _MAX_OPEN_WIRES:
         raise CapExceeded(f"{width} open wires exceed {_MAX_OPEN_WIRES}")
-    tensors = [op.mat.reshape((2,) * len(ws)) for op, ws in zip(ops, wires)]
+    batched = any(op.mat.ndim > 2 for op in ops)
+    tensors = [op.mat.reshape(op.mat.shape[:-2] + (2,) * len(ws)) for op, ws in zip(ops, wires)]
     tensors.append(np.ones((), dtype=complex))
     wires.append([])
     with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check below reports it
@@ -450,13 +460,20 @@ def trace_product_embedded(ops: Sequence[LabeledOp], order: Sequence[int] | None
             both = wires[a] + wires[b]
             num = {x: n for n, x in enumerate(dict.fromkeys(both))}
             out = [x for x in both if x in open_]
+            subs = [num[x] for x in wires[a]], [num[x] for x in wires[b]], [num[x] for x in out]
+            if batched:  # the batch axes lead every tensor
+                subs = [[..., *s] for s in subs]
             tensors.append(np.einsum(
-                tensors[a], [num[x] for x in wires[a]], tensors[b], [num[x] for x in wires[b]],
-                [num[x] for x in out], optimize=len(num) > _BLAS_WIRES,
+                tensors[a], subs[0], tensors[b], subs[1], subs[2], optimize=len(num) > _BLAS_WIRES,
             ))
             tensors[a] = tensors[b] = None
             wires.append(out)
-    value = complex(tensors[-1])
-    if not cmath.isfinite(value):
-        raise CapExceeded(f"the trace came out {value}: it leaves the float64 range (about 1.8e308)")
+    if batched:
+        value = tensors[-1]
+        bad = value[~np.isfinite(value)]
+    else:
+        value = complex(tensors[-1])
+        bad = [] if cmath.isfinite(value) else [value]
+    if len(bad):
+        raise CapExceeded(f"the trace came out {bad[0]}: it leaves the float64 range (about 1.8e308)")
     return value

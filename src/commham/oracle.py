@@ -47,9 +47,13 @@ def _black_first(spec: lattice.LatticeSpec) -> list[Plaquette]:
     return sorted(lattice.plaquettes(spec), key=lambda p: not lattice.is_black(p))
 
 
-def _projector_ops(model: CommutingModel, order: list[Plaquette]) -> list[LabeledOp]:
-    """The ground projectors of the plaquettes in `order`, each on its corners."""
-    ids, projs = ground_projectors(model)
+def _projector_ops(m: CommutingModel | PreparedModel, order: list[Plaquette]) -> list[LabeledOp]:
+    """The ground projectors of the plaquettes in `order`, each on its
+    corners: a prepared model's own, else those `ground_projectors` gives."""
+    if isinstance(m, PreparedModel):
+        model, ids, projs = m.model, m.ids, m.projectors
+    else:
+        model, (ids, projs) = m, ground_projectors(m)
     rows = dict(zip(lattice.plaquettes(model.spec), ids.tolist()))
     return [LabeledOp(projs[rows[p]], tuple(lattice.corners(model.spec, p))) for p in order]
 
@@ -80,18 +84,21 @@ def dense_omega(m: CommutingModel | PreparedModel, cert: Certificate) -> float:
 def certificate_sum(m: CommutingModel | PreparedModel) -> tuple[float, int]:
     """Sum of the certificate value over the whole certificate space, and
     how many certificates were evaluated: the exhaustive prover's scan skips
-    those that annihilate a plaquette, worth 0.  The sum telescopes back to
-    total_overlap; the two are asserted equal, which exercises slicing,
-    tracing, and contraction against the plain embedded product.
+    those that annihilate a plaquette, worth 0, and is evaluated a stack of
+    label rows at a time; the values are added row by row in scan order.
+    The sum telescopes back to the layer trace of `total_overlap`, taken
+    on the prepared projectors; the two are asserted equal, which
+    exercises slicing, tracing, and contraction against the plain embedded
+    product.
     """
     prep = _as_prepared(m)
     total, evaluated = 0.0, 0
-    for labels in _live_labels(prep, _SUM_MAX_BITS):
-        res = compute_omega(prep, labels)
-        evaluated += 1
-        if not res.zero:
-            total += 2.0**res.log2_magnitude
-    reference = total_overlap(prep.model)
+    for rows in _live_labels(prep, _SUM_MAX_BITS):
+        for res in compute_omega(prep, rows):
+            if not res.zero:
+                total += 2.0**res.log2_magnitude
+        evaluated += len(rows)
+    reference = trace_product_embedded(_projector_ops(prep, _black_first(prep.model.spec))).real
     if abs(total - reference) > SUM_TOL:
         raise IntegralityError(
             f"certificate sum {total!r} does not match the layer trace {reference!r}"

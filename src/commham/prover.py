@@ -5,7 +5,7 @@ re-checked by the verifier at its default threshold.  Both evaluate label
 vectors through the compiled model.  Exhaustive search walks the verifier's
 pruned scan of the certificate space (`_live_labels`, shared with
 `oracle.certificate_sum`), which skips every certificate that annihilates a
-plaquette.
+plaquette, and evaluates it a stack of label rows at a time.
 """
 from __future__ import annotations
 
@@ -46,21 +46,18 @@ def exhaustive_search(
     certificate evaluates to zero.  Only certificates that annihilate no
     plaquette are evaluated; above 2**cap certificates, CapExceeded."""
     prep = _as_prepared(m)
-    best: tuple[float, np.ndarray, OmegaResult] | None = None
+    best: tuple[float, np.ndarray] | None = None
     evaluated = 0
-    for labels in _live_labels(prep, cap):
-        res = compute_omega(prep, labels)
-        evaluated += 1
-        if res.zero:
-            continue
-        if best is None or log2_exceeds(res.log2_magnitude, best[0]):
-            best = (res.log2_magnitude, labels, res)
+    for rows in _live_labels(prep, cap):
+        for labels, res in zip(rows, compute_omega(prep, rows)):
+            if not res.zero and (best is None or log2_exceeds(res.log2_magnitude, best[0])):
+                best = (res.log2_magnitude, labels)
+        evaluated += len(rows)
     if best is None:
         return SearchResult(False, evaluated=evaluated)
-    _, labels, res = best
-    cert = _certificate(prep, labels)
+    cert = _certificate(prep, best[1])
     verdict = verify(prep, cert)
-    return SearchResult(True, cert, res, verdict, evaluated)
+    return SearchResult(True, cert, verdict.omega, verdict, evaluated)
 
 
 def _score(res: OmegaResult) -> tuple[float, int]:

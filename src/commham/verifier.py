@@ -22,7 +22,11 @@ Hilbert space:
 * on its first evaluation a model is compiled to index arrays, so a
   certificate is one 0/1 vector and annihilated plaquettes, vertex
   overlaps and scalar states are each one gather; only states with
-  support reach the overlap graph.
+  support reach the overlap graph;
+* the scans of the whole certificate space evaluate a stack of label rows
+  at a time: the gathers run over the whole stack, rows whose states have
+  the same supports share one overlap graph, and each of its components
+  is contracted once for all of them, on stacked matrices.
 
 Omega is accumulated in the log2 domain since honest values scale like
 2**(-2N); each factor is O(1).
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -101,7 +105,7 @@ class PlaquetteTable:
 
 _ID2 = np.eye(2)
 _W4 = np.array([8, 4, 2, 1])  # a left-padded row of four 0/1 labels as a big-endian pattern
-_CHUNK = 4096  # label rows per step of the layer scan
+_CHUNK = 4096  # label rows per stack of the layer scan
 
 
 def _corner_kron(mats: np.ndarray) -> np.ndarray:
@@ -159,7 +163,8 @@ class CompiledModel:
     offset in `dead` (the pattern annihilates it), and its own-split then
     other-only slots and its table's offset in the state table, where `scal`
     holds a scalar state, inf for a state with support or nan until first
-    read, and `kept` the pruned state as (kept positions in `free`, matrix).
+    read, `kept` the pruned state as (kept positions in `free`, matrix) and
+    `code` those positions as a bitmask, 0 for a scalar.
     The vertices split in both layers, sorted, are `both`; their rows of
     label slots (padding, padding, black, white) `both_slots` give the
     pattern 2a + b that, plus 4 i, indexes `overlap`, tr[pi_a pibar_b] =
@@ -181,6 +186,7 @@ class CompiledModel:
     state_at: np.ndarray
     scal: np.ndarray
     kept: list
+    code: np.ndarray
     both: list[Vertex]
     both_slots: np.ndarray
     overlap: np.ndarray
@@ -189,11 +195,12 @@ class CompiledModel:
     def annihilated(self, bx: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Whether the labels (a padded vector, or a stack of them)
         annihilate each plaquette of `rows`."""
-        return self.dead[self.norm_at[rows] + bx[..., self.own_slots[rows]] @ _W4]
+        return self.dead[self.norm_at[rows] + np.take(bx, self.own_slots[rows], axis=-1) @ _W4]
 
     def overlaps(self, bx: np.ndarray) -> np.ndarray:
-        """The overlap of each vertex in `both` under the labels."""
-        return self.overlap[4 * np.arange(len(self.both)) + bx[self.both_slots] @ _W4]
+        """The overlap of each vertex in `both` under the labels (a padded
+        vector, or a stack of them)."""
+        return self.overlap[4 * np.arange(len(self.both)) + np.take(bx, self.both_slots, axis=-1) @ _W4]
 
 
 def _rows_by(key: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -235,7 +242,7 @@ def _compile(prep: PreparedModel) -> CompiledModel:
         _rows_by(roles == 0, np.where(roles == 0, slot, nb + nw)), norm_at[which],
         np.concatenate([nm.ravel() for nm, _ in shared]) <= ZERO_FLOOR,
         _rows_by((roles + 1) % 3, slot), state_at[which],
-        np.full(state_at[-1], np.nan), [None] * int(state_at[-1]),
+        np.full(state_at[-1], np.nan), [None] * int(state_at[-1]), np.zeros(state_at[-1], dtype=np.uint8),
         lattice.vertices_of(spec, both), np.column_stack([np.full((len(both), 2), nb + nw), sb[both], sw[both]]),
         (np.abs(a.conj().transpose(0, 2, 1) @ b) ** 2).ravel(),
         lattice.vertices_of(spec, np.flatnonzero(~(black.split | white.split))),
@@ -323,14 +330,16 @@ def _bad_label(b) -> bool:
 
 def _label_vector(prep: PreparedModel, cert: Certificate | np.ndarray) -> np.ndarray:
     """The labels as a 0/1 vector in `label_order` plus the padding 0; a
-    vector is taken as it is.  Raises CertificateDomainError unless the
-    labels cover exactly the split vertices with integers 0 and 1."""
+    vector, or a 2-D stack of them, is taken as it is and padded.  Raises
+    CertificateDomainError unless the labels cover exactly the split
+    vertices with integers 0 and 1."""
     order = prep.label_order
     if isinstance(cert, np.ndarray):
         n = len(order[0]) + len(order[1])
-        if cert.dtype.kind not in "iu" or cert.shape != (n,) or np.any((cert != 0) & (cert != 1)):
+        if (cert.dtype.kind not in "iu" or cert.ndim not in (1, 2) or cert.shape[-1] != n
+                or np.any((cert != 0) & (cert != 1))):
             raise CertificateDomainError(f"a label vector must hold {n} integers 0 or 1")
-        return np.append(cert, 0)
+        return np.concatenate([cert, np.zeros(cert.shape[:-1] + (1,), cert.dtype)], axis=-1)
     values = []
     for name, labels, want in (("alpha", cert.alpha, order[0]), ("beta", cert.beta, order[1])):
         if len(labels) != len(want) or not all(map(labels.__contains__, want)):
@@ -369,7 +378,8 @@ def apply_certificate(prep: PreparedModel, cert: Certificate) -> dict[Plaquette,
 class EffectiveState:
     """A plaquette operator after slice projection and tracing of split
     vertices, pruned to the corners it genuinely acts on.  `mat` is a
-    (2**s, 2**s) matrix; s = 0 means a plain scalar."""
+    (2**s, 2**s) matrix, or a stack (G, 2**s, 2**s) of them for G label
+    rows; s = 0 means a plain scalar."""
 
     plaquette: Plaquette
     color: str
@@ -398,13 +408,17 @@ def _prune(block: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def _state_index(c: CompiledModel, bx: np.ndarray) -> np.ndarray:
-    """Each plaquette's entry in the state table, pruning and checking the
-    entries not read before."""
-    idx = c.state_at + bx[c.split_slots] @ _W4
-    for j in np.flatnonzero(np.isnan(c.scal[idx])).tolist():
-        e, blocks = idx[j], c.shared[c.which[j]][1]
-        if not np.isnan(c.scal[e]):  # shared with a plaquette filled above
-            continue
+    """Each plaquette's entry in the state table under the labels (a padded
+    vector, or a stack of them), pruning and checking each entry not read
+    before once, at its first read in row order."""
+    idx = c.state_at + np.take(bx, c.split_slots, axis=-1) @ _W4
+    flat = idx.ravel()
+    new = np.flatnonzero(np.isnan(c.scal[flat]))
+    if new.size:
+        new = new[np.sort(np.unique(flat[new], return_index=True)[1])]
+    for k in new.tolist():
+        e, j = flat[k], k % len(c.plaquettes)
+        blocks = c.shared[c.which[j]][1]
         d = blocks.shape[-1]
         kept, mat = _prune(blocks.reshape(-1, d, d)[e - c.state_at[j]])
         norm = frob(mat)
@@ -415,15 +429,24 @@ def _state_index(c: CompiledModel, bx: np.ndarray) -> np.ndarray:
                     f"effective state at {c.plaquettes[j]} lost positivity (min eig {w[0]:.2e}); "
                     "input terms likely do not commute"
                 )
-        c.kept[e] = (kept, mat)  # before `scal`, which tells readers it is there
+        # `kept` and `code` before `scal`, which tells readers they are there
+        c.kept[e], c.code[e] = (kept, mat), sum(1 << q for q in kept)
         c.scal[e] = math.inf if kept else mat[0, 0].real
     return idx
 
 
 def _states(c: CompiledModel, idx: np.ndarray, rows) -> list[EffectiveState]:
+    """The effective states of plaquettes `rows` under the state-table
+    entries idx: one row of entries gives each state its matrix, a stack
+    of rows whose states have equal supports the matrices stacked, each
+    distinct entry read once."""
     out, lx = [], c.spec.lx
-    for j in rows:
-        (kept, mat), free = c.kept[idx[j]], c.free[j]
+    lead = (idx[0] if idx.ndim == 2 else idx)[rows].tolist()
+    for j, e in zip(rows, lead):
+        (kept, mat), free = c.kept[e], c.free[j]
+        if idx.ndim == 2:
+            distinct, inv = np.unique(idx[:, j], return_inverse=True)
+            mat = np.stack([c.kept[x][1] for x in distinct.tolist()])[inv]
         support = tuple((free[k] % lx, free[k] // lx) for k in kept)
         out.append(EffectiveState(c.plaquettes[j], BLACK if j < c.n_black else WHITE, support, mat))
     return out
@@ -510,18 +533,21 @@ def build_overlap_graph(
     return OverlapGraph(nodes, adjacency, components, max_degree)
 
 
-def contract_component(component: Component, nodes: list[EffectiveState]) -> float:
+def contract_component(component: Component, nodes: list[EffectiveState]) -> float | np.ndarray:
     """Trace of (product of black states)(product of white states) on the
     component's support.  Each qubit's wire runs through at most one black
     and one white state, so the network is the same in any listing order;
     `trace_product_embedded` absorbs the states in chain order, which keeps
-    at most two qubits open (plus the wrap-around pair for cycles).
+    at most two qubits open (plus the wrap-around pair for cycles).  States
+    with stacked matrices give the stack of traces.
     """
     ops = [LabeledOp(nodes[i].mat, nodes[i].support) for i in component.node_ids]
     value = trace_product_embedded(ops, range(len(ops)))
-    if abs(value.imag) > IMAG_RTOL * (1.0 + abs(value)):
-        raise DegreeViolation(f"component trace came out non-real: {value}")
-    return float(value.real)
+    flat = np.ravel(value)
+    unreal = flat[abs(flat.imag) > IMAG_RTOL * (1.0 + abs(flat))]
+    if unreal.size:
+        raise DegreeViolation(f"component trace came out non-real: {unreal[0]}")
+    return value.real
 
 
 @dataclass
@@ -554,57 +580,98 @@ def _factor(kind: str, key, value: float) -> OmegaFactor:
     return OmegaFactor(kind, key, value, log2)
 
 
-def compute_omega(m: CommutingModel | PreparedModel, cert: Certificate | np.ndarray) -> OmegaResult:
+def _dead_factors(keys: list) -> list[OmegaFactor]:
+    return [_factor(COMPONENT, k, 0.0) for k in keys]
+
+
+def _factors(c: CompiledModel, overlaps: np.ndarray, vals: np.ndarray,
+             keys: list | tuple = (), values: list | tuple = (), free: tuple = ()) -> list[OmegaFactor]:
+    """One row's factors from its vertex overlaps, its state-table values
+    (the finite ones are its scalar states), and its chain components'
+    keys and values and its free qubits."""
+    out = [_factor(VERTEX_OVERLAP, v, x) for v, x in zip(c.both, overlaps.tolist())]
+    out += [_factor(COMPONENT, (c.plaquettes[j],), x) for j, x in enumerate(vals.tolist()) if math.isfinite(x)]
+    out += [_factor(COMPONENT, key, val) for key, val in zip(keys, values)]
+    return out + [OmegaFactor(FREE_QUBIT, free, None, float(len(free)))] if free else out
+
+
+def compute_omega(
+    m: CommutingModel | PreparedModel, cert: Certificate | np.ndarray
+) -> OmegaResult | list[OmegaResult]:
     """Value of the certificate: per-vertex slice overlaps times chain
     contractions times 2 per untouched qubit, accumulated in log2.  `cert`
-    may also be its labels as one 0/1 vector in `label_order`, as the
-    provers pass it."""
+    may also be its labels as one 0/1 vector in `label_order`, as greedy
+    search passes it, or a 2-D stack of such rows, as the scans pass them;
+    a stack gives one OmegaResult per row, each with the `zero` and
+    `nonzero` of the one-row call, its `log2_magnitude` to rounding (the
+    stacked contraction may add terms in another order; see
+    `trace_product_embedded`) and its `factors` built on first access,
+    from that row alone."""
     prep = _as_prepared(m)
     bx = _label_vector(prep, cert)
-    c = prep.compiled()
+    results = _omega_rows(prep.compiled(), bx.reshape(-1, bx.shape[-1]))
+    return results if bx.ndim == 2 else results[0]
 
+
+def _omega_rows(c: CompiledModel, bx: np.ndarray) -> list[OmegaResult]:
+    """compute_omega's stages on a stack of padded label rows.  Each stage
+    gathers over the rows it reaches; rows whose states keep the same
+    corners share one overlap graph, built from the first of them, and its
+    components are contracted once for all of them, on stacked matrices.
+    A group of one row is read unstacked."""
+    out: list = [None] * len(bx)
     # an annihilated plaquette zeroes Omega before any effective state is read
-    dead = np.flatnonzero(c.annihilated(bx))
-    if dead.size:
-        keys = sorted((c.plaquettes[j],) for j in dead)
-        return OmegaResult(True, -math.inf, 0, lambda: [_factor(COMPONENT, k, 0.0) for k in keys])
+    dead = c.annihilated(bx)
+    reached = []
+    for r, killed in enumerate(dead.any(axis=1).tolist()):
+        if killed:
+            keys = sorted((c.plaquettes[j],) for j in dead[r].nonzero()[0].tolist())
+            out[r] = OmegaResult(True, -math.inf, 0, partial(_dead_factors, keys))
+        else:
+            reached.append(r)
+    if not reached:
+        return out
+    if len(reached) < len(bx):
+        bx = bx[reached]
 
     overlaps = c.overlaps(bx)
     idx = _state_index(c, bx)
     vals = c.scal[idx]
-    scalar = np.isfinite(vals)
-    scalars = vals[scalar]
-    nonzero = int(np.count_nonzero(overlaps > ZERO_FLOOR) + np.count_nonzero(scalars > ZERO_FLOOR))
+    # a vanishing overlap or scalar state zeroes Omega; a state with support reads inf
+    held = (overlaps > ZERO_FLOOR).all(axis=1) & (vals > ZERO_FLOOR).all(axis=1)
+    rows = held.nonzero()[0].tolist()
+    if len(rows) < len(held):
+        lost = (~held).nonzero()[0]
+        nonzero = (overlaps[lost] > ZERO_FLOOR).sum(axis=1) + (vals[lost] > ZERO_FLOOR).sum(axis=1)
+        for r, n in zip(lost.tolist(), (nonzero - np.isinf(vals[lost]).sum(axis=1)).tolist()):
+            out[reached[r]] = OmegaResult(True, -math.inf, n, partial(_factors, c, overlaps[r], vals[r]))
 
-    def local_factors() -> list[OmegaFactor]:
-        out = [_factor(VERTEX_OVERLAP, v, x) for v, x in zip(c.both, overlaps.tolist())]
-        rows = np.flatnonzero(scalar).tolist()
-        return out + [_factor(COMPONENT, (c.plaquettes[j],), x) for j, x in zip(rows, scalars.tolist())]
-
-    if nonzero < overlaps.size + scalars.size:
-        return OmegaResult(True, -math.inf, nonzero, local_factors)
-
-    states = _states(c, idx, np.flatnonzero(~scalar).tolist())
-    n_black = sum(s.color == BLACK for s in states)
-    graph = build_overlap_graph(states[:n_black], states[n_black:])
-    comps = [
-        (tuple(graph.nodes[i].plaquette for i in comp.node_ids), contract_component(comp, graph.nodes))
-        for comp in graph.components
-    ]
-    supported = {v for s in states for v in s.support}
-    free = tuple(v for v in c.unsplit if v not in supported)
-    live = sum(val > ZERO_FLOOR for _, val in comps)
-    nonzero += live + bool(free)
-
-    def factors() -> list[OmegaFactor]:
-        out = local_factors() + [_factor(COMPONENT, key, val) for key, val in comps]
-        return out + [OmegaFactor(FREE_QUBIT, free, None, float(len(free)))] if free else out
-
-    if live < len(comps):
-        return OmegaResult(True, -math.inf, nonzero, factors)
-    log2 = float(np.log2(overlaps).sum() + np.log2(scalars).sum())
-    log2 += sum(math.log2(val) for _, val in comps) + len(free)
-    return OmegaResult(False, log2, nonzero, factors)
+    groups = [rows] if len(rows) == 1 else []
+    if len(rows) > 1:
+        number = _distinct_rows(c.code[idx[rows]])[1]
+        by_group = np.array(rows)[np.argsort(number, kind="stable")]
+        groups = sorted((g.tolist() for g in np.split(by_group, np.cumsum(np.bincount(number))[:-1])), key=min)
+    for g in groups:
+        sel = g if len(g) > 1 else g[0]  # one row is read unstacked, as a one-row call reads it
+        scalar = np.isfinite(vals[g[0]])
+        cols = (~scalar).nonzero()[0].tolist()
+        states = _states(c, idx[sel], cols)
+        n_black = sum(s.color == BLACK for s in states)
+        graph = build_overlap_graph(states[:n_black], states[n_black:])
+        keys = [tuple(graph.nodes[i].plaquette for i in comp.node_ids) for comp in graph.components]
+        values = np.array([contract_component(comp, graph.nodes) for comp in graph.components])
+        supported = {v for s in states for v in s.support}
+        free = tuple(v for v in c.unsplit if v not in supported)
+        local = overlaps.shape[1] + len(scalar) - len(cols)
+        local_log2 = np.log2(overlaps[sel]).sum(axis=-1) + np.log2(np.compress(scalar, vals[sel], axis=-1)).sum(axis=-1)
+        for r, log2, comps in zip(g, np.atleast_1d(local_log2).tolist(), values.reshape(-1, len(g)).T.tolist()):
+            live = sum(v > ZERO_FLOOR for v in comps)
+            zero = live < len(comps)
+            out[reached[r]] = OmegaResult(
+                zero, -math.inf if zero else log2 + (sum(map(math.log2, comps)) + len(free)),
+                local + live + bool(free), partial(_factors, c, overlaps[r], vals[r], keys, comps, free),
+            )
+    return out
 
 
 @dataclass
@@ -667,9 +734,10 @@ def _live_rows(c: CompiledModel, lo: int, hi: int, n: int, rows: range):
 def _live_labels(prep: PreparedModel, max_bits: int):
     """The label vector of every certificate that annihilates no plaquette
     (those `compute_omega` zeroes at its first stage), lexicographically,
-    black labels outermost; CapExceeded above 2**max_bits certificates.  A
-    plaquette reads only its own layer's labels, so the surviving white rows
-    are held and paired with the black ones as they are scanned."""
+    black labels outermost, as 2-D stacks of at most _CHUNK rows;
+    CapExceeded above 2**max_bits certificates.  A plaquette reads only its
+    own layer's labels, so the surviving white rows are held and paired
+    with the black ones as they are scanned."""
     nb = len(prep.f_black)
     bits = nb + len(prep.f_white)
     if bits > max_bits:
@@ -677,4 +745,12 @@ def _live_labels(prep: PreparedModel, max_bits: int):
     c = prep.compiled()
     betas = np.concatenate(list(_live_rows(c, nb, bits, bits, range(c.n_black, len(c.plaquettes)))))
     alphas = _live_rows(c, 0, nb, bits, range(c.n_black))
-    return (np.concatenate([alpha, beta]) for chunk in alphas for alpha in chunk for beta in betas)
+
+    def stacks():
+        for chunk in alphas:
+            pairs = len(chunk) * len(betas)
+            for start in range(0, pairs, _CHUNK):
+                k = np.arange(start, min(start + _CHUNK, pairs))
+                yield np.hstack([chunk[k // len(betas)], betas[k % len(betas)]])
+
+    return stacks()

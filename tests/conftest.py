@@ -27,6 +27,12 @@ def tracing():
 
 
 @pytest.fixture(scope="session")
+def workloads():
+    """perfbench/workloads.py, loaded as a module."""
+    return _load("perfbench/workloads.py")
+
+
+@pytest.fixture(scope="session")
 def haar_conjugated(compare_decomposition):
     """`conjugated(model, seed)`: every term conjugated by one seeded Haar
     unitary per vertex."""

@@ -501,6 +501,56 @@ def test_trace_order_must_be_a_permutation(order):
         trace_product_embedded([op, op], order)
 
 
+@st.composite
+def _stacked_products(draw):
+    """A product of 1-8 operators as `_labeled_products` draws it, and
+    1-5 random matrices per operator."""
+    ops = draw(_labeled_products())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = draw(st.integers(1, 5))
+    mats = [rng.standard_normal((b,) + op.mat.shape) + 1j * rng.standard_normal((b,) + op.mat.shape) for op in ops]
+    return [LabeledOp(m, op.labels) for m, op in zip(mats, ops)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stacked_products(), st.data())
+def test_stacked_trace_matches_member_calls(ops, data):
+    # each member of the stack is traced along the plan its own call makes;
+    # einsum may add a step's terms in another order once a batch axis is
+    # present (seen when a step sums over two or more wires), so the values
+    # agree to rounding, not always bit for bit
+    order = data.draw(st.one_of(st.none(), st.permutations(range(len(ops)))))
+    got = trace_product_embedded(ops, order)
+    assert got.shape == (len(ops[0].mat),)
+    for b, value in enumerate(got):
+        want = trace_product_embedded([LabeledOp(op.mat[b], op.labels) for op in ops], order)
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_stacked_trace_broadcasts_unstacked_operators():
+    rng = np.random.default_rng(3)
+    a = LabeledOp(rng.standard_normal((4, 4, 4)), (0, 1))
+    b = LabeledOp(rng.standard_normal((4, 4)), (1, 2))
+    got = trace_product_embedded([a, b])
+    assert list(got) == [trace_product_embedded([LabeledOp(m, (0, 1)), b]) for m in a.mat]
+
+
+def test_stacked_trace_with_an_inf_member_refused():
+    mats = np.stack([np.eye(4), np.eye(4), np.eye(4)]).astype(complex)
+    mats[1, 0, 0] = np.inf
+    ops = [LabeledOp(mats, (0, 1)), LabeledOp(np.stack([PAULI_Z] * 3), (1,))]
+    with pytest.raises(CapExceeded, match="float64"):
+        trace_product_embedded(ops)
+    assert list(trace_product_embedded([LabeledOp(mats[::2], (0, 1))])) == [4.0, 4.0]
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4), (3, 2, 4), (4,), (), (2, 1, 2)])
+def test_labeled_op_checks_the_trailing_shape(shape):
+    with pytest.raises(ValueError, match="does not match"):
+        LabeledOp(np.zeros(shape), (0,))
+    assert LabeledOp(np.zeros((3, 5, 2, 2)), (0,)).n_qubits == 1
+
+
 # -------------------------------------------------------- commutator_norm
 
 

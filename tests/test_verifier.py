@@ -15,7 +15,10 @@ from commham.linalg import (
 )
 from commham.model import CommutingModel, gen_ising, gen_random, gen_toric
 from commham.oracle import dense_omega
+from commham.prover import exhaustive_search
+from commham import verifier
 from commham.verifier import (
+    _CHUNK,
     COMPONENT,
     FREE_QUBIT,
     VERTEX_OVERLAP,
@@ -26,6 +29,7 @@ from commham.verifier import (
     DegreeViolation,
     EffectiveState,
     PreparedModel,
+    _live_labels,
     _prune,
     apply_certificate,
     build_overlap_graph,
@@ -204,7 +208,8 @@ def test_label_vectors_checked():
     want = compute_omega(prep, all_zero_cert(prep))
     got = compute_omega(prep, np.zeros(n, dtype=np.int8))
     assert (got.zero, got.log2_magnitude, got.nonzero) == (want.zero, want.log2_magnitude, want.nonzero)
-    for bad in (np.zeros(n), np.zeros(n, dtype=bool), np.full(n, 2), np.zeros(n - 1, dtype=int)):
+    for bad in (np.zeros(n), np.zeros(n, dtype=bool), np.full(n, 2), np.zeros(n - 1, dtype=int),
+                np.zeros((3, n - 1), dtype=int), np.full((3, n), 2), np.zeros((2, 3, n), dtype=int)):
         with pytest.raises(CertificateDomainError):
             compute_omega(prep, bad)
 
@@ -429,18 +434,29 @@ def test_effective_states_positive():
             assert w[0] >= -1e-9 * max(1.0, frob(s.mat))
 
 
-@pytest.mark.parametrize("entry", [compute_omega, lambda prep, cert: effective_states(prep, cert)])
-def test_lost_positivity_detected(entry):
-    # I - 2P is Hermitian but has eigenvalue -1: its effective state is not
-    # a positive operator, which commuting projectors never produce
+def lost_positivity_prep():
+    """Toric 3x3 with the projector at (1, 0) replaced by I - 2P: Hermitian,
+    but with eigenvalue -1, so its effective state is not a positive
+    operator, which commuting projectors never produce."""
     base = prepare(gen_toric(LatticeSpec(3, 3)))
     j = lattice.plaquettes(base.model.spec).index((1, 0))
     ids = base.ids.copy()
     ids[j] = len(base.projectors)  # a new stack row for (1, 0) alone
     projectors = np.concatenate([base.projectors, [np.eye(16) - 2 * base.projectors[base.ids[j]]]])
-    prep = PreparedModel(base.model, ids, projectors, base.black, base.white)
+    return PreparedModel(base.model, ids, projectors, base.black, base.white)
+
+
+@pytest.mark.parametrize("entry", [compute_omega, lambda prep, cert: effective_states(prep, cert)])
+def test_lost_positivity_detected(entry):
+    prep = lost_positivity_prep()
     with pytest.raises(DegreeViolation, match="lost positivity"):
         entry(prep, all_zero_cert(prep))
+
+
+def test_lost_positivity_detected_by_the_stacked_scan():
+    # the scan reads each state-table entry once for a whole stack of rows
+    with pytest.raises(DegreeViolation, match="lost positivity"):
+        exhaustive_search(lost_positivity_prep())
 
 
 def test_dot_cross_rule():
@@ -455,6 +471,75 @@ def test_dot_cross_rule():
             for v in s.support:
                 assert v not in seen, f"{v} hit twice within one layer"
                 seen[v] = s.plaquette
+
+
+# ------------------------------------------------------ stacked evaluation
+
+
+def same_log2(a, b):
+    return a == b or abs(a - b) <= 1e-12
+
+
+def assert_stack_matches_rows(prep, rows):
+    """compute_omega on the stack gives, row by row, the one-row call's
+    zero flag, non-vanishing count, log2 value and factors."""
+    got = compute_omega(prep, rows)
+    assert len(got) == len(rows)
+    for labels, res in zip(rows, got):
+        want = compute_omega(prep, labels)
+        assert (res.zero, res.nonzero) == (want.zero, want.nonzero)
+        assert same_log2(res.log2_magnitude, want.log2_magnitude)
+        assert [(f.kind, f.key) for f in res.factors] == [(f.kind, f.key) for f in want.factors]
+        assert all(same_log2(f.log2, g.log2) for f, g in zip(res.factors, want.factors))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stacks_match_one_row_calls_on_the_oracle_models(seed, workloads):
+    # every live row of the audited models (the 4x4 tori's 2**32 spaces
+    # excepted), and on the small spaces every row, annihilating ones too
+    for name, m in workloads.oracle_models(seed):
+        prep = prepare(m)
+        bits = len(prep.f_black) + len(prep.f_white)
+        if bits > 16:
+            continue
+        for rows in _live_labels(prep, 16):
+            assert_stack_matches_rows(prep, rows)
+        if bits <= 8:
+            space = np.array(list(itertools.product([0, 1], repeat=bits)), dtype=np.intp).reshape(-1, bits)
+            assert_stack_matches_rows(prep, space)
+
+
+def diagonal_model(lx, ly, seed):
+    spec = LatticeSpec(lx, ly)
+    rng = np.random.default_rng(seed)
+    return CommutingModel(spec, {p: np.diag(rng.integers(0, 2, 16)).astype(float) for p in lattice.plaquettes(spec)})
+
+
+@pytest.mark.parametrize("lx, ly, seed", [(3, 3, 0), (3, 3, 2), (3, 3, 3), (4, 3, 2), (4, 3, 3), (5, 4, 1)])
+def test_stacks_with_several_support_groups_match_one_row_calls(lx, ly, seed, monkeypatch):
+    # random 0/1-diagonal terms keep different corners under different
+    # labels, so one stack's rows fall into several groups, one overlap
+    # graph each; on 4x3 and 5x4 the rows of one group also differ in
+    # their chain values, so each row must read its own matrices
+    prep = prepare(diagonal_model(lx, ly, seed))
+    graphs = []
+    build = verifier.build_overlap_graph
+    monkeypatch.setattr(verifier, "build_overlap_graph", lambda b, w: graphs.append(1) or build(b, w))
+    bits = len(prep.f_black) + len(prep.f_white)
+    space = np.array(list(itertools.product([0, 1], repeat=bits)), dtype=np.intp)
+    compute_omega(prep, space)
+    assert len(graphs) > 1
+    assert_stack_matches_rows(prep, space if bits <= 8 else next(_live_labels(prep, 16)))
+
+
+def test_live_label_stacks_are_capped_and_in_scan_order():
+    prep = prepare(gen_toric(LatticeSpec(6, 4)))
+    stacks = list(_live_labels(prep, 24))
+    assert max(len(rows) for rows in stacks) <= _CHUNK
+    rows = np.concatenate(stacks)
+    assert len(rows) == 8192
+    value = rows @ (1 << np.arange(rows.shape[1] - 1, -1, -1))
+    assert np.all(np.diff(value) > 0)  # lexicographic, black labels outermost, no repeats
 
 
 # ------------------------------------------------------------------- verify
