@@ -21,11 +21,8 @@ from .linalg import (
     NonHermitianError,
     OperatorSchmidt,
     algebra_classify,
-    commutator_norm,
-    ground_space_projector,
     herm_eig,
     operator_schmidt,
-    partial_trace,
     trace_product_embedded,
 )
 from .model import (
@@ -57,7 +54,6 @@ from .verifier import (
     Verdict,
     apply_certificate,
     build_overlap_graph,
-    certificates_lex,
     compute_omega,
     contract_component,
     effective_states,

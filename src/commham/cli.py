@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success/accept, 1 reject or no certificate found, 2 invalid
-input (flags, files, domains, size caps), 3 non-commuting model.
+input (flags, files, domains, size caps) or an output file that cannot be
+written, 3 non-commuting model.
 """
 from __future__ import annotations
 
@@ -164,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
     except _NON_COMMUTING as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_COMMUTING
-    except ValueError as exc:  # every input error (lattice, model, file, cap, domain) is one
+    # every input error (lattice, model, file, cap, domain) is a ValueError; an unwritable output an OSError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

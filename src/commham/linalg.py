@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -105,55 +104,6 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def _tensorized(op: LabeledOp) -> np.ndarray:
-    k = op.n_qubits
-    return op.mat.reshape((2,) * (2 * k))
-
-
-def permute_to(op: LabeledOp, new_labels: Sequence) -> LabeledOp:
-    new_labels = tuple(new_labels)
-    if new_labels == op.labels:
-        return op
-    if set(new_labels) != set(op.labels) or len(new_labels) != len(op.labels):
-        raise ValueError("new labels must be a permutation of the old ones")
-    k = op.n_qubits
-    perm = [op.labels.index(l) for l in new_labels]
-    t = _tensorized(op).transpose(perm + [k + p for p in perm])
-    return LabeledOp(t.reshape(2**k, 2**k), new_labels)
-
-
-def embed(op: LabeledOp, labels: Sequence) -> LabeledOp:
-    """Pad op with identities so it lives on the given larger label set."""
-    labels = tuple(labels)
-    extra = [l for l in labels if l not in op.labels]
-    if len(extra) + op.n_qubits != len(labels):
-        raise ValueError("target labels must contain all of the operator's labels")
-    big = np.kron(op.mat, np.eye(2 ** len(extra)))
-    return permute_to(LabeledOp(big, op.labels + tuple(extra)), labels)
-
-
-def partial_trace(op: LabeledOp, keep: Iterable) -> LabeledOp:
-    """Trace out all labels not in keep, preserving the original label order."""
-    keep = set(keep)
-    unknown = keep - set(op.labels)
-    if unknown:
-        raise ValueError(f"unknown labels {unknown}")
-    kept = [l for l in op.labels if l in keep]
-    traced = [l for l in op.labels if l not in keep]
-    p = permute_to(op, kept + traced)
-    dk, dt = 2 ** len(kept), 2 ** len(traced)
-    m = p.mat.reshape(dk, dt, dk, dt)
-    return LabeledOp(np.einsum("atbt->ab", m), kept)
-
-
-def sandwich_site(op: LabeledOp, label, proj: np.ndarray) -> LabeledOp:
-    """proj op proj with the 2x2 proj acting on one labelled qubit."""
-    k, i = op.n_qubits, op.labels.index(label)
-    t = np.moveaxis(_tensorized(op), (i, k + i), (0, 1))
-    t = np.einsum("ab,bc...,cd->ad...", proj, t, proj)
-    return LabeledOp(np.moveaxis(t, (0, 1), (i, k + i)).reshape(2**k, 2**k), op.labels)
-
-
 def state_projector(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
     return np.outer(vec, vec.conj())
@@ -172,13 +122,14 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(mat)
 
 
-def ground_band(mat: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+def ground_band(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projector onto the ground band (eigenvalues within max(GAP_RTOL spread,
     EIGH_RTOL |mat|_2) of the minimum), and the radius r = EIGH_RTOL spread / gap
     forgiven in its commutators (gap: band top to next eigenvalue).  r is a policy
     after Davis-Kahan, below the eigensolver's |mat|_2-relative error for shifted
     terms; r = 0 if all is band or the gap is below GAP_RTOL spread (unresolved).
-    A stack (..., d, d) gives the stacked projectors and an array of radii."""
+    A stack (..., d, d) gives the stacked projectors and an array of radii,
+    one matrix its projector and a 0-d radius."""
     w, v = herm_eig(mat)
     lo, hi = w[..., :1], w[..., -1:]
     spread = hi - lo
@@ -188,12 +139,7 @@ def ground_band(mat: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     resolved = (gap >= GAP_RTOL * spread) & (GAP_RTOL * spread > 0)
     radius = np.divide(EIGH_RTOL * spread, gap, out=np.zeros_like(gap), where=resolved)[..., 0]
     proj = (v * band[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (proj, float(radius)) if w.ndim == 1 else (proj, radius)
-
-
-def ground_space_projector(mat: np.ndarray) -> np.ndarray:
-    """Projector onto the ground band of `ground_band`."""
-    return ground_band(mat)[0]
+    return proj, radius
 
 
 @dataclass
@@ -212,9 +158,9 @@ def operator_schmidt(op: LabeledOp, split) -> OperatorSchmidt:
     if split not in op.labels:
         raise ValueError(f"label {split!r} not in operator labels")
     rest = [l for l in op.labels if l != split]
-    p = permute_to(op, rest + [split])
-    r = 2 ** len(rest)
-    m = p.mat.reshape(r, 2, r, 2)
+    k, i, r = op.n_qubits, op.labels.index(split), 2 ** len(rest)
+    # the split qubit's row and column axes moved last of their halves
+    m = np.moveaxis(op.mat.reshape((2,) * 2 * k), (i, k + i), (k - 1, 2 * k - 1)).reshape(r, 2, r, 2)
     t = m.transpose(0, 2, 1, 3).reshape(r * r, 4)
     u, s, vh = np.linalg.svd(t, full_matrices=False)
     terms: list[tuple[LabeledOp, np.ndarray]] = []
@@ -300,14 +246,6 @@ def common_eigenbasis(ops: Sequence[np.ndarray]) -> np.ndarray:
     if rank > 1:
         raise BasisMismatch("generators do not share an eigenbasis")
     return _axis_bases(axis[None])[0]
-
-
-def commutator_norm(a: LabeledOp, b: LabeledOp) -> float:
-    """Frobenius norm of [a, b] on the union of their labels."""
-    labels = sorted(set(a.labels) | set(b.labels))
-    am = embed(a, labels).mat
-    bm = embed(b, labels).mat
-    return frob(am @ bm - bm @ am)
 
 
 # ---------------------------------------------------------------------------

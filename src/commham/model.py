@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import LatticeSpec, Plaquette, Vertex, is_black
-from .linalg import COMMUTATION_TOL, HERMITICITY_RTOL, frob, ground_band
+from .linalg import COMMUTATION_TOL, HERMITICITY_RTOL, LabeledOp, frob, ground_band
 
 # pairs per batched factorization; bounds the kernel's working set
 _PAIR_CHUNK = 32
@@ -120,12 +120,6 @@ def _named(spec: LatticeSpec, first: np.ndarray, second: np.ndarray, norms: np.n
     return [(plist[i], plist[j], n) for i, j, n in zip(first.tolist(), second.tolist(), norms.tolist())]
 
 
-def _pair_norms(model: CommutingModel, mats: Mapping[Plaquette, np.ndarray]) -> PairNorms:
-    """|[mats[p], mats[q]]| for every intersecting pair, in `_intersecting_pairs` order."""
-    ids, distinct = _distinct(model.spec, mats)
-    return _named(model.spec, *_distinct_pair_norms(model.spec, ids, _traceless(distinct)))
-
-
 def _distinct_pair_norms(
     spec: LatticeSpec, ids: np.ndarray, distinct: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,6 +196,15 @@ def ground_projectors(model: CommutingModel) -> tuple[np.ndarray, np.ndarray]:
             f"ground projectors at {p} and {q} do not commute (norm {norm:.2e}){more}", bad
         )
     return ids, stack
+
+
+def projector_ops(spec: LatticeSpec, ids: np.ndarray, projectors: np.ndarray) -> dict[Plaquette, LabeledOp]:
+    """Each plaquette's ground projector on its corners, in `lattice.plaquettes`
+    order, from the (ids, projectors) of `ground_projectors`."""
+    return {
+        p: LabeledOp(projectors[i], tuple(lattice.corners(spec, p)))
+        for p, i in zip(lattice.plaquettes(spec), ids.tolist())
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import lattice
 from .lattice import Plaquette
 from .linalg import INTEGRALITY_RTOL, INTEGRALITY_TOL, SUM_TOL
 from .linalg import LabeledOp, trace_product_embedded
-from .model import CommutingModel, ground_projectors
+from .model import CommutingModel, ground_projectors, projector_ops
 from .verifier import (
     Certificate,
     PreparedModel,
@@ -47,26 +47,22 @@ def _black_first(spec: lattice.LatticeSpec) -> list[Plaquette]:
     return sorted(lattice.plaquettes(spec), key=lambda p: not lattice.is_black(p))
 
 
-def _projector_ops(m: CommutingModel | PreparedModel, order: list[Plaquette]) -> list[LabeledOp]:
-    """The ground projectors of the plaquettes in `order`, each on its
-    corners: a prepared model's own, else those `ground_projectors` gives."""
-    if isinstance(m, PreparedModel):
-        model, ids, projs = m.model, m.ids, m.projectors
-    else:
-        model, (ids, projs) = m, ground_projectors(m)
-    rows = dict(zip(lattice.plaquettes(model.spec), ids.tolist()))
-    return [LabeledOp(projs[rows[p]], tuple(lattice.corners(model.spec, p))) for p in order]
+def _layer_trace(spec: lattice.LatticeSpec, ops: dict[Plaquette, LabeledOp]) -> float:
+    """tr[(product of the black plaquettes' ops)(product of the white ones')],
+    each layer in plaquette order."""
+    return trace_product_embedded([ops[p] for p in _black_first(spec)]).real
 
 
 def total_overlap(model: CommutingModel) -> float:
     """tr[(product of black projectors)(product of white projectors)]."""
-    return trace_product_embedded(_projector_ops(model, _black_first(model.spec))).real
+    return _layer_trace(model.spec, projector_ops(model.spec, *ground_projectors(model)))
 
 
 def ground_dim(model: CommutingModel) -> int:
     """Dimension of the joint ground space, tr of the product of all
     projectors, asserted to be integral."""
-    val = trace_product_embedded(_projector_ops(model, lattice.plaquettes(model.spec))).real
+    ops = projector_ops(model.spec, *ground_projectors(model))
+    val = trace_product_embedded(list(ops.values())).real
     count = nearest_count(val)
     if count is None:
         raise IntegralityError(f"trace {val!r} is no non-negative integer count")
@@ -77,8 +73,7 @@ def dense_omega(m: CommutingModel | PreparedModel, cert: Certificate) -> float:
     """Certificate value as one trace on all N qubits of the literally
     sliced projectors, bypassing effective states and overlap graphs."""
     prep = _as_prepared(m)
-    sliced = apply_certificate(prep, cert)
-    return trace_product_embedded([sliced[p] for p in _black_first(prep.model.spec)]).real
+    return _layer_trace(prep.model.spec, apply_certificate(prep, cert))
 
 
 def certificate_sum(m: CommutingModel | PreparedModel) -> tuple[float, int]:
@@ -98,7 +93,7 @@ def certificate_sum(m: CommutingModel | PreparedModel) -> tuple[float, int]:
             if not res.zero:
                 total += 2.0**res.log2_magnitude
         evaluated += len(rows)
-    reference = trace_product_embedded(_projector_ops(prep, _black_first(prep.model.spec))).real
+    reference = _layer_trace(prep.model.spec, projector_ops(prep.model.spec, prep.ids, prep.projectors))
     if abs(total - reference) > SUM_TOL:
         raise IntegralityError(
             f"certificate sum {total!r} does not match the layer trace {reference!r}"

@@ -47,7 +47,7 @@ from .linalg import (
     IMAG_RTOL, LOG2_TIE_TOL, POSITIVITY_TOL, PRUNE_RTOL, ZERO_FLOOR,
     CapExceeded, LabeledOp, frob, trace_product_embedded,
 )
-from .model import CommutingModel, ground_projectors
+from .model import CommutingModel, ground_projectors, projector_ops
 
 VERTEX_OVERLAP = "vertex-overlap"
 COMPONENT = "component"
@@ -78,31 +78,6 @@ class Certificate:
     beta: dict[Vertex, int]
 
 
-@dataclass(eq=False)
-class PlaquetteTable:
-    """One plaquette's slicing data, read from R = U^dag P U.
-
-    The slice frame U is the Kronecker product over the corners of the
-    own-layer slice basis at own-split corners, the other layer's at
-    other-only corners and the identity at the `free` rest.  In it, slicing
-    keeps the rows and columns whose bit at a corner is the label, and
-    tracing out a rank-1 slice keeps that diagonal entry.  `norms[b]` is the
-    Frobenius norm of the block whose own-split rows and columns equal b,
-    the sliced projector's norm since U is unitary.  `blocks[own + other]`
-    is the diagonal block over all split corners: the effective state on
-    the free corners before pruning.  Plaquettes with one projector row
-    and the same frames in the same roles share one `norms` and one `blocks`.
-    """
-
-    color: str
-    corners: tuple[Vertex, ...]
-    own_split: tuple[Vertex, ...]
-    other_only: tuple[Vertex, ...]
-    free: tuple[Vertex, ...]
-    norms: np.ndarray
-    blocks: np.ndarray
-
-
 _ID2 = np.eye(2)
 _W4 = np.array([8, 4, 2, 1])  # a left-padded row of four 0/1 labels as a big-endian pattern
 _CHUNK = 4096  # label rows per stack of the layer scan
@@ -130,7 +105,14 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _slice_tables(projs: np.ndarray, frames: np.ndarray, roles: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(norms, blocks) per projector, frame per corner and role per corner
-    (0 own-split, 1 other-only, 2 free), batched per tuple of roles."""
+    (0 own-split, 1 other-only, 2 free), batched per tuple of roles, read
+    from R = U^dag P U, U the Kronecker product of the frames.  In it,
+    slicing keeps the rows and columns whose bit at a corner is the label,
+    and tracing out a rank-1 slice keeps that diagonal entry.  norms[b] is
+    the Frobenius norm of the block whose own-split rows and columns equal
+    b, the sliced projector's norm since U is unitary; blocks[own + other]
+    is the diagonal block over all split corners, the effective state on
+    the free corners before pruning."""
     u = _corner_kron(frames)
     r = u.conj().transpose(0, 2, 1) @ projs @ u
     first, kind_of = _distinct_rows(roles)
@@ -157,9 +139,9 @@ class CompiledModel:
 
     Labels form one vector in `label_order` plus a trailing 0 that pads
     rows of slots to four.  Row j is the plaquette `plaquettes[j]`, black
-    first, each color in row-major order: its corners' `roles` (0 own-split,
-    1 other-only, 2 free), its free corners' vertex ids then -1s, its table
-    `shared[which[j]]` (norms, blocks), its own-split slots and its table's
+    first, each color in row-major order: its free corners' (split in
+    neither layer) vertex ids then -1s, its table `shared[which[j]]`
+    (norms, blocks), its own-split slots and its table's
     offset in `dead` (the pattern annihilates it), and its own-split then
     other-only slots and its table's offset in the state table, where `scal`
     holds a scalar state, inf for a state with support or nan until first
@@ -175,7 +157,6 @@ class CompiledModel:
     spec: LatticeSpec
     plaquettes: list[Plaquette]
     n_black: int
-    roles: np.ndarray
     free: list[list[int]]
     which: np.ndarray
     shared: list[tuple[np.ndarray, np.ndarray]]
@@ -237,7 +218,7 @@ def _compile(prep: PreparedModel) -> CompiledModel:
     both = x_major[(black.split & white.split)[x_major]]
     a, b = black.basis[black.basis_row[both]], white.basis[white.basis_row[both]]
     return CompiledModel(
-        spec, lattice.vertices_of(spec, cs[:, 0]), int(is_black.sum()), roles,
+        spec, lattice.vertices_of(spec, cs[:, 0]), int(is_black.sum()),
         _rows_by(~free, np.where(free, cs, -1)).tolist(), which, shared,
         _rows_by(roles == 0, np.where(roles == 0, slot, nb + nw)), norm_at[which],
         np.concatenate([nm.ravel() for nm, _ in shared]) <= ZERO_FLOOR,
@@ -261,9 +242,8 @@ class PreparedModel:
     labels at its corners.  On the first evaluation (never in `prepare`)
     the model is compiled to a `CompiledModel`: norm and block tables, one
     per projector row and slice frames, and index arrays that turn a
-    certificate into gathers; `table(p)` reads one plaquette's as a
-    `PlaquetteTable`.  Effective states are memoized per (shared table,
-    pattern).  Every array and entry is a deterministic
+    certificate into gathers.  Effective states are memoized per (shared
+    table, pattern).  Every array and entry is a deterministic
     function of the model, so a concurrent duplicate write stores an equal
     value and concurrent verification of distinct certificates against one
     prepared model is safe.
@@ -290,26 +270,11 @@ class PreparedModel:
         of a certificate's labels as a vector."""
         return sorted(self.f_black), sorted(self.f_white)
 
-    def projector_ops(self) -> dict[Plaquette, LabeledOp]:
-        """Each plaquette's ground projector on its corners, in `plaquettes` order."""
-        spec = self.model.spec
-        return {
-            p: LabeledOp(self.projectors[i], tuple(lattice.corners(spec, p)))
-            for p, i in zip(lattice.plaquettes(spec), self.ids.tolist())
-        }
-
     def compiled(self) -> CompiledModel:
         c = self._compiled
         if c is None:
             c = self._compiled = _compile(self)
         return c
-
-    def table(self, p: Plaquette) -> PlaquetteTable:
-        c = self.compiled()
-        j = c.plaquettes.index(p)
-        cs, roles = tuple(lattice.corners(self.model.spec, p)), c.roles[j].tolist()
-        parts = (tuple(v for v, r in zip(cs, roles) if r == x) for x in range(3))
-        return PlaquetteTable(lattice.plaquette_color(p), cs, *parts, *c.shared[c.which[j]])
 
 
 def prepare(model: CommutingModel) -> PreparedModel:
@@ -329,8 +294,9 @@ def _bad_label(b) -> bool:
 
 
 def _label_vector(prep: PreparedModel, cert: Certificate | np.ndarray) -> np.ndarray:
-    """The labels as a 0/1 vector in `label_order` plus the padding 0; a
-    vector, or a 2-D stack of them, is taken as it is and padded.  Raises
+    """The labels as a 0/1 intp vector in `label_order` plus the padding 0
+    (the pattern gathers multiply by int64 weights); a vector, or a 2-D
+    stack of them, is taken as it is and padded.  Raises
     CertificateDomainError unless the labels cover exactly the split
     vertices with integers 0 and 1."""
     order = prep.label_order
@@ -355,7 +321,7 @@ def _label_vector(prep: PreparedModel, cert: Certificate | np.ndarray) -> np.nda
             for v, b in labels.items():
                 if _bad_label(b):
                     raise CertificateDomainError(f"{name}[{v}] = {b!r}, must be 0 or 1")
-    return np.frombuffer(bytes(values) + b"\0", dtype=np.uint8)
+    return np.frombuffer(bytes(values) + b"\0", dtype=np.uint8).astype(np.intp)
 
 
 def apply_certificate(prep: PreparedModel, cert: Certificate) -> dict[Plaquette, LabeledOp]:
@@ -364,7 +330,7 @@ def apply_certificate(prep: PreparedModel, cert: Certificate) -> dict[Plaquette,
     plaquette tables replace inside `compute_omega`."""
     _label_vector(prep, cert)
     out = {}
-    for p, op in prep.projector_ops().items():
+    for p, op in projector_ops(prep.model.spec, prep.ids, prep.projectors).items():
         own, labels = (prep.black, cert.alpha) if lattice.is_black(p) else (prep.white, cert.beta)
         pi = _corner_kron(np.array([
             own.decomps[v].slice_projector(labels[v]) if v in labels else _ID2
@@ -703,19 +669,6 @@ def verify(
     omega = compute_omega(prep, cert)
     accept = (not omega.zero) and omega.log2_magnitude >= log2_threshold
     return Verdict(accept, omega, log2_threshold)
-
-
-def certificates_lex(
-    f_black: frozenset[Vertex], f_white: frozenset[Vertex]
-):
-    """All certificates in lexicographic order, black labels outermost."""
-    fb, fw = sorted(f_black), sorted(f_white)
-    nb, nw = len(fb), len(fw)
-    for a in range(1 << nb):
-        alpha = {v: (a >> (nb - 1 - i)) & 1 for i, v in enumerate(fb)}
-        for b in range(1 << nw):
-            beta = {v: (b >> (nw - 1 - i)) & 1 for i, v in enumerate(fw)}
-            yield Certificate(dict(alpha), beta)
 
 
 def _live_rows(c: CompiledModel, lo: int, hi: int, n: int, rows: range):

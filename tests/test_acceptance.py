@@ -27,12 +27,12 @@ from commham.verifier import (
     EffectiveState,
     apply_certificate,
     build_overlap_graph,
-    certificates_lex,
     compute_omega,
     effective_states,
     prepare,
     verify,
 )
+from reference import certificates_lex
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

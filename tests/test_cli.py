@@ -263,6 +263,20 @@ def test_prove_not_found_exit_1(tmp_path):
                  "-o", str(tmp_path / "c.json")]) == 1
 
 
+def test_gen_unwritable_output_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "m.json")
+    assert main(["gen", "--model", "toric", "--lx", "3", "--ly", "3", "-o", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_prove_output_directory_exit_2(tmp_path, capsys):
+    # the search finishes, then the certificate cannot be written to a directory
+    mfile = str(tmp_path / "m.json")
+    save_model(gen_toric(LatticeSpec(3, 3)), mfile)
+    assert main(["prove", mfile, "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_prove_greedy_bad_restarts_exit_2(tmp_path):
     mfile = str(tmp_path / "m.json")
     save_model(gen_toric(LatticeSpec(3, 3)), mfile)

@@ -4,8 +4,8 @@ import pytest
 
 from commham import lattice, linalg
 from commham.lattice import LatticeSpec
-from commham.model import gen_toric
-from commham.oracle import _black_first, _projector_ops
+from commham.model import gen_toric, ground_projectors, projector_ops
+from commham.oracle import _black_first
 
 
 def reference_plan(ops):
@@ -39,6 +39,12 @@ LADDER = [LatticeSpec(lx, ly) for lx in range(2, 12) for ly in range(2, 12) if l
 ORDERS = {"black-first": _black_first, "plaquette": lattice.plaquettes}
 
 
+def toric_projectors(spec, order):
+    """The toric model's ground projectors on their corners, in the given order."""
+    ops = projector_ops(spec, *ground_projectors(gen_toric(spec)))
+    return [ops[p] for p in ORDERS[order](spec)]
+
+
 def plan_size(ends, plan):
     return max(len(out) for *_, out in plan), linalg._plan_cost(ends, plan)[1]
 
@@ -48,7 +54,7 @@ def plan_size(ends, plan):
 def test_plan_no_wider_or_costlier_than_reference(spec, order, monkeypatch):
     # planners stop at the wire bound; lifted, they plan the whole network
     monkeypatch.setattr(linalg, "_MAX_OPEN_WIRES", 10**6)
-    ops = _projector_ops(gen_toric(spec), ORDERS[order](spec))
+    ops = toric_projectors(spec, order)
     widths, cost = reference_plan(ops)
     ends = linalg._wire_network(ops)[1]
     # scanning only the operators on open wires finds the reference's plan
@@ -66,5 +72,5 @@ def test_plan_no_wider_or_costlier_than_reference(spec, order, monkeypatch):
 def test_plan_widths(spec, order, width):
     # the pairwise plan narrows the torus and 20x4 in plaquette order; on
     # 8x8 in plaquette order one operator at a time stays cheaper
-    ends = linalg._wire_network(_projector_ops(gen_toric(spec), ORDERS[order](spec)))[1]
+    ends = linalg._wire_network(toric_projectors(spec, order))[1]
     assert plan_size(ends, linalg._plan(ends))[0] == width

@@ -13,9 +13,7 @@ from commham.linalg import (
     PAULI_Y,
     PAULI_Z,
     algebra_classify,
-    commutator_norm,
     common_eigenbasis,
-    embed,
     frob,
     operator_schmidt,
 )
@@ -25,24 +23,13 @@ from commham.model import (
     gen_rotated_classical,
     gen_toric,
     ground_projectors,
+    projector_ops,
 )
-
-
-def kron(*ms):
-    out = np.eye(1, dtype=complex)
-    for m in ms:
-        out = np.kron(out, m)
-    return out
+from reference import commutator_norm, embed, kron, projector_map, sandwich_site
 
 
 def layer_pair(model):
     return decompose_layers(model.spec, *ground_projectors(model))
-
-
-def projector_map(model):
-    """The ground projector of each plaquette, keyed by plaquette."""
-    ids, stack = ground_projectors(model)
-    return dict(zip(lattice.plaquettes(model.spec), stack[ids]))
 
 
 def test_toric_black_layer_splits_on_z():
@@ -188,34 +175,24 @@ def test_factorization_after_full_slice_choice():
     # tensor product of per-plaquette sandwiches; dense check on 9 qubits
     spec = LatticeSpec(3, 3)
     m = gen_toric(spec)
-    projs = projector_map(m)
+    blacks = [op for p, op in projector_ops(spec, *ground_projectors(m)).items() if lattice.is_black(p)]
     black, _ = layer_pair(m)
     labels = sorted(spec.vertices())
 
     full = np.eye(2**9, dtype=complex)
-    for p in lattice.plaquettes(spec):
-        if lattice.is_black(p):
-            full = full @ embed(
-                LabeledOp(projs[p], tuple(lattice.corners(spec, p))), labels
-            ).mat
+    for op in blacks:
+        full = full @ embed(op, labels).mat
 
     for choice in (0, 1):
         slicer = np.eye(2**9, dtype=complex)
         for v in black.split_vertices:
-            slicer = slicer @ embed(
-                LabeledOp(black.decomps[v].slice_projector(choice), (v,)), labels
-            ).mat
+            slicer = slicer @ embed(LabeledOp(black.decomps[v].slice_projector(choice), (v,)), labels).mat
         left = slicer @ full @ slicer
 
         right = np.eye(2**9, dtype=complex)
-        for p in lattice.plaquettes(spec):
-            if not lattice.is_black(p):
-                continue
-            op = LabeledOp(projs[p], tuple(lattice.corners(spec, p)))
+        for op in blacks:
             for v in op.labels:
                 if black.decomps[v].split:
-                    from commham.linalg import sandwich_site
-
                     op = sandwich_site(op, v, black.decomps[v].slice_projector(choice))
             right = right @ embed(op, labels).mat
         assert frob(left - right) <= 1e-8

@@ -11,9 +11,8 @@ from commham.linalg import (
     PAULI_X,
     PAULI_Z,
     LabeledOp,
-    commutator_norm,
     frob,
-    ground_space_projector,
+    ground_band,
 )
 from commham.model import (
     COMMUTATION_TOL,
@@ -28,19 +27,7 @@ from commham.model import (
     gen_toric,
     ground_projectors,
 )
-
-
-def projector_map(m):
-    """The ground projector of each plaquette, keyed by plaquette."""
-    ids, stack = ground_projectors(m)
-    return dict(zip(lattice.plaquettes(m.spec), stack[ids]))
-
-
-def kron(*ms):
-    out = np.eye(1, dtype=complex)
-    for m in ms:
-        out = np.kron(out, m)
-    return out
+from reference import commutator_norm, kron, pair_norms, projector_map
 
 
 Z4 = kron(PAULI_Z, PAULI_Z, PAULI_Z, PAULI_Z)
@@ -135,6 +122,19 @@ def test_toric_projectors_match_stabilizers():
     for p, mat in projector_map(m).items():
         want = (np.eye(16) + (Z4 if lattice.is_black(p) else X4)) / 2
         assert frob(mat - want) < 1e-10
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec(4, 3), LatticeSpec(4, 4, "periodic")], ids=str)
+def test_projector_ops_put_each_projector_on_its_corners(spec):
+    # every term distinct: a projector on another plaquette, or on its
+    # corners in another order, shows; from ground_projectors and from prepare
+    m = gen_random(spec, 0, "rotated-classical")
+    prep = verifier.prepare(m)
+    for ops in (model.projector_ops(spec, *ground_projectors(m)), model.projector_ops(spec, prep.ids, prep.projectors)):
+        assert list(ops) == lattice.plaquettes(spec)
+        for p, op in ops.items():
+            assert op.labels == tuple(lattice.corners(spec, p))
+            assert frob(op.mat - ground_band(m.terms[p])[0]) <= 1e-12
 
 
 def test_ground_projectors_reject_noncommuting():
@@ -314,7 +314,7 @@ def reference_norms(m, mats):
 
 
 def assert_kernel_matches(m, mats):
-    got = model._pair_norms(m, mats)
+    got = pair_norms(m, mats)
     want = reference_norms(m, mats)
     assert [(p, q) for p, q, _ in got] == [(p, q) for p, q, _, _ in want]
     for (_, _, norm), (_, _, ref, scale) in zip(got, want):
@@ -327,7 +327,7 @@ def assert_kernel_matches(m, mats):
 def test_pair_norms_match_commutator_norm(spec, eps, perturbed):
     m = perturbed(gen_random(spec, 0, "rotated-classical"), eps, 1)
     assert_kernel_matches(m, m.terms)
-    assert_kernel_matches(m, {p: ground_space_projector(h) for p, h in m.terms.items()})
+    assert_kernel_matches(m, {p: ground_band(h)[0] for p, h in m.terms.items()})
 
 
 # rank-deficient terms: at one- and two-corner alignments many factor rows are exactly 0
@@ -423,7 +423,7 @@ def test_ground_projectors_report_every_violation():
         g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         terms[p] = terms[p] + 0.3 * (g + g.conj().T)
     bad = CommutingModel(m.spec, terms)
-    projs = {p: ground_space_projector(h) for p, h in terms.items()}
+    projs = {p: ground_band(h)[0] for p, h in terms.items()}
     want = [(p, q, n) for p, q, n, _ in reference_norms(bad, projs) if n > COMMUTATION_TOL]
     assert len(want) > 1
     with pytest.raises(NonCommutingError) as err:

@@ -12,7 +12,8 @@ from commham.linalg import CapExceeded
 from commham.model import CommutingModel, gen_ising, gen_random, gen_signed_toric, gen_toric
 from commham.oracle import dense_omega, total_overlap
 from commham.prover import exhaustive_search, greedy_search
-from commham.verifier import ZERO_FLOOR, certificates_lex, compute_omega, prepare, verify
+from commham.verifier import ZERO_FLOOR, compute_omega, prepare, verify
+from reference import certificates_lex
 
 
 def frustrated_signed_toric():
@@ -53,8 +54,6 @@ def test_exhaustive_returns_maximum():
     prep = prepare(gen_ising(LatticeSpec(3, 3), 1.0, 0.0))
     r = exhaustive_search(prep)
     assert r.found
-    from commham.verifier import certificates_lex, compute_omega
-
     best = max(
         (
             0.0

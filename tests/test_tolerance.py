@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from commham.lattice import LatticeSpec
 from commham.model import CommutingModel, gen_ising, gen_random, gen_toric
 from commham.prover import exhaustive_search
-from commham.verifier import Certificate, certificates_lex, compute_omega, prepare, verify
+from commham.verifier import Certificate, compute_omega, prepare, verify
+from reference import certificates_lex
 
 OPEN_4x4 = LatticeSpec(4, 4)
 FAMILIES = ["toric", "ising", "rotated-classical", "signed-toric", "diagonal-field"]

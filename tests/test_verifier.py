@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from commham import lattice
 from commham.lattice import BLACK, WHITE, LatticeSpec
-from commham.linalg import (
-    PAULI_Z, PRUNE_RTOL, LabeledOp, embed, frob, partial_trace, sandwich_site,
-)
-from commham.model import CommutingModel, gen_ising, gen_random, gen_toric
+from commham.linalg import PAULI_Z, PRUNE_RTOL, LabeledOp, frob
+from commham.model import CommutingModel, gen_ising, gen_random, gen_toric, projector_ops
 from commham.oracle import dense_omega
 from commham.prover import exhaustive_search
 from commham import verifier
@@ -33,13 +31,13 @@ from commham.verifier import (
     _prune,
     apply_certificate,
     build_overlap_graph,
-    certificates_lex,
     compute_omega,
     contract_component,
     effective_states,
     prepare,
     verify,
 )
+from reference import certificates_lex, embed, partial_trace, plaquette_table, sandwich_site
 
 
 def all_zero_cert(prep):
@@ -648,14 +646,15 @@ def test_plaquette_table_matches_sandwich_reference(family, haar_conjugated):
     # corner
     prep = prepare(table_family_model(family, haar_conjugated))
     layers = {BLACK: prep.black, WHITE: prep.white}
+    ops = projector_ops(prep.model.spec, prep.ids, prep.projectors)
     zeros = patterns = 0
     for p in lattice.plaquettes(prep.model.spec):
-        table = prep.table(p)
+        table = plaquette_table(prep, p)
         layer = layers[table.color]
         corners = tuple(lattice.corners(prep.model.spec, p))
         assert table.own_split == tuple(v for v in corners if v in layer.split_vertices)
         for bits in itertools.product((0, 1), repeat=len(table.own_split)):
-            ref = prep.projector_ops()[p]
+            ref = ops[p]
             for v, b in zip(table.own_split, bits):
                 ref = sandwich_site(ref, v, layer.decomps[v].slice_projector(b))
             op = apply_certificate(prep, local_cert(prep, table, bits))[p]
@@ -676,14 +675,15 @@ def test_effective_states_match_sandwich_trace_reference(family, haar_conjugated
     prep = prepare(table_family_model(family, haar_conjugated))
     layers = {BLACK: (prep.black, prep.white), WHITE: (prep.white, prep.black)}
     plaquettes = lattice.plaquettes(prep.model.spec)
-    assert any(prep.table(p).other_only for p in plaquettes) == (family in OTHER_ONLY_FAMILIES)
+    ops = projector_ops(prep.model.spec, prep.ids, prep.projectors)
+    assert any(plaquette_table(prep, p).other_only for p in plaquettes) == (family in OTHER_ONLY_FAMILIES)
     for p in plaquettes:
-        table = prep.table(p)
+        table = plaquette_table(prep, p)
         own, other = layers[table.color]
         k = len(table.own_split)
         split = table.own_split + table.other_only
         for bits in itertools.product((0, 1), repeat=len(split)):
-            ref = prep.projector_ops()[p]
+            ref = ops[p]
             for i, (v, b) in enumerate(zip(split, bits)):
                 ref = sandwich_site(ref, v, (own if i < k else other).decomps[v].slice_projector(b))
             ref = prune_reference(partial_trace(ref, [v for v in ref.labels if v not in split]))
@@ -778,7 +778,7 @@ def property_model(family, shape, seed, haar_conjugated):
 
 def test_property_models_have_other_only_corners_and_chains(haar_conjugated):
     preps = [prepare(property_model(f, (4, 4), 0, haar_conjugated)) for f in PROPERTY_FAMILIES]
-    assert any(prep.table(p).other_only for prep in preps for p in lattice.plaquettes(prep.model.spec))
+    assert any(plaquette_table(prep, p).other_only for prep in preps for p in lattice.plaquettes(prep.model.spec))
     states = [s for prep in preps for layer in effective_states(prep, all_zero_cert(prep))[:2] for s in layer]
     assert any(s.support for s in states)
 
