@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -141,17 +142,17 @@ class CompiledModel:
     rows of slots to four.  Row j is the plaquette `plaquettes[j]`, black
     first, each color in row-major order: its free corners' (split in
     neither layer) vertex ids then -1s, its table `shared[which[j]]`
-    (norms, blocks), its own-split slots and its table's
-    offset in `dead` (the pattern annihilates it), and its own-split then
-    other-only slots and its table's offset in the state table, where `scal`
-    holds a scalar state, inf for a state with support or nan until first
+    (norms, blocks), its own-split slots, and its own-split then other-only
+    slots and its table's offset in the state table, where `dead` marks the
+    entries whose own-split bits annihilate it, `scal` holds a scalar
+    state, inf for a state with support or nan until first
     read, `kept` the pruned state as (kept positions in `free`, matrix) and
     `code` those positions as a bitmask, 0 for a scalar.
     The vertices split in both layers, sorted, are `both`; their rows of
     label slots (padding, padding, black, white) `both_slots` give the
-    pattern 2a + b that, plus 4 i, indexes `overlap`, tr[pi_a pibar_b] =
-    |<black a|white b>|^2 of vertex i.  `unsplit` lists the vertices split
-    in neither layer, in vertex order.
+    pattern 2a + b that, plus `overlap_at[i]` = 4 i, indexes `overlap`,
+    tr[pi_a pibar_b] = |<black a|white b>|^2 of vertex i.  `unsplit` lists
+    the vertices split in neither layer, in vertex order.
     """
 
     spec: LatticeSpec
@@ -161,27 +162,32 @@ class CompiledModel:
     which: np.ndarray
     shared: list[tuple[np.ndarray, np.ndarray]]
     own_slots: np.ndarray
-    norm_at: np.ndarray
-    dead: np.ndarray
     split_slots: np.ndarray
     state_at: np.ndarray
+    dead: np.ndarray
     scal: np.ndarray
     kept: list
     code: np.ndarray
     both: list[Vertex]
     both_slots: np.ndarray
+    overlap_at: np.ndarray
     overlap: np.ndarray
     unsplit: list[Vertex]
+
+    def entries(self, bx: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The state-table entry of each plaquette of `rows` under the labels
+        (a padded vector, or a stack of them)."""
+        return self.state_at[rows] + np.take(bx, self.split_slots[rows], axis=-1) @ _W4
 
     def annihilated(self, bx: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Whether the labels (a padded vector, or a stack of them)
         annihilate each plaquette of `rows`."""
-        return self.dead[self.norm_at[rows] + np.take(bx, self.own_slots[rows], axis=-1) @ _W4]
+        return self.dead[self.entries(bx, rows)]
 
     def overlaps(self, bx: np.ndarray) -> np.ndarray:
         """The overlap of each vertex in `both` under the labels (a padded
         vector, or a stack of them)."""
-        return self.overlap[4 * np.arange(len(self.both)) + np.take(bx, self.both_slots, axis=-1) @ _W4]
+        return self.overlap[self.overlap_at + np.take(bx, self.both_slots, axis=-1) @ _W4]
 
 
 def _rows_by(key: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -213,19 +219,21 @@ def _compile(prep: PreparedModel) -> CompiledModel:
     content = _distinct_rows(frames.reshape(-1, 4).view(float))[1]
     first, which = _distinct_rows(np.column_stack([ids, roles, content[frame]]))
     shared = _slice_tables(prep.projectors[ids[first]], frames[frame[first]], roles[first])
-    norm_at = np.cumsum([0] + [nm.size for nm, _ in shared])
     state_at = np.cumsum([0] + [bl.size // bl.shape[-1] ** 2 for _, bl in shared])
+    # an entry's pattern leads with its own-split bits, so each norm covers
+    # a run of entries; one repeat for all tables, as there may be thousands
+    sizes = np.array([nm.size for nm, _ in shared])
+    norms = np.concatenate([nm.ravel() for nm, _ in shared])
+    dead = np.repeat(norms <= ZERO_FLOOR, np.repeat(np.diff(state_at) // sizes, sizes))
     both = x_major[(black.split & white.split)[x_major]]
     a, b = black.basis[black.basis_row[both]], white.basis[white.basis_row[both]]
     return CompiledModel(
         spec, lattice.vertices_of(spec, cs[:, 0]), int(is_black.sum()),
         _rows_by(~free, np.where(free, cs, -1)).tolist(), which, shared,
-        _rows_by(roles == 0, np.where(roles == 0, slot, nb + nw)), norm_at[which],
-        np.concatenate([nm.ravel() for nm, _ in shared]) <= ZERO_FLOOR,
-        _rows_by((roles + 1) % 3, slot), state_at[which],
-        np.full(state_at[-1], np.nan), [None] * int(state_at[-1]), np.zeros(state_at[-1], dtype=np.uint8),
+        _rows_by(roles == 0, np.where(roles == 0, slot, nb + nw)), _rows_by((roles + 1) % 3, slot), state_at[which],
+        dead, np.full(state_at[-1], np.nan), [None] * int(state_at[-1]), np.zeros(state_at[-1], dtype=np.uint8),
         lattice.vertices_of(spec, both), np.column_stack([np.full((len(both), 2), nb + nw), sb[both], sw[both]]),
-        (np.abs(a.conj().transpose(0, 2, 1) @ b) ** 2).ravel(),
+        4 * np.arange(len(both)), (np.abs(a.conj().transpose(0, 2, 1) @ b) ** 2).ravel(),
         lattice.vertices_of(spec, np.flatnonzero(~(black.split | white.split))),
     )
 
@@ -270,6 +278,13 @@ class PreparedModel:
         of a certificate's labels as a vector."""
         return sorted(self.f_black), sorted(self.f_white)
 
+    @cached_property
+    def label_getters(self) -> tuple[Callable[[dict], tuple], ...]:
+        """Per layer, one C-level gather of a dict's labels in `label_order`,
+        as a tuple (which `itemgetter` returns only for two keys or more)."""
+        return tuple(itemgetter(*w) if len(w) > 1 else lambda d, w=w: tuple(map(d.__getitem__, w))
+                     for w in self.label_order)
+
     def compiled(self) -> CompiledModel:
         c = self._compiled
         if c is None:
@@ -306,22 +321,30 @@ def _label_vector(prep: PreparedModel, cert: Certificate | np.ndarray) -> np.nda
                 or np.any((cert != 0) & (cert != 1))):
             raise CertificateDomainError(f"a label vector must hold {n} integers 0 or 1")
         return np.concatenate([cert, np.zeros(cert.shape[:-1] + (1,), cert.dtype)], axis=-1)
-    values = []
-    for name, labels, want in (("alpha", cert.alpha, order[0]), ("beta", cert.beta, order[1])):
-        if len(labels) != len(want) or not all(map(labels.__contains__, want)):
-            extra = sorted(set(labels) - set(want))
-            missing = sorted(set(want) - set(labels))
-            raise CertificateDomainError(
-                f"{name} labels must cover exactly the split vertices; "
-                f"extra={extra} missing={missing}"
-            )
-        values += map(labels.__getitem__, want)
-    if set(map(type, values)) != {int} or not set(values) <= {0, 1}:
+    values = ()
+    for name, labels, want, get in zip(("alpha", "beta"), (cert.alpha, cert.beta), order, prep.label_getters):
+        try:
+            if len(labels) == len(want):
+                values += get(labels)
+                continue
+        except KeyError:
+            pass
+        raise CertificateDomainError(
+            f"{name} labels must cover exactly the split vertices; "
+            f"extra={sorted(set(labels) - set(want))} missing={sorted(set(want) - set(labels))}"
+        )
+    # bytes() takes ints 0..255, bools and numpy ints; the type pass sends the
+    # last two to the one-by-one check, so labels that pass it were taken
+    try:
+        bx = np.frombuffer(bytes(values) + b"\0", dtype=np.uint8)
+    except (TypeError, ValueError):
+        bx = None
+    if bx is None or bx.max() > 1 or set(map(type, values)) != {int}:
         for name, labels in (("alpha", cert.alpha), ("beta", cert.beta)):
             for v, b in labels.items():
                 if _bad_label(b):
                     raise CertificateDomainError(f"{name}[{v}] = {b!r}, must be 0 or 1")
-    return np.frombuffer(bytes(values) + b"\0", dtype=np.uint8).astype(np.intp)
+    return bx.astype(np.intp)
 
 
 def apply_certificate(prep: PreparedModel, cert: Certificate) -> dict[Plaquette, LabeledOp]:
@@ -373,13 +396,12 @@ def _prune(block: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(kept), t.reshape(2 ** len(kept), -1)
 
 
-def _state_index(c: CompiledModel, bx: np.ndarray) -> np.ndarray:
-    """Each plaquette's entry in the state table under the labels (a padded
-    vector, or a stack of them), pruning and checking each entry not read
-    before once, at its first read in row order."""
-    idx = c.state_at + np.take(bx, c.split_slots, axis=-1) @ _W4
-    flat = idx.ravel()
-    new = np.flatnonzero(np.isnan(c.scal[flat]))
+def _state_values(c: CompiledModel, idx: np.ndarray) -> np.ndarray:
+    """The `scal` value of each state-table entry of idx (a row of the
+    plaquettes' entries, or a stack of rows), pruning and checking each
+    entry not read before once, at its first read in row order."""
+    vals, flat = c.scal[idx], idx.ravel()
+    new = np.flatnonzero(np.isnan(vals))
     if new.size:
         new = new[np.sort(np.unique(flat[new], return_index=True)[1])]
     for k in new.tolist():
@@ -398,7 +420,7 @@ def _state_index(c: CompiledModel, bx: np.ndarray) -> np.ndarray:
         # `kept` and `code` before `scal`, which tells readers they are there
         c.kept[e], c.code[e] = (kept, mat), sum(1 << q for q in kept)
         c.scal[e] = math.inf if kept else mat[0, 0].real
-    return idx
+    return c.scal[idx] if new.size else vals
 
 
 def _states(c: CompiledModel, idx: np.ndarray, rows) -> list[EffectiveState]:
@@ -430,7 +452,9 @@ def effective_states(
     """
     bx = _label_vector(prep, cert)
     c = prep.compiled()
-    states = _states(c, _state_index(c, bx), range(len(c.plaquettes)))
+    idx = c.entries(bx)
+    _state_values(c, idx)
+    states = _states(c, idx, range(len(c.plaquettes)))
     overlaps = list(zip(c.both, c.overlaps(bx).tolist()))
     return states[: c.n_black], states[c.n_black :], overlaps
 
@@ -586,8 +610,9 @@ def _omega_rows(c: CompiledModel, bx: np.ndarray) -> list[OmegaResult]:
     components are contracted once for all of them, on stacked matrices.
     A group of one row is read unstacked."""
     out: list = [None] * len(bx)
-    # an annihilated plaquette zeroes Omega before any effective state is read
-    dead = c.annihilated(bx)
+    # an annihilated plaquette (a dead entry) zeroes Omega before any state is read
+    idx = c.entries(bx)
+    dead = c.dead[idx]
     reached = []
     for r, killed in enumerate(dead.any(axis=1).tolist()):
         if killed:
@@ -598,11 +623,10 @@ def _omega_rows(c: CompiledModel, bx: np.ndarray) -> list[OmegaResult]:
     if not reached:
         return out
     if len(reached) < len(bx):
-        bx = bx[reached]
+        bx, idx = bx[reached], idx[reached]
 
     overlaps = c.overlaps(bx)
-    idx = _state_index(c, bx)
-    vals = c.scal[idx]
+    vals = _state_values(c, idx)
     # a vanishing overlap or scalar state zeroes Omega; a state with support reads inf
     held = (overlaps > ZERO_FLOOR).all(axis=1) & (vals > ZERO_FLOOR).all(axis=1)
     rows = held.nonzero()[0].tolist()

@@ -14,6 +14,7 @@ from commham.linalg import PAULI_Z, PRUNE_RTOL, LabeledOp, frob
 from commham.model import CommutingModel, gen_ising, gen_random, gen_toric, projector_ops
 from commham.oracle import dense_omega
 from commham.prover import exhaustive_search
+from commham.serialize import load_certificate, save_certificate
 from commham import verifier
 from commham.verifier import (
     _CHUNK,
@@ -161,6 +162,32 @@ def test_orthogonal_cross_layer_slices_zero_overlap():
     )
 
 
+def test_annihilated_plaquettes_follow_the_own_layer_bits():
+    # black (1, 1) has -Z at its own-split corner (1, 1), so label 1 there
+    # annihilates it, and the white-only split (2, 1) as an other-only
+    # corner: its state-table entries carry both bits, and the annihilated
+    # mask must read the own one, as the literal sliced projectors do
+    spec = LatticeSpec(4, 3)
+
+    def minus_z(p, v):
+        return -functools.reduce(np.kron, [PAULI_Z if c == v else np.eye(2) for c in lattice.corners(spec, p)])
+
+    terms = {p: np.zeros((16, 16)) for p in lattice.plaquettes(spec)}
+    for p, v in [((0, 0), (1, 1)), ((1, 1), (1, 1)), ((1, 0), (2, 1)), ((2, 1), (2, 1))]:
+        terms[p] = minus_z(p, v)
+    prep = prepare(CommutingModel(spec, terms))
+    table = plaquette_table(prep, (1, 1))
+    assert (table.own_split, table.other_only) == (((1, 1),), ((2, 1),))
+    assert table.norms[1] <= ZERO_FLOOR < table.norms[0]
+    c = prep.compiled()
+    for cert in certificates_lex(prep.f_black, prep.f_white):
+        sliced = apply_certificate(prep, cert)
+        want = [frob(sliced[p].mat) <= ZERO_FLOOR for p in c.plaquettes]
+        assert c.annihilated(verifier._label_vector(prep, cert)).tolist() == want
+        res = compute_omega(prep, cert)
+        assert res.zero == any(want) == (abs(dense_omega(prep, cert)) <= 1e-11)
+
+
 def test_certificate_domain_errors():
     prep = prepare(gen_toric(LatticeSpec(3, 3)))
     with pytest.raises(CertificateDomainError):
@@ -210,6 +237,112 @@ def test_label_vectors_checked():
                 np.zeros((3, n - 1), dtype=int), np.full((3, n), 2), np.zeros((2, 3, n), dtype=int)):
         with pytest.raises(CertificateDomainError):
             compute_omega(prep, bad)
+
+
+def omega_summary(res):
+    return res.zero, res.log2_magnitude, res.nonzero
+
+
+def domain_message(prep, cert):
+    with pytest.raises(CertificateDomainError) as exc:
+        compute_omega(prep, cert)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("model, sizes", [
+    (lambda: gen_toric(LatticeSpec(3, 3)), (1, 1)),
+    (lambda: gen_ising(LatticeSpec(3, 3), 1.0, 0.0), (1, 0)),
+    (lambda: gen_toric(LatticeSpec(2, 2)), (0, 0)),
+], ids=["toric 3x3", "ising 3x3", "toric 2x2"])
+def test_label_gather_handles_layers_of_one_and_no_split_vertex(model, sizes):
+    # `itemgetter` returns a bare value for one key and needs at least one
+    prep = prepare(model())
+    black, white = prep.label_order
+    assert (len(black), len(white)) == sizes
+    for bits in itertools.product((0, 1), repeat=sum(sizes)):
+        cert = Certificate(dict(zip(black, bits)), dict(zip(white, bits[len(black) :])))
+        assert verifier._label_vector(prep, cert).tolist() == [*bits, 0]
+        want = compute_omega(prep, np.array(bits, dtype=int))
+        assert omega_summary(compute_omega(prep, cert)) == omega_summary(want)
+    assert prep.label_getters is prep.label_getters  # built once per prepared model
+    if black:
+        assert domain_message(prep, Certificate({(0, 0): 0}, dict.fromkeys(white, 0))) == (
+            "alpha labels must cover exactly the split vertices; extra=[(0, 0)] missing=[(1, 1)]"
+        )
+    assert domain_message(prep, Certificate(dict.fromkeys(black, 0), {**dict.fromkeys(white, 0), (0, 0): 0})) == (
+        "beta labels must cover exactly the split vertices; extra=[(0, 0)] missing=[]"
+    )
+
+
+def test_wrong_key_of_the_right_count_names_extra_and_missing():
+    prep = prepare(gen_toric(LatticeSpec(4, 4)))
+    cert = all_zero_cert(prep)
+    gone = max(cert.beta)
+    del cert.beta[gone]
+    cert.beta[(0, 0)] = 0
+    assert len(cert.beta) == len(prep.f_white)
+    assert domain_message(prep, cert) == (
+        f"beta labels must cover exactly the split vertices; extra=[(0, 0)] missing=[{gone}]"
+    )
+
+
+def test_labels_loaded_from_a_file_gather_alike(tmp_path):
+    # load_certificate makes fresh key tuples, equal to the split vertices
+    # but not the same objects
+    prep = prepare(gen_toric(LatticeSpec(4, 4)))
+    black, white = prep.label_order
+    bits = [1, 0, 1, 1, 0, 0, 1, 0]
+    cert = Certificate(dict(zip(black, bits)), dict(zip(white, bits[len(black) :])))
+    save_certificate(cert, tmp_path / "cert.json")
+    loaded = load_certificate(tmp_path / "cert.json")
+    assert loaded == cert and not any(v is w for v, w in zip(sorted(loaded.alpha), black))
+    assert verifier._label_vector(prep, loaded).tolist() == bits + [0]
+    assert omega_summary(compute_omega(prep, loaded)) == omega_summary(compute_omega(prep, cert))
+
+
+@pytest.mark.parametrize("key", [(np.int64(1), np.int64(1)), (1.0, 1.0)])
+def test_hash_equal_keys_name_the_split_vertex(key):
+    # a key that hashes and compares equal to (1, 1) is found by the lookup,
+    # and is neither extra nor missing next to a wrong key
+    prep = prepare(gen_toric(LatticeSpec(3, 3)))
+    cert = Certificate({key: 1}, {(1, 1): 0})
+    assert verifier._label_vector(prep, cert).tolist() == [1, 0, 0]
+    want = compute_omega(prep, Certificate({(1, 1): 1}, {(1, 1): 0}))
+    assert omega_summary(compute_omega(prep, cert)) == omega_summary(want)
+    assert domain_message(prep, Certificate({key: 0, (0, 0): 0}, {(1, 1): 0})) == (
+        "alpha labels must cover exactly the split vertices; extra=[(0, 0)] missing=[]"
+    )
+
+
+LABEL_MODELS = {
+    "toric 4x4 open": lambda: gen_toric(LatticeSpec(4, 4)),
+    "rotated-classical 4x3": lambda: gen_random(LatticeSpec(4, 3), 1, "rotated-classical"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def label_prep(name):
+    return prepare(LABEL_MODELS[name]())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(LABEL_MODELS)), st.data())
+def test_label_dicts_gather_in_label_order(name, data):
+    # any insertion order, Python or numpy ints: the vector is the labels in
+    # `label_order`, and the dict and the vector give the same Omega
+    prep = label_prep(name)
+    black, white = prep.label_order
+    n = len(black) + len(white)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    numpy_ints = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    labels = [np.int64(b) if k else b for b, k in zip(bits, numpy_ints)]
+    alpha = dict(data.draw(st.permutations(list(zip(black, labels)))))
+    beta = dict(data.draw(st.permutations(list(zip(white, labels[len(black) :])))))
+    cert = Certificate(alpha, beta)
+    bx = verifier._label_vector(prep, cert)
+    assert bx.dtype == np.intp
+    assert bx.tolist() == [cert.alpha[v] for v in black] + [cert.beta[v] for v in white] + [0]
+    assert omega_summary(compute_omega(prep, cert)) == omega_summary(compute_omega(prep, np.array(bits)))
 
 
 # ------------------------------------------------------------ overlap graph
