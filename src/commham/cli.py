@@ -58,11 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("prove", help="search for an accepting certificate")
     pr.add_argument("model")
     mode = pr.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true")
-    mode.add_argument("--greedy", action="store_true")
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--restarts", type=int, default=8)
-    pr.add_argument("--cap", type=int, default=26)
+    mode.add_argument("--exhaustive", action="store_true", help="scan every certificate (the default)")
+    mode.add_argument("--greedy", action="store_true", help="single-label hill climbing")
+    pr.add_argument("--seed", type=int, default=0, help="seed of the random restarts (with --greedy only)")
+    pr.add_argument("--restarts", type=int, default=8, help="number of starts (with --greedy only)")
+    pr.add_argument("--cap", type=int, default=26, help="bound the exhaustive scan at 2^cap certificates")
     pr.add_argument("-o", "--output", required=True)
 
     o = sub.add_parser("oracle", help="brute-force layer trace and audits")

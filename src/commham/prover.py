@@ -2,10 +2,10 @@
 
 Both searches only propose; every certificate handed back has been
 re-checked by the verifier at its default threshold.  Both evaluate label
-vectors through the compiled model.  Exhaustive search walks the verifier's
-pruned scan of the certificate space (`_live_labels`, shared with
-`oracle.certificate_sum`), which skips every certificate that annihilates a
-plaquette, and evaluates it a stack of label rows at a time.
+vectors through the compiled model and call compute_omega only on those
+that annihilate no plaquette: exhaustive search walks the verifier's pruned
+scan (`_live_labels`, shared with `oracle.certificate_sum`) a stack of
+label rows at a time, greedy reads `CompiledModel.annihilated` per candidate.
 """
 from __future__ import annotations
 
@@ -83,26 +83,10 @@ def _certificate(prep: PreparedModel, labels: np.ndarray) -> Certificate:
     return Certificate(dict(zip(black, bits)), dict(zip(white, bits[len(black) :])))
 
 
-def _touches(c: CompiledModel, n: int) -> list[np.ndarray]:
-    """Per label slot, the (at most two) plaquettes whose local pattern it
-    changes."""
-    slots = c.own_slots.ravel()
-    by_slot = np.argsort(slots, kind="stable")  # rows ascending within a slot
-    return np.split(by_slot // 4, np.searchsorted(slots[by_slot], np.arange(1, n + 1)))[:n]
-
-
-def _dead_after_flip(c: CompiledModel, touches, dead: np.ndarray, bx: np.ndarray, i: int) -> np.ndarray:
-    """The annihilated-plaquette mask once bx[i] has been flipped, given the
-    mask before; only the plaquettes slot i touches can change."""
-    out = dead.copy()
-    out[touches[i]] = c.annihilated(bx, touches[i])
-    return out
-
-
-def _evaluate(prep: PreparedModel, bx: np.ndarray, dead: np.ndarray):
+def _evaluate(prep: PreparedModel, c: CompiledModel, bx: np.ndarray):
     """Score and result of the padded labels; no compute_omega call when
     some plaquette is annihilated."""
-    if dead.any():
+    if c.annihilated(bx).any():
         return _ANNIHILATED, None
     res = compute_omega(prep, bx[:-1])
     return _score(res), res
@@ -123,18 +107,14 @@ def greedy_search(
     deterministic given the seed and is re-verified before being returned.
 
     Labels are one 0/1 vector in `label_order`, padded as the compiled
-    model reads it.  A flip changes the local slice pattern of at most the
-    two same-color plaquettes whose own-split corners hold the flipped
-    vertex, so each restart keeps the mask of annihilated plaquettes and
-    re-reads only those two; compute_omega runs only for candidates that
-    annihilate none.
+    model reads it; compute_omega runs only for candidates that annihilate
+    no plaquette.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     prep = _as_prepared(m)
     c = prep.compiled()
     n = len(prep.f_black) + len(prep.f_white)
-    touches = _touches(c, n)
     rng = np.random.default_rng(seed)
     evaluated = 0
 
@@ -142,19 +122,17 @@ def greedy_search(
         bx = np.zeros(n + 1, dtype=np.intp)  # the labels and the padding 0
         if restart:
             bx[:n] = rng.integers(0, 2, n)
-        dead = c.annihilated(bx)
-        score, res = _evaluate(prep, bx, dead)
+        score, res = _evaluate(prep, c, bx)
         evaluated += 1
         improved = True
         while improved and n:
             improved = False
             for i in rng.permutation(n):
                 bx[i] ^= 1
-                cand_dead = _dead_after_flip(c, touches, dead, bx, i)
-                cand_score, cand = _evaluate(prep, bx, cand_dead)
+                cand_score, cand = _evaluate(prep, c, bx)
                 evaluated += 1
                 if _improves(cand_score, score):
-                    score, res, dead = cand_score, cand, cand_dead
+                    score, res = cand_score, cand
                     improved = True
                 else:
                     bx[i] ^= 1

@@ -142,12 +142,12 @@ class CompiledModel:
     rows of slots to four.  Row j is the plaquette `plaquettes[j]`, black
     first, each color in row-major order: its free corners' (split in
     neither layer) vertex ids then -1s, its table `shared[which[j]]`
-    (norms, blocks), its own-split slots, and its own-split then other-only
-    slots and its table's offset in the state table, where `dead` marks the
-    entries whose own-split bits annihilate it, `scal` holds a scalar
-    state, inf for a state with support or nan until first
-    read, `kept` the pruned state as (kept positions in `free`, matrix) and
-    `code` those positions as a bitmask, 0 for a scalar.
+    (norms, blocks), its own-split then other-only slots and its table's
+    offset in the state table, where `dead` marks the entries whose
+    own-split bits annihilate it, `scal` holds a scalar state, inf for a
+    state with support or nan until first read, `kept` the pruned state as
+    (kept positions in `free`, matrix) and `code` those positions as a
+    bitmask, 0 for a scalar.
     The vertices split in both layers, sorted, are `both`; their rows of
     label slots (padding, padding, black, white) `both_slots` give the
     pattern 2a + b that, plus `overlap_at[i]` = 4 i, indexes `overlap`,
@@ -161,7 +161,6 @@ class CompiledModel:
     free: list[list[int]]
     which: np.ndarray
     shared: list[tuple[np.ndarray, np.ndarray]]
-    own_slots: np.ndarray
     split_slots: np.ndarray
     state_at: np.ndarray
     dead: np.ndarray
@@ -230,7 +229,7 @@ def _compile(prep: PreparedModel) -> CompiledModel:
     return CompiledModel(
         spec, lattice.vertices_of(spec, cs[:, 0]), int(is_black.sum()),
         _rows_by(~free, np.where(free, cs, -1)).tolist(), which, shared,
-        _rows_by(roles == 0, np.where(roles == 0, slot, nb + nw)), _rows_by((roles + 1) % 3, slot), state_at[which],
+        _rows_by((roles + 1) % 3, slot), state_at[which],
         dead, np.full(state_at[-1], np.nan), [None] * int(state_at[-1]), np.zeros(state_at[-1], dtype=np.uint8),
         lattice.vertices_of(spec, both), np.column_stack([np.full((len(both), 2), nb + nw), sb[both], sw[both]]),
         4 * np.arange(len(both)), (np.abs(a.conj().transpose(0, 2, 1) @ b) ** 2).ravel(),

@@ -10,17 +10,20 @@
 * `certificates_lex`: one `Certificate` at a time, against the scans of
   `prover` and `oracle` and the stacked `verifier.compute_omega`;
 * `plaquette_table`: one plaquette's corners and slice-pattern norms read
-  from `verifier.CompiledModel`, against `sandwich_site`.
+  from `verifier.CompiledModel`, against `sandwich_site`;
+* `own_and_other_only_model`: a model with an own-split and an other-only
+  corner on one plaquette, for `verifier` (annihilated mask) and `prover`.
 """
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from commham import lattice, model
-from commham.linalg import LabeledOp, frob
+from commham.linalg import PAULI_Z, LabeledOp, frob
 from commham.verifier import Certificate
 
 I2 = np.eye(2, dtype=complex)
@@ -120,3 +123,18 @@ def plaquette_table(prep, p) -> SimpleNamespace:
         other_only=tuple(v for v in cs if v in other and v not in own),
         norms=c.shared[c.which[c.plaquettes.index(p)]][0],
     )
+
+
+def own_and_other_only_model() -> model.CommutingModel:
+    """4x3 open lattice of single-qubit -Z terms.  Black (1, 1) has -Z at
+    its own-split corner (1, 1), so label 1 there annihilates it, and it has
+    the white-only split (2, 1) as an other-only corner."""
+    spec = lattice.LatticeSpec(4, 3)
+
+    def minus_z(p, v):
+        return -functools.reduce(np.kron, [PAULI_Z if c == v else np.eye(2) for c in lattice.corners(spec, p)])
+
+    terms = {p: np.zeros((16, 16)) for p in lattice.plaquettes(spec)}
+    for p, v in [((0, 0), (1, 1)), ((1, 1), (1, 1)), ((1, 0), (2, 1)), ((2, 1), (2, 1))]:
+        terms[p] = minus_z(p, v)
+    return model.CommutingModel(spec, terms)

@@ -12,8 +12,8 @@ from commham.linalg import CapExceeded
 from commham.model import CommutingModel, gen_ising, gen_random, gen_signed_toric, gen_toric
 from commham.oracle import dense_omega, total_overlap
 from commham.prover import exhaustive_search, greedy_search
-from commham.verifier import ZERO_FLOOR, compute_omega, prepare, verify
-from reference import certificates_lex
+from commham.verifier import ZERO_FLOOR, Certificate, compute_omega, prepare, verify
+from reference import certificates_lex, own_and_other_only_model
 
 
 def frustrated_signed_toric():
@@ -169,6 +169,21 @@ def test_greedy_evaluation_counts():
         assert not r.found and r.evaluated == 516
 
 
+def test_greedy_trajectories_off_the_toric_family():
+    # the random 4x4 models are frustrated: on rotated-classical seed 0
+    # every candidate annihilates a plaquette, and on diagonal-field seed 26
+    # (the first seed whose search leaves its starts) one does not; the
+    # hand-built model has an own-split and an other-only corner on (1, 1)
+    r = greedy_search(gen_random(LatticeSpec(4, 4), 0, "rotated-classical"), seed=0)
+    assert (r.found, r.evaluated) == (False, 72)
+    r = greedy_search(gen_random(LatticeSpec(4, 4), 26, "diagonal-field"), seed=0, restarts=3)
+    assert (r.found, r.evaluated) == (False, 35)
+    r = greedy_search(own_and_other_only_model(), seed=0)
+    assert (r.found, r.evaluated) == (True, 3)
+    assert r.certificate == Certificate({(1, 1): 0}, {(2, 1): 0})
+    assert r.omega.log2_magnitude == 10.0 and r.verdict.accept
+
+
 @functools.lru_cache(maxsize=None)
 def _prepared_random(method, seed):
     if method == "toric":
@@ -185,26 +200,22 @@ def _prepared_random(method, seed):
     st.lists(st.integers(0, 10**6), min_size=1, max_size=25),
 )
 def test_greedy_annihilated_set_tracks_flips(method, seed, start, flips):
-    # greedy's per-flip update of the annihilated mask against a full
-    # recount, and its score against compute_omega's; starts are all-zeros
+    # greedy's score after each flip against compute_omega's, and the
+    # annihilated plaquettes against its zero factors; starts are all-zeros
     # (greedy's first restart) or random labels
     prep = _prepared_random(method, seed)
     n = len(prep.f_black) + len(prep.f_white)
     assume(n)
     c = prep.compiled()
-    touches = prover._touches(c, n)
     bx = np.zeros(n + 1, dtype=np.intp)
     if start is not None:
         bx[:n] = np.random.default_rng(start).integers(0, 2, n)
-    dead = c.annihilated(bx)
     for f in flips:
-        i = f % n
-        bx[i] ^= 1
-        dead = prover._dead_after_flip(c, touches, dead, bx, i)
-        assert np.array_equal(dead, c.annihilated(bx))
+        bx[f % n] ^= 1
         res = compute_omega(prep, prover._certificate(prep, bx[:n]))
-        score, _ = prover._evaluate(prep, bx, dead)
+        score, _ = prover._evaluate(prep, c, bx)
         assert score == prover._score(res)
         assert res.nonzero == sum(1 for f in res.factors if f.value is None or f.value > ZERO_FLOOR)
+        dead = c.annihilated(bx)
         if dead.any():
             assert sorted((c.plaquettes[j],) for j in np.flatnonzero(dead)) == [f.key for f in res.factors]

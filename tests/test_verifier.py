@@ -38,7 +38,14 @@ from commham.verifier import (
     prepare,
     verify,
 )
-from reference import certificates_lex, embed, partial_trace, plaquette_table, sandwich_site
+from reference import (
+    certificates_lex,
+    embed,
+    own_and_other_only_model,
+    partial_trace,
+    plaquette_table,
+    sandwich_site,
+)
 
 
 def all_zero_cert(prep):
@@ -163,19 +170,10 @@ def test_orthogonal_cross_layer_slices_zero_overlap():
 
 
 def test_annihilated_plaquettes_follow_the_own_layer_bits():
-    # black (1, 1) has -Z at its own-split corner (1, 1), so label 1 there
-    # annihilates it, and the white-only split (2, 1) as an other-only
-    # corner: its state-table entries carry both bits, and the annihilated
-    # mask must read the own one, as the literal sliced projectors do
-    spec = LatticeSpec(4, 3)
-
-    def minus_z(p, v):
-        return -functools.reduce(np.kron, [PAULI_Z if c == v else np.eye(2) for c in lattice.corners(spec, p)])
-
-    terms = {p: np.zeros((16, 16)) for p in lattice.plaquettes(spec)}
-    for p, v in [((0, 0), (1, 1)), ((1, 1), (1, 1)), ((1, 0), (2, 1)), ((2, 1), (2, 1))]:
-        terms[p] = minus_z(p, v)
-    prep = prepare(CommutingModel(spec, terms))
+    # black (1, 1)'s state-table entries carry the bits of its own-split and
+    # its other-only corner, and the annihilated mask must read the own one,
+    # as the literal sliced projectors do
+    prep = prepare(own_and_other_only_model())
     table = plaquette_table(prep, (1, 1))
     assert (table.own_split, table.other_only) == (((1, 1),), ((2, 1),))
     assert table.norms[1] <= ZERO_FLOOR < table.norms[0]
