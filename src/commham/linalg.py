@@ -47,6 +47,7 @@ EIGH_RTOL = 64 * np.finfo(float).eps
 # Terms and ground projectors commute iff |[A, B]| <= COMMUTATION_TOL |A0| |B0|,
 # plus 2 (r_A + r_B) for projectors of radius r (`ground_band`, at most
 # EIGH_RTOL / GAP_RTOL); the commutator ignores identity shifts, and so does the bound.
+# Projector commutators come from a band frame (`ground_band`), rounded to about eps |Q|.
 COMMUTATION_TOL = 1e-9
 NOISE_RTOL = 1e-9  # rank noise: below this x |P| / 4 (Pauli blocks), x largest (Schmidt, Bloch)
 # The rest act on scale-free values derived from ground projectors or unit vectors.
@@ -122,24 +123,28 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(mat)
 
 
-def ground_band(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ground_band(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Projector onto the ground band (eigenvalues within max(GAP_RTOL spread,
     EIGH_RTOL |mat|_2) of the minimum), and the radius r = EIGH_RTOL spread / gap
     forgiven in its commutators (gap: band top to next eigenvalue).  r is a policy
     after Davis-Kahan, below the eigensolver's |mat|_2-relative error for shifted
     terms; r = 0 if all is band or the gap is below GAP_RTOL spread (unresolved).
-    A stack (..., d, d) gives the stacked projectors and an array of radii,
-    one matrix its projector and a 0-d radius."""
+    From the same eigh, the band frame: the eigenvectors, the smaller side's
+    first (band k or the other d - k, ties to the band), and its size min(k, d - k).
+    A stack (..., d, d) stacks all four; one matrix gives a 0-d radius and size."""
     w, v = herm_eig(mat)
     lo, hi = w[..., :1], w[..., -1:]
     spread = hi - lo
     band = w <= lo + np.maximum(GAP_RTOL * spread, EIGH_RTOL * np.maximum(-lo, hi))
     # the band is a prefix of the ascending w: the gap is the step after its top, 0 past the end
-    gap = np.take_along_axis(np.diff(w, append=hi), band.sum(axis=-1, keepdims=True) - 1, -1)
+    k = band.sum(axis=-1, keepdims=True)
+    gap = np.take_along_axis(np.diff(w, append=hi), k - 1, -1)
     resolved = (gap >= GAP_RTOL * spread) & (GAP_RTOL * spread > 0)
     radius = np.divide(EIGH_RTOL * spread, gap, out=np.zeros_like(gap), where=resolved)[..., 0]
     proj = (v * band[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return proj, radius
+    side = np.minimum(k, w.shape[-1] - k)
+    frame = np.where((side == k)[..., None], v, v[..., ::-1])  # reversed: the d - k above the band first
+    return proj, radius, frame, side[..., 0]
 
 
 @dataclass

@@ -17,7 +17,7 @@ from . import lattice
 from .lattice import LatticeSpec, Plaquette, Vertex, is_black
 from .linalg import COMMUTATION_TOL, HERMITICITY_RTOL, LabeledOp, frob, ground_band
 
-# pairs per batched factorization; bounds the kernel's working set
+# pairs per batched evaluation in either pair kernel; bounds its working set
 _PAIR_CHUNK = 32
 # (p, q, Frobenius norm of the commutator) per pair of plaquettes
 PairNorms = list[tuple[Plaquette, Plaquette, float]]
@@ -155,12 +155,53 @@ def _distinct_pair_norms(
     return first, second, norms[slot]
 
 
-def _violations(spec: LatticeSpec, ids: np.ndarray, distinct: np.ndarray, radius: np.ndarray) -> PairNorms:
+def _band_pair_norms(
+    spec: LatticeSpec, ids: np.ndarray, projectors: np.ndarray, frame: np.ndarray, side: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_distinct_pair_norms` for ground projectors, read from the band frame
+    (`ground_band`) of the member with the smaller side r.  With V its first r
+    frame columns and Vc the rest, P = V V^dag (or 1 - P, whose commutators are
+    -[P, Q]) and [P, Q] = P Q (1 - P) - (1 - P) Q P, two orthogonal blocks that
+    are each other's adjoints: |[P, Q]| = sqrt(2) |(V (x) I)^dag (I (x) Q) (Vc (x) I)|
+    exactly, nothing subtracted.  Z = V^dag Vc over the frame side's own corners,
+    then Z Q over the shared ones; evaluations are grouped by (alignment, frame
+    member, r, id, id), and r = 0 (P = I) gives 0."""
+    first, second, align = _intersecting_pairs(spec)
+    n, swap = len(projectors), side[ids[second]] < side[ids[first]]  # swap: the second is the frame side
+    f, o = np.where(swap, ids[second], ids[first]), np.where(swap, ids[first], ids[second])
+    keys, slot = np.unique(((align << 5 | swap << 4 | side[f]) * n + f) * n + o, return_inverse=True)
+    norms = np.empty(len(keys))
+    starts = np.flatnonzero(np.diff(keys // n**2, prepend=-1)).tolist() + [len(keys)]
+    for start, stop in zip(starts, starts[1:]):
+        group = int(keys[start] // n**2)
+        r, step = group & 15, -1 if group & 16 else 1
+        on_f, on_o = ([*c] for c in zip(*[(b // 4, b % 4)[::step] for b in range(16) if group >> 5 >> b & 1]))
+        du, ds = 2 ** (4 - len(on_f)), 2 ** len(on_f)  # dimensions of the frame side's own and shared corners
+        v_axes = [0, *(1 + c for c in range(4) if c not in on_f), *(1 + c for c in on_f), 5]
+        q_axes = [0, *(b + c for cs in (on_o, [c for c in range(4) if c not in on_o]) for b in (1, 5) for c in cs)]
+        for k in range(start, stop, _PAIR_CHUNK):
+            chunk = keys[k : min(k + _PAIR_CHUNK, stop)]
+            m = len(chunk)
+            v = frame[chunk // n % n].reshape((m,) + (2,) * 4 + (16,)).transpose(v_axes).reshape(m, du, ds, 16)
+            # Z[j, s, s', c] = sum_u conj(V[u s, j]) Vc[u s', c], as rows (j, c) by columns (s, s')
+            z = v[..., :r].conj().transpose(0, 3, 2, 1).reshape(m, -1, du) @ v[..., r:].reshape(m, du, -1)
+            z = z.reshape(m, r, ds, ds, 16 - r).transpose(0, 1, 4, 2, 3).reshape(m, -1, ds * ds)
+            q = projectors[chunk % n].reshape((m,) + (2,) * 8).transpose(q_axes).reshape(m, ds * ds, -1)
+            x = (z @ q).reshape(m, -1).view(float)
+            norms[k : k + m] = np.sqrt(2 * np.einsum("mi,mi->m", x, x))
+    return first, second, norms[slot]
+
+
+def _violations(spec: LatticeSpec, ids: np.ndarray, distinct: np.ndarray, radius: np.ndarray, band=()) -> PairNorms:
     """Intersecting pairs with |[A, B]| > COMMUTATION_TOL |A0| |B0| + 2 (r_A + r_B),
-    A = distinct[ids[p]] and r_A = radius[ids[p]] (a projector's radius)."""
+    A = distinct[ids[p]] and r_A = radius[ids[p]] (a projector's radius).  Given
+    `band`, the (frame, side) of `ground_band`, the rows are projectors and their
+    norms come from `_band_pair_norms`; else from `_distinct_pair_norms`."""
     traceless = _traceless(distinct)
     norm = np.linalg.norm(traceless, axis=(1, 2))
-    first, second, norms = _distinct_pair_norms(spec, ids, traceless)
+    first, second, norms = (
+        _band_pair_norms(spec, ids, distinct, *band) if band else _distinct_pair_norms(spec, ids, traceless)
+    )
     a, b = ids[first], ids[second]
     bad = norms > COMMUTATION_TOL * norm[a] * norm[b] + 2 * (radius[a] + radius[b])
     return _named(spec, first[bad], second[bad], norms[bad])
@@ -184,11 +225,12 @@ def ground_projectors(model: CommutingModel) -> tuple[np.ndarray, np.ndarray]:
 
     Raises NonCommutingError, naming every pair of overlapping projectors
     that fail to commute beyond their radii (`linalg.ground_band`): input
-    that does not commute, or a degeneracy split by the gap tolerance.
+    that does not commute, or a degeneracy split by the gap tolerance.  Pair
+    norms come from the band frames of the same eigh (`_band_pair_norms`).
     """
     ids, terms = _distinct(model.spec, model.terms)  # equal terms share one eigendecomposition
-    stack, radius = ground_band(terms)
-    bad = _violations(model.spec, ids, stack, radius)
+    stack, radius, *band = ground_band(terms)
+    bad = _violations(model.spec, ids, stack, radius, band)
     if bad:
         (p, q, norm), rest = bad[0], bad[1:]
         more = "".join(f"; also at {a} and {b} (norm {n:.2e})" for a, b, n in rest)

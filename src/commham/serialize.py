@@ -13,6 +13,7 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +90,9 @@ def certificate_from_dict(data: dict) -> Certificate:
     def side(name: str) -> dict:
         out = {}
         for key, b in data.get(name, {}).items():
-            x, y = key.split(",")
-            v = (int(x), int(y))
+            if not (xy := re.fullmatch(r"([0-9]+),([0-9]+)", key)):  # int() also takes "1_0", " +4", "\u0663"
+                raise FormatError(f"{name} key {key!r} is not two decimal coordinates x,y")
+            v = (int(xy[1]), int(xy[2]))
             if v in out:
                 raise FormatError(f"{name} key {key!r} names vertex {v} a second time")
             out[v] = _integer(b, f"{name}[{key}]")

@@ -5,8 +5,9 @@
   dense operators on a label union, against `linalg` (the trace kernel,
   `operator_schmidt`), `decompose` (slices), `verifier` (effective states,
   pruning) and `oracle` (dense products);
-* `pair_norms`: `model._distinct_pair_norms` per plaquette pair, against
-  `commutator_norm`;
+* `pair_norms`, `band_pair_norms`: `model._distinct_pair_norms` on
+  matrices and `model._band_pair_norms` on the terms' ground projectors, per
+  plaquette pair, against `commutator_norm`;
 * `certificates_lex`: one `Certificate` at a time, against the scans of
   `prover` and `oracle` and the stacked `verifier.compute_omega`;
 * `plaquette_table`: one plaquette's corners and slice-pattern norms read
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from commham import lattice, model
-from commham.linalg import PAULI_Z, LabeledOp, frob
+from commham.linalg import PAULI_Z, LabeledOp, frob, ground_band
 from commham.verifier import Certificate
 
 I2 = np.eye(2, dtype=complex)
@@ -97,6 +98,15 @@ def pair_norms(m: model.CommutingModel, mats) -> model.PairNorms:
     """|[mats[p], mats[q]]| for every intersecting pair, in `_intersecting_pairs` order."""
     ids, distinct = model._distinct(m.spec, mats)
     return model._named(m.spec, *model._distinct_pair_norms(m.spec, ids, model._traceless(distinct)))
+
+
+def band_pair_norms(m: model.CommutingModel, terms) -> tuple[model.PairNorms, dict]:
+    """|[P_p, P_q]| from the band frames for every intersecting pair, P the
+    ground projectors of `terms`, and those projectors keyed by plaquette."""
+    ids, distinct = model._distinct(m.spec, terms)
+    proj, _, frame, side = ground_band(distinct)
+    projs = {p: proj[i] for p, i in zip(lattice.plaquettes(m.spec), ids.tolist())}
+    return model._named(m.spec, *model._band_pair_norms(m.spec, ids, proj, frame, side)), projs
 
 
 def certificates_lex(f_black: frozenset, f_white: frozenset):

@@ -114,6 +114,15 @@ def test_certificate_repeated_vertex_rejected(tmp_path, side):
         load_certificate(path)
 
 
+@pytest.mark.parametrize("key", ["1_0,2", " 3,+4", "\u0663,1", "-1,2", "1,2,3", "1", "1, 2", "1,2\n", ""])
+def test_certificate_key_not_two_decimal_coordinates_rejected(tmp_path, key):
+    # only the ASCII digits that certificate_to_dict writes; int() would take "1_0", " +4" and "\u0663"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"alpha": {"0,0": 0, key: 1}, "beta": {}}), encoding="utf-8")
+    with pytest.raises(FormatError, match=f"alpha key {re.escape(repr(key))} is not two decimal coordinates"):
+        load_certificate(path)
+
+
 # --------------------------------------------------------------------- CLI
 
 

@@ -114,6 +114,7 @@ def _band_member(kind, rng):
     w = {
         "random": rng.standard_normal(16),
         "toric": np.repeat([-1.0, 1.0], 8),  # the spectrum of -Z^(x)4: rank-8 band
+        "wide": np.concatenate([np.zeros(12), [1.0, 2.0, 3.0, 4.0]]),  # band 12: the frame leads with the other 4
         # band edge at GAP_RTOL spread = 1e-9, straddled: the gap 2e-12 is below it, so unresolved
         "unresolved": np.concatenate([[0.0, 1e-9 - 1e-12, 1e-9 + 1e-12], np.linspace(0.5, 1.0, 13)]),
     }[kind]
@@ -124,22 +125,29 @@ def _band_member(kind, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.sampled_from(["random", "toric", "flat", "unresolved"]), min_size=1, max_size=6),
+    st.lists(st.sampled_from(["random", "toric", "wide", "flat", "unresolved"]), min_size=1, max_size=6),
     st.integers(0, 2**32 - 1),
 )
 def test_ground_band_stack_matches_single_matrices(kinds, seed):
     rng = np.random.default_rng(seed)
     mats = np.stack([_band_member(k, rng) for k in kinds])
-    projs, radii = linalg.ground_band(mats)
-    assert projs.shape == mats.shape and radii.shape == (len(kinds),)
-    for kind, m, proj, radius in zip(kinds, mats, projs, radii):
-        want, r = linalg.ground_band(m)
-        assert r.shape == ()
+    projs, radii, frames, sides = linalg.ground_band(mats)
+    assert projs.shape == frames.shape == mats.shape and radii.shape == sides.shape == (len(kinds),)
+    for kind, m, proj, radius, frame, side in zip(kinds, mats, projs, radii, frames, sides):
+        want, r, want_frame, want_side = linalg.ground_band(m)
+        assert r.shape == want_side.shape == ()
         assert np.array_equal(proj, want) and radius == r
+        assert np.array_equal(frame, want_frame) and side == want_side
+        k = round(np.trace(proj).real)
         if kind != "random":
-            assert round(np.trace(proj).real) == {"toric": 8, "flat": 16, "unresolved": 2}[kind]
+            assert k == {"toric": 8, "wide": 12, "flat": 16, "unresolved": 2}[kind]
         if kind in ("flat", "unresolved"):
             assert r == 0.0
+        # the frame's first min(k, 16 - k) columns span the band, or its complement when that is smaller
+        assert side == min(k, 16 - k)
+        v = frame[:, :side] if 2 * k <= 16 else frame[:, side:]
+        assert frob(v @ v.conj().T - proj) <= 1e-14
+        assert frob(frame.conj().T @ frame - np.eye(16)) <= 1e-13
     bad = mats.copy()
     bad[rng.integers(len(kinds)), 0, 1] += 1.0
     with pytest.raises(NonHermitianError, match="not Hermitian within tolerance"):

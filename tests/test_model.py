@@ -27,7 +27,7 @@ from commham.model import (
     gen_toric,
     ground_projectors,
 )
-from reference import commutator_norm, kron, pair_norms, projector_map
+from reference import band_pair_norms, commutator_norm, kron, pair_norms, projector_map
 
 
 Z4 = kron(PAULI_Z, PAULI_Z, PAULI_Z, PAULI_Z)
@@ -313,13 +313,19 @@ def reference_norms(m, mats):
     return out
 
 
-def assert_kernel_matches(m, mats):
-    got = pair_norms(m, mats)
+def assert_kernel_matches(m, mats, got=None):
+    got = pair_norms(m, mats) if got is None else got
     want = reference_norms(m, mats)
     assert [(p, q) for p, q, _ in got] == [(p, q) for p, q, _, _ in want]
     for (_, _, norm), (_, _, ref, scale) in zip(got, want):
         # both evaluations round relative to the operands' norms
         assert abs(norm - ref) <= 1e-12 * scale + 1e-15
+
+
+def assert_band_kernel_matches(m, terms):
+    """The band-frame kernel on the terms' ground projectors, against the dense loop."""
+    got, projs = band_pair_norms(m, terms)
+    assert_kernel_matches(m, projs, got)
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS)
@@ -328,6 +334,7 @@ def test_pair_norms_match_commutator_norm(spec, eps, perturbed):
     m = perturbed(gen_random(spec, 0, "rotated-classical"), eps, 1)
     assert_kernel_matches(m, m.terms)
     assert_kernel_matches(m, {p: ground_band(h)[0] for p, h in m.terms.items()})
+    assert_band_kernel_matches(m, m.terms)
 
 
 # rank-deficient terms: at one- and two-corner alignments many factor rows are exactly 0
@@ -344,6 +351,53 @@ def test_pair_norms_match_on_rank_deficient_terms(spec, family):
     m = RANK_DEFICIENT[family](spec)
     assert_kernel_matches(m, m.terms)
     assert_kernel_matches(m, projector_map(m))
+    assert_band_kernel_matches(m, m.terms)
+
+
+def _banded(rng, k):
+    """A random Hermitian 16x16 term with a ground band of exactly k, in a random basis."""
+    u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    h = u @ np.diag(np.concatenate([np.zeros(k), 1.0 + rng.random(16 - k)])) @ u.conj().T
+    return (h + h.conj().T) / 2
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+def test_band_kernel_on_all_band_and_complement_frames(spec):
+    # a zero term is all band (side 0, P = I: its commutators are 0), and a
+    # band of 12 is read from its other 4 frame columns
+    m = gen_random(spec, 0, "rotated-classical")
+    rng = np.random.default_rng(5)
+    terms = {**m.terms, (1, 1): np.zeros((16, 16), dtype=complex), (2, 1): _banded(rng, 12)}
+    ids, distinct = model._distinct(spec, terms)
+    sides = ground_band(distinct)[3]
+    assert sorted(set(sides.tolist())) == [0, 1, 4]
+    assert_band_kernel_matches(CommutingModel(spec, terms), terms)
+
+
+def test_band_kernel_frame_on_either_member():
+    # bands of 1 at even x and 8 at odd x: along x the first member of a
+    # pair is the frame side at even x, the second at odd x
+    spec = LatticeSpec(6, 4, "periodic")
+    rng = np.random.default_rng(6)
+    terms = {p: _banded(rng, 1 if p[0] % 2 == 0 else 8) for p in lattice.plaquettes(spec)}
+    side = np.array([1 if p[0] % 2 == 0 else 8 for p in lattice.plaquettes(spec)])
+    first, second, align = model._intersecting_pairs(spec)
+    lead, trail = side[first] < side[second], side[second] < side[first]
+    assert any(lead[align == a].any() and trail[align == a].any() for a in set(align.tolist()))
+    assert_band_kernel_matches(CommutingModel(spec, terms), terms)
+
+
+def test_prepare_reads_projector_commutators_from_band_frames(monkeypatch):
+    # the factor kernel serves the terms only
+    m = gen_random(LatticeSpec(4, 4, "periodic"), 0, "rotated-classical")
+
+    def refuse(*args):
+        raise AssertionError("a projector went through the factor kernel")
+
+    monkeypatch.setattr(model, "_shared_factors", refuse)
+    verifier.prepare(m)
+    with pytest.raises(AssertionError, match="factor kernel"):
+        check_commuting(m)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-9])
@@ -396,6 +450,7 @@ def test_pair_norms_random_hermitian_perturbations(spec, seed, exponent):
         g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         terms[p] = h + 10.0**exponent * rng.random() * (g + g.conj().T)
     assert_kernel_matches(m, terms)
+    assert_band_kernel_matches(m, terms)
 
 
 def test_ground_projectors_number_the_distinct_terms():

@@ -249,7 +249,7 @@ def test_unresolved_band_edge_gets_no_radius():
     u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
     w = np.concatenate([[0.0, 1e-9 - 1e-15, 1e-9 + 1e-15], np.linspace(0.5, 1.0, 13)])
     h = u @ np.diag(w) @ u.conj().T
-    proj, radius = linalg.ground_band((h + h.conj().T) / 2)
+    proj, radius, *_ = linalg.ground_band((h + h.conj().T) / 2)
     assert abs(np.trace(proj) - 2) < 1e-9
     assert radius == 0.0
     terms = dict(m.terms)
