@@ -30,12 +30,13 @@ print("pairwise commuting:", check_commuting(model).ok)
 prep = prepare(model)
 print(f"split vertices: black {len(prep.f_black)}, white {len(prep.f_white)}")
 
-d_black = prep.black.decomps[(1, 1)]
-d_white = prep.white.decomps[(1, 1)]
+# a layer is three arrays over the vertex ids y * lx + x; a split vertex's
+# slice bases are the columns of its row of `basis`
+i = 1 * spec.lx + 1
 print("black slice basis at (1,1):")
-print(np.round(d_black.basis, 6))
+print(np.round(prep.black.basis[prep.black.basis_row[i]], 6))
 print("white slice basis at (1,1):")
-print(np.round(d_white.basis, 6))
+print(np.round(prep.white.basis[prep.white.basis_row[i]], 6))
 
 cert = Certificate({v: 0 for v in prep.f_black}, {v: 0 for v in prep.f_white})
 result = compute_omega(prep, cert)

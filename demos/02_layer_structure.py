@@ -17,13 +17,12 @@ def show(name, prep):
     print(f"\n{name} ({spec.lx}x{spec.ly} {spec.boundary})")
     for color, layer in (("black", prep.black), ("white", prep.white)):
         split = sorted(layer.split_vertices)
-        owners = sum(
-            1 for d in layer.decomps.values() if not d.split and d.owner is not None
-        )
+        owners = int(np.sum(layer.owner >= 0))  # -1 at split vertices
         print(f"  {color}: {len(split)} split vertices, {owners} single-owner vertices")
         if split:
             print(f"    e.g. split at {split[0]}, basis columns:")
-            print(np.round(layer.decomps[split[0]].basis, 4))
+            x, y = split[0]
+            print(np.round(layer.basis[layer.basis_row[y * spec.lx + x]], 4))
 
 
 show("stabilizer model", prepare(gen_toric(LatticeSpec(3, 3))))
@@ -34,7 +33,8 @@ prep = prepare(model)
 show("rotated classical (seed 11)", prep)
 
 v = sorted(prep.black.split_vertices)[0]
-pi0 = prep.black.decomps[v].slice_projector(0)
+b = prep.black.basis[prep.black.basis_row[v[1] * model.spec.lx + v[0]], :, 0]
+pi0 = np.outer(b, b.conj())
 u = units[v]
 best = min(
     np.linalg.norm(pi0 - np.outer(u[:, k], u[:, k].conj())) for k in (0, 1)

@@ -19,10 +19,7 @@ from .linalg import (
     CapExceeded,
     LabeledOp,
     NonHermitianError,
-    OperatorSchmidt,
-    algebra_classify,
     herm_eig,
-    operator_schmidt,
     trace_product_embedded,
 )
 from .model import (
@@ -40,7 +37,6 @@ from .model import (
 from .decompose import (
     ImpossibleAlgebraPair,
     LayerDecomposition,
-    VertexDecomposition,
     decompose_layers,
 )
 from .verifier import (

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
 from . import lattice
-from .lattice import BLACK, WHITE, LatticeSpec, Plaquette, Vertex
-from .linalg import NOISE_RTOL, BasisMismatch, _PAULIS, _axis_bases, state_projector
+from .lattice import BLACK, WHITE, LatticeSpec, Vertex
+from .linalg import NOISE_RTOL, BasisMismatch, _PAULIS, _axis_bases
 # unused here: perfbench/tracing.py patches these names on this module
 from .linalg import algebra_classify, common_eigenbasis, operator_schmidt  # noqa: F401
 
@@ -49,30 +47,13 @@ class ImpossibleAlgebraPair(ValueError):
     shared qubit; seeing this means the input does not actually commute."""
 
 
-@dataclass(frozen=True)
-class VertexDecomposition:
-    """Either a trivial vertex (at most one same-color projector acts
-    non-trivially there; `owner` names it, or None) or a split vertex with
-    two canonical rank-1 slice states as the columns of `basis`."""
-
-    split: bool
-    owner: Plaquette | None = None
-    basis: np.ndarray | None = None
-
-    def slice_projector(self, label: int) -> np.ndarray:
-        if not self.split:
-            raise ValueError("trivial vertex has no slices")
-        if label not in (0, 1):
-            raise ValueError(f"slice label must be 0 or 1, got {label}")
-        return state_projector(self.basis[:, label])
-
-
 @dataclass(frozen=True, eq=False)
 class LayerDecomposition:
     """One layer as arrays over the vertex ids y * lx + x: `split` flags the
     split vertices, `owner` holds the plaquette acting alone at a trivial
     vertex as the id of its top-left corner (else -1), and `basis` stacks the
-    (n_split, 2, 2) slice bases in id order.  `decomps` reads them per vertex."""
+    (n_split, 2, 2) slice bases in id order: vertex id i's slice b is column
+    b of `basis[basis_row[i]]`."""
 
     color: str
     spec: LatticeSpec
@@ -88,15 +69,6 @@ class LayerDecomposition:
     def basis_row(self) -> np.ndarray:
         """Per vertex id, its row of `basis` (meaningless where not split)."""
         return np.cumsum(self.split) - 1
-
-    @cached_property
-    def decomps(self) -> Mapping[Vertex, VertexDecomposition]:
-        """A read-only mapping in `LatticeSpec.vertices` order, built on first access."""
-        bases, owners = iter(self.basis), lattice.vertices_of(self.spec, self.owner)
-        return MappingProxyType({
-            v: VertexDecomposition(split, o if i >= 0 else None, next(bases) if split else None)
-            for v, split, o, i in zip(self.spec.vertices(), self.split.tolist(), owners, self.owner.tolist())
-        })
 
 
 def _bloch_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -105,11 +105,6 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def state_projector(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=complex)
-    return np.outer(vec, vec.conj())
-
-
 def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each of a stack
     (..., d, d), eigenvalues ascending.

@@ -262,6 +262,12 @@ def _pauli_word(m2: np.ndarray) -> np.ndarray:
 
 _Z4 = _pauli_word(np.array([[1, 0], [0, -1]], dtype=complex))
 _X4 = _pauli_word(np.array([[0, 1], [1, 0]], dtype=complex))
+# one read-only term per kind, which every plaquette of that kind shares, keyed
+# by is_black (and the sign); -Z4 and -1 * Z4 differ in the signs of their zeros
+_TORIC = {True: -_Z4, False: -_X4}
+_SIGNED = {(black, s): -s * (_Z4 if black else _X4) for black in (True, False) for s in (-1, 1)}
+for _term in (*_TORIC.values(), *_SIGNED.values()):
+    _term.flags.writeable = False
 
 
 def _check_keys(given: Mapping, keys: list, what: str, complete: bool = False) -> None:
@@ -275,11 +281,9 @@ def _check_keys(given: Mapping, keys: list, what: str, complete: bool = False) -
 
 
 def gen_toric(spec: LatticeSpec) -> CommutingModel:
-    """Stabilizer model: h = -Z^(x)4 on black plaquettes, -X^(x)4 on white."""
-    terms = {}
-    for p in lattice.plaquettes(spec):
-        terms[p] = -_Z4 if is_black(p) else -_X4
-    return CommutingModel(spec, terms)
+    """Stabilizer model: h = -Z^(x)4 on black plaquettes, -X^(x)4 on white,
+    one read-only matrix per color."""
+    return CommutingModel(spec, {p: _TORIC[is_black(p)] for p in lattice.plaquettes(spec)})
 
 
 def gen_signed_toric(
@@ -294,7 +298,8 @@ def gen_signed_toric(
     given sign other than +-1, or at no plaquette of its color, raises
     ModelError.  On a periodic lattice the product of all signs of one color
     must be +1 for a common ground state to exist, so random draws are
-    frustrated half the time.
+    frustrated half the time.  Terms of one color and sign share one
+    read-only matrix.
     """
     plist = lattice.plaquettes(spec)
     _check_keys(black_signs or {}, [p for p in plist if is_black(p)], "black plaquette")
@@ -306,7 +311,7 @@ def gen_signed_toric(
         s = given[p] if p in given else int(rng.choice((-1, 1)))
         if s not in (-1, 1):
             raise ModelError(f"sign {s!r} at plaquette {p} must be +1 or -1")
-        terms[p] = -int(s) * (_Z4 if is_black(p) else _X4)
+        terms[p] = _SIGNED[is_black(p), int(s)]
     return CommutingModel(spec, terms)
 
 

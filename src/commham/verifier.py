@@ -351,13 +351,15 @@ def apply_certificate(prep: PreparedModel, cert: Certificate) -> dict[Plaquette,
     the chosen rank-1 slice projectors: the literal definition, which the
     plaquette tables replace inside `compute_omega`."""
     _label_vector(prep, cert)
-    out = {}
+    lx, out = prep.model.spec.lx, {}
     for p, op in projector_ops(prep.model.spec, prep.ids, prep.projectors).items():
         own, labels = (prep.black, cert.alpha) if lattice.is_black(p) else (prep.white, cert.beta)
-        pi = _corner_kron(np.array([
-            own.decomps[v].slice_projector(labels[v]) if v in labels else _ID2
-            for v in op.labels
-        ]))
+        slices = np.array([_ID2] * len(op.labels), dtype=complex)
+        for k, (x, y) in enumerate(op.labels):
+            if (x, y) in labels:  # |b><b|, b column `label` of the vertex's slice basis
+                b = own.basis[own.basis_row[y * lx + x], :, labels[x, y]]
+                slices[k] = np.outer(b, b.conj())
+        pi = _corner_kron(slices)
         out[p] = LabeledOp(pi @ op.mat @ pi, op.labels)
     return out
 

@@ -5,6 +5,8 @@
   dense operators on a label union, against `linalg` (the trace kernel,
   `operator_schmidt`), `decompose` (slices), `verifier` (effective states,
   pruning) and `oracle` (dense products);
+* `slice_basis`, `slice_op`: a vertex's slice basis and slice projectors
+  read from a layer's `split`, `basis_row` and `basis` arrays;
 * `pair_norms`, `band_pair_norms`: `model._distinct_pair_norms` on
   matrices and `model._band_pair_norms` on the terms' ground projectors, per
   plaquette pair, against `commutator_norm`;
@@ -84,6 +86,19 @@ def sandwich_site(op: LabeledOp, label, proj: np.ndarray) -> LabeledOp:
     t = np.moveaxis(op.mat.reshape((2,) * 2 * k), (i, k + i), (0, 1))
     t = np.einsum("ab,bc...,cd->ad...", proj, t, proj)
     return LabeledOp(np.moveaxis(t, (0, 1), (i, k + i)).reshape(2**k, 2**k), op.labels)
+
+
+def slice_basis(layer, v) -> np.ndarray | None:
+    """The (2, 2) slice basis of vertex v in a `LayerDecomposition`, slices
+    as columns, read from its arrays; None where v is not split."""
+    i = v[1] * layer.spec.lx + v[0]
+    return layer.basis[layer.basis_row[i]] if layer.split[i] else None
+
+
+def slice_op(layer, v, label: int) -> np.ndarray:
+    """|b><b| for b the slice `label` of the split vertex v."""
+    b = slice_basis(layer, v)[:, label]
+    return np.outer(b, b.conj())
 
 
 def commutator_norm(a: LabeledOp, b: LabeledOp) -> float:

@@ -25,7 +25,7 @@ from commham.model import (
     ground_projectors,
     projector_ops,
 )
-from reference import commutator_norm, embed, kron, projector_map, sandwich_site
+from reference import commutator_norm, embed, kron, projector_map, sandwich_site, slice_basis, slice_op
 
 
 def layer_pair(model):
@@ -37,21 +37,18 @@ def test_toric_black_layer_splits_on_z():
     black, white = layer_pair(m)
     assert black.split_vertices == frozenset(m.spec.vertices())
     assert white.split_vertices == frozenset(m.spec.vertices())
-    d = black.decomps[(1, 1)]
-    assert np.allclose(d.basis, np.eye(2))  # Z eigenstates, |0> first
-    dw = white.decomps[(1, 1)]
+    assert np.allclose(slice_basis(black, (1, 1)), np.eye(2))  # Z eigenstates, |0> first
     plus = np.array([1, 1]) / np.sqrt(2)
-    assert np.allclose(dw.basis[:, 0], plus)  # X eigenstates, |+> first
+    assert np.allclose(slice_basis(white, (1, 1))[:, 0], plus)  # X eigenstates, |+> first
 
 
 def test_open_corner_vertex_trivial_with_owner():
     m = gen_toric(LatticeSpec(3, 3))
     black, white = layer_pair(m)
-    d = black.decomps[(0, 0)]
-    assert not d.split and d.owner == (0, 0)
+    # vertex id 0 is (0, 0), owned by the plaquette (0, 0), whose top-left corner it is
+    assert not black.split[0] and black.owner[0] == 0
     # no white plaquette touches the corner (0,0) non-trivially in a 3x3
-    dw = white.decomps[(0, 0)]
-    assert not dw.split
+    assert not white.split[0]
 
 
 def test_open_toric_split_sets():
@@ -67,8 +64,7 @@ def test_all_identity_projectors_trivial_no_owner():
     black, white = layer_pair(m)
     for layer in (black, white):
         assert not layer.split_vertices
-        for d in layer.decomps.values():
-            assert d.owner is None
+        assert np.all(layer.owner == -1)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -77,28 +73,23 @@ def test_rotated_classical_rediscovers_conjugated_basis(seed):
     m, units = gen_rotated_classical(spec, seed=seed)
     black, white = layer_pair(m)
     for layer in (black, white):
-        for v, d in layer.decomps.items():
-            if not d.split:
-                continue
+        for v in layer.split_vertices:
             u = units[v]
             expected = [np.outer(u[:, k], u[:, k].conj()) for k in (0, 1)]
             for k in (0, 1):
-                pi = d.slice_projector(k)
-                assert min(frob(pi - e) for e in expected) < 1e-8
+                assert min(frob(slice_op(layer, v, k) - e) for e in expected) < 1e-8
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_slice_projectors_commute_with_incident(seed):
+def test_slices_commute_with_incident(seed):
     spec = LatticeSpec(4, 3)
     m, _ = gen_rotated_classical(spec, seed=seed)
     projs = projector_map(m)
     black, white = layer_pair(m)
     for layer, color in ((black, BLACK), (white, WHITE)):
-        for v, d in layer.decomps.items():
-            if not d.split:
-                continue
+        for v in layer.split_vertices:
             for p in lattice.incident_plaquettes(spec, v, color):
-                pi = LabeledOp(d.slice_projector(0), (v,))
+                pi = LabeledOp(slice_op(layer, v, 0), (v,))
                 big = LabeledOp(projs[p], tuple(lattice.corners(spec, p)))
                 assert commutator_norm(pi, big) <= 1e-8
 
@@ -106,8 +97,8 @@ def test_slice_projectors_commute_with_incident(seed):
 def test_slices_complete():
     m = gen_toric(LatticeSpec(4, 4, "periodic"))
     black, _ = layer_pair(m)
-    for d in black.decomps.values():
-        assert np.allclose(d.slice_projector(0) + d.slice_projector(1), np.eye(2))
+    for v in m.spec.vertices():
+        assert np.allclose(slice_op(black, v, 0) + slice_op(black, v, 1), np.eye(2))
 
 
 def shared_vertex_pair(a, b):
@@ -157,12 +148,12 @@ def test_schmidt_noise_term_does_not_break_split():
     noisy = clean + 0.535e-12 * kron(PAULI_X, m_sigma)
     b = (np.eye(4) + kron(n_sigma, PAULI_Z)) / 2
 
-    ref = shared_vertex_pair(clean, b)[0].decomps[v]
-    d = shared_vertex_pair(noisy, b)[0].decomps[v]
-    assert d.split and ref.split
-    assert np.max(np.abs(d.basis - ref.basis)) < 1e-9
+    ref = shared_vertex_pair(clean, b)[0]
+    layer = shared_vertex_pair(noisy, b)[0]
+    assert v in layer.split_vertices and v in ref.split_vertices
+    assert np.max(np.abs(slice_basis(layer, v) - slice_basis(ref, v))) < 1e-9
     plus = (np.eye(2) + n_sigma) / 2
-    assert min(frob(d.slice_projector(k) - plus) for k in (0, 1)) < 1e-9
+    assert min(frob(slice_op(layer, v, k) - plus) for k in (0, 1)) < 1e-9
 
 
 def test_split_vertices_computed_once():
@@ -186,14 +177,14 @@ def test_factorization_after_full_slice_choice():
     for choice in (0, 1):
         slicer = np.eye(2**9, dtype=complex)
         for v in black.split_vertices:
-            slicer = slicer @ embed(LabeledOp(black.decomps[v].slice_projector(choice), (v,)), labels).mat
+            slicer = slicer @ embed(LabeledOp(slice_op(black, v, choice), (v,)), labels).mat
         left = slicer @ full @ slicer
 
         right = np.eye(2**9, dtype=complex)
         for op in blacks:
             for v in op.labels:
-                if black.decomps[v].split:
-                    op = sandwich_site(op, v, black.decomps[v].slice_projector(choice))
+                if v in black.split_vertices:
+                    op = sandwich_site(op, v, slice_op(black, v, choice))
             right = right @ embed(op, labels).mat
         assert frob(left - right) <= 1e-8
 
@@ -204,12 +195,9 @@ def test_determinism_bitwise():
     ids, projs = ground_projectors(m)
     b1, w1 = decompose_layers(spec, ids, projs)
     b2, w2 = decompose_layers(spec, ids, projs)
-    for v in spec.vertices():
-        for l1, l2 in ((b1, b2), (w1, w2)):
-            d1, d2 = l1.decomps[v], l2.decomps[v]
-            assert d1.split == d2.split
-            if d1.split:
-                assert np.array_equal(d1.basis, d2.basis)
+    for l1, l2 in ((b1, b2), (w1, w2)):
+        assert np.array_equal(l1.split, l2.split) and np.array_equal(l1.owner, l2.owner)
+        assert np.array_equal(l1.basis, l2.basis)
 
 
 def test_certificate_space_counts():
@@ -263,12 +251,13 @@ def test_pauli_table_matches_schmidt_reference(make, haar_conjugated):
     projs = projector_map(m)
     splits = 0
     for layer in layer_pair(m):
-        for v, d in layer.decomps.items():
+        for v, o in zip(m.spec.vertices(), layer.owner.tolist()):
             split, owner, basis = schmidt_reference(m.spec, projs, layer.color, v)
-            assert (d.split, d.owner) == (split, owner)
+            assert (v in layer.split_vertices) == split
+            assert (None if o < 0 else lattice.vertices_of(m.spec, [o])[0]) == owner
             if split:
                 splits += 1
-                assert np.max(np.abs(d.basis - basis)) <= 1e-10
+                assert np.max(np.abs(slice_basis(layer, v) - basis)) <= 1e-10
     assert splits
 
 
@@ -283,7 +272,7 @@ def test_prepare_runs_without_the_schmidt_route(monkeypatch):
     assert prep.f_black and prep.f_white
 
 
-VIEW_MODELS = {
+LAYER_MODELS = {
     "toric-4x4-open": lambda conj: gen_toric(LatticeSpec(4, 4)),
     "toric-4x4-periodic": lambda conj: gen_toric(LatticeSpec(4, 4, "periodic")),
     "rotated-classical-4x4": lambda conj: gen_random(LatticeSpec(4, 4), 3, "rotated-classical"),
@@ -291,30 +280,18 @@ VIEW_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", VIEW_MODELS)
-def test_decomps_view_matches_layer_arrays(name, haar_conjugated):
-    # the per-vertex view reads the split mask, the owner ids and the basis
-    # stack, in vertex order, and cannot be written to
-    m = VIEW_MODELS[name](haar_conjugated)
+@pytest.mark.parametrize("name", LAYER_MODELS)
+def test_layer_arrays_agree(name, haar_conjugated):
+    # one (2, 2) basis per split vertex, `split_vertices` read from the split
+    # mask, and owners (plaquettes' top-left corners) at unsplit vertices
+    # only, and on open lattices only
+    m = LAYER_MODELS[name](haar_conjugated)
     spec = m.spec
+    tops = {y * spec.lx + x for x, y in lattice.plaquettes(spec)}
     for layer in layer_pair(m):
-        view = layer.decomps
-        assert list(view) == spec.vertices() and len(view) == spec.n_vertices
+        assert layer.split.shape == layer.owner.shape == (spec.n_vertices,)
         assert layer.basis.shape == (int(layer.split.sum()), 2, 2)
-        row = 0
-        for i, v in enumerate(spec.vertices()):
-            d = view[v]
-            assert d.split == layer.split[i]
-            if d.split:
-                assert d.owner is None and np.array_equal(d.basis, layer.basis[row])
-                row += 1
-            else:
-                owner = layer.owner[i]
-                assert d.basis is None
-                assert d.owner == (None if owner < 0 else (owner % spec.lx, owner // spec.lx))
-        assert layer.split_vertices == frozenset(v for v, d in view.items() if d.split)
-        assert any(d.owner is not None for d in view.values()) == (spec.boundary == "open")
-        with pytest.raises(TypeError):
-            view[(0, 0)] = view[(0, 0)]
-        with pytest.raises(KeyError):
-            view[(spec.lx, 0)]
+        assert layer.split_vertices == frozenset(v for v, s in zip(spec.vertices(), layer.split) if s)
+        assert np.all(layer.owner[layer.split] == -1)
+        assert set(layer.owner[layer.owner >= 0].tolist()) <= tops
+        assert np.any(layer.owner >= 0) == (spec.boundary == "open")

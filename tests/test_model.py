@@ -243,6 +243,30 @@ def test_signed_toric_rejects_signs_other_than_one(sign):
             gen_signed_toric(spec, seed=1, **signs)
 
 
+def test_toric_generators_share_one_read_only_term_per_kind():
+    # a model holds one matrix per (color, sign), not a copy per plaquette,
+    # and an in-place edit of it raises instead of changing every plaquette
+    spec = LatticeSpec(6, 4, "periodic")
+    toric = gen_toric(spec)
+    for black in (True, False):
+        same = [t for p, t in toric.terms.items() if lattice.is_black(p) == black]
+        assert len({id(t) for t in same}) == 1
+        assert np.array_equal(same[0], -(Z4 if black else X4))
+    signed = gen_signed_toric(spec, seed=1)
+    assert len({id(t) for t in signed.terms.values()}) <= 4
+    signs = set()
+    for p, t in signed.terms.items():
+        word = Z4 if lattice.is_black(p) else X4
+        s = -1 if np.array_equal(t, word) else 1
+        assert np.array_equal(t, -s * word)
+        signs.add((lattice.is_black(p), s))
+    assert len(signs) == 4
+    for m in (toric, signed):
+        for t in m.terms.values():
+            with pytest.raises(ValueError):
+                t[0, 0] = 0
+
+
 @pytest.mark.parametrize(
     "signs, key",
     [

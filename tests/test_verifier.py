@@ -45,6 +45,8 @@ from reference import (
     partial_trace,
     plaquette_table,
     sandwich_site,
+    slice_basis,
+    slice_op,
 )
 
 
@@ -787,7 +789,7 @@ def test_plaquette_table_matches_sandwich_reference(family, haar_conjugated):
         for bits in itertools.product((0, 1), repeat=len(table.own_split)):
             ref = ops[p]
             for v, b in zip(table.own_split, bits):
-                ref = sandwich_site(ref, v, layer.decomps[v].slice_projector(b))
+                ref = sandwich_site(ref, v, slice_op(layer, v, b))
             op = apply_certificate(prep, local_cert(prep, table, bits))[p]
             assert op.labels == ref.labels
             assert frob(op.mat - ref.mat) <= 1e-12
@@ -816,7 +818,7 @@ def test_effective_states_match_sandwich_trace_reference(family, haar_conjugated
         for bits in itertools.product((0, 1), repeat=len(split)):
             ref = ops[p]
             for i, (v, b) in enumerate(zip(split, bits)):
-                ref = sandwich_site(ref, v, (own if i < k else other).decomps[v].slice_projector(b))
+                ref = sandwich_site(ref, v, slice_op(own if i < k else other, v, b))
             ref = prune_reference(partial_trace(ref, [v for v in ref.labels if v not in split]))
             blacks, whites, _ = effective_states(prep, local_cert(prep, table, bits[:k], bits[k:]))
             st = next(s for s in blacks + whites if s.plaquette == p)
@@ -837,7 +839,7 @@ def test_vertex_overlap_gather_reads_both_labels(model, values):
     assert both
     seen = set()
     for v in both:
-        black, white = prep.black.decomps[v].basis, prep.white.decomps[v].basis
+        black, white = slice_basis(prep.black, v), slice_basis(prep.white, v)
         for a, b in itertools.product((0, 1), repeat=2):
             cert = all_zero_cert(prep)
             cert.alpha[v], cert.beta[v] = a, b
@@ -859,8 +861,8 @@ def test_overlap_table_matches_trace_formula(family, haar_conjugated):
     for i, v in enumerate(vertices.both):
         table = vertices.overlap[4 * i : 4 * i + 4].reshape(2, 2)
         for a, b in itertools.product((0, 1), repeat=2):
-            pa = prep.black.decomps[v].slice_projector(a)
-            pb = prep.white.decomps[v].slice_projector(b)
+            pa = slice_op(prep.black, v, a)
+            pb = slice_op(prep.white, v, b)
             assert abs(table[a, b] - np.trace(pa @ pb).real) <= 1e-12
 
 

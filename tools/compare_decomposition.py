@@ -7,9 +7,9 @@ Run the dump once per tree, then diff the two dumps:
     python tools/compare_decomposition.py diff old.pkl new.pkl
 
 The diff exits with status 1 when it reports a structural difference:
-commutation pairs, a model that prepares on one tree only, split sets,
-owners, zero outcomes, or factor kinds or keys.  Numeric differences are
-printed only.
+commutation pairs, ground-projector violation pairs, a model that prepares
+on one tree only, split flags, owners, zero outcomes, or factor kinds or
+keys.  Numeric differences are printed only.
 
 The dump prepares a fixed model set (toric, rotated-classical,
 diagonal-field, signed-toric, Haar-conjugated toric and Ising models,
@@ -17,9 +17,12 @@ rotated-classical 24x24 seeds 0-9, the greedy benchmark models: toric
 12x12 open and the signed 8x8 torus with one flipped black sign, and
 rotated-classical models with every term perturbed by 1e-3 to 1e-11) and
 records, per model, the `check_commuting` violations (pairs, in order, and
-norms), the split flag, owner and slice basis of every vertex
-in both layers, log2 Omega and the factor list, each factor's (kind, key,
-log2), of the all-zeros certificate and of three seeded random ones, and
+norms), the band-kernel commutator norm of every intersecting pair of
+ground projectors (as `prepare` computes it), the violations of the
+`NonCommutingError` that `prepare` raises, if it does, each layer's
+`split`, `owner` and `basis` arrays, log2 Omega and the factor list, each
+factor's (kind, key, log2), of the all-zeros certificate and of three
+seeded random ones, and
 the result of a search: an exhaustive search (at most 16
 label bits), a two-restart greedy search (at most 36 qubits), or the
 greedy run the model names.  A search result is its kind, its `evaluated`
@@ -27,7 +30,7 @@ count and its certificate, so equal counts and certificates show equal
 search trajectories.  Given an older dump, it also evaluates that dump's
 search certificates, so equal certificates are compared on both trees even
 when the searches pick different ones among equal-valued ties.  Dumps are
-pickles that only this script writes and reads.
+pickles of one dict per model that only this script writes and reads.
 """
 from __future__ import annotations
 
@@ -131,9 +134,20 @@ def _factors(verdict):
     return [(f.kind, f.key, f.log2) for f in verdict.omega.factors]
 
 
+def band_norms(m):
+    """(p, q, |[P_p, P_q]|) for every intersecting pair of ground projectors,
+    from the band frames of the terms' `ground_band`, as `prepare` checks them."""
+    from commham import model
+    from commham.linalg import ground_band
+
+    ids, distinct = model._distinct(m.spec, m.terms)
+    proj, _, frame, side = ground_band(distinct)
+    return model._named(m.spec, *model._band_pair_norms(m.spec, ids, proj, frame, side))
+
+
 def dump(out: str, older: str | None = None) -> None:
     from commham import (
-        Certificate, check_commuting, exhaustive_search, greedy_search, prepare, verify,
+        Certificate, NonCommutingError, check_commuting, exhaustive_search, greedy_search, prepare, verify,
     )
 
     ref = {}
@@ -143,17 +157,19 @@ def dump(out: str, older: str | None = None) -> None:
     res = {}
     t0 = time.perf_counter()
     for name, m in models():
-        violations = check_commuting(m).violations
+        rec = res[name] = {
+            "status": "ok", "violations": check_commuting(m).violations,
+            "band": band_norms(m), "projector_violations": None,
+        }
         try:
             prep = prepare(m)
         except ValueError as exc:
-            res[name] = ("error", type(exc).__name__, violations)
+            rec["status"] = type(exc).__name__
+            if isinstance(exc, NonCommutingError):
+                rec["projector_violations"] = exc.violations
             continue
-        layers = {
-            layer.color: {
-                v: (d.split, d.owner, None if d.basis is None else d.basis.copy())
-                for v, d in layer.decomps.items()
-            }
+        rec["layers"] = {
+            layer.color: (layer.split.copy(), layer.owner.copy(), layer.basis.copy())
             for layer in (prep.black, prep.white)
         }
         rng = np.random.default_rng(0)
@@ -164,7 +180,7 @@ def dump(out: str, older: str | None = None) -> None:
                 {v: int(rng.integers(2)) for v in sorted(prep.f_white)},
             ))
         verdicts = [verify(prep, c) for c in certs]
-        omegas = [_omega(v) + (_factors(v),) for v in verdicts]
+        rec["omegas"] = [_omega(v) + (_factors(v),) for v in verdicts]
         search = kind = None
         if name in GREEDY_RUNS:
             kind, search = "greedy", greedy_search(prep, **GREEDY_RUNS[name])
@@ -175,17 +191,23 @@ def dump(out: str, older: str | None = None) -> None:
         found = None
         if search is not None and search.found:
             found = ((search.certificate.alpha, search.certificate.beta), _omega(search.verdict))
-        trajectory = None
-        if search is not None:
-            trajectory = (kind, search.evaluated, found[0] if found else None)
-        older_found = None
+        rec["found"] = found
+        rec["trajectory"] = None if search is None else (kind, search.evaluated, found[0] if found else None)
+        rec["older_found"] = None
         r = ref.get(name)
-        if r is not None and r[0] == "ok" and r[3] is not None:
-            older_found = _omega(verify(prep, Certificate(*r[3][0])))
-        res[name] = ("ok", layers, omegas, found, older_found, trajectory, violations)
+        if r is not None and r["status"] == "ok" and r["found"] is not None:
+            rec["older_found"] = _omega(verify(prep, Certificate(*r["found"][0])))
     print(f"dumped {len(res)} models in {time.perf_counter() - t0:.1f} s")
     with open(out, "wb") as f:
         pickle.dump(res, f)
+
+
+def _pairs(norms):
+    return [(p, q) for p, q, _ in norms]
+
+
+def _max_norm_difference(a, b, at_least=0.0):
+    return max([at_least] + [abs(x[2] - y[2]) for x, y in zip(a, b)])
 
 
 def diff(old_path: str, new_path: str) -> bool:
@@ -195,9 +217,9 @@ def diff(old_path: str, new_path: str) -> bool:
     with open(new_path, "rb") as f:
         new = pickle.load(f)
     both = nonzero = 0
-    max_basis = max_log2 = max_norm = max_factor = 0.0
-    problems, ties, paths, scans, one_tree = [], [], [], [], []
-    searches = violations = factor_lists = 0
+    max_basis = max_log2 = max_norm = max_band = max_factor = 0.0
+    problems, ties, paths, scans, one_tree, projector_scans = [], [], [], [], [], []
+    searches = violations = band_pairs = factor_lists = 0
 
     def compare_log2(name, a, b, what):
         nonlocal nonzero, max_log2
@@ -209,28 +231,33 @@ def diff(old_path: str, new_path: str) -> bool:
 
     for name, ra in old.items():
         rb = new[name]
-        va, vb = ra[-1], rb[-1]
+        va, vb = ra["violations"], rb["violations"]
         violations += len(va)
-        if [(p, q) for p, q, _ in va] != [(p, q) for p, q, _ in vb]:
+        if _pairs(va) != _pairs(vb):
             scans.append(f"{name}: {len(va)} -> {len(vb)} violations")
         else:
-            max_norm = max([max_norm] + [abs(a[2] - b[2]) for a, b in zip(va, vb)])
-        if ra[0] != "ok" or rb[0] != "ok":
-            if (ra[0] == "ok") != (rb[0] == "ok"):
+            max_norm = _max_norm_difference(va, vb, max_norm)
+        band_pairs += len(ra["band"])
+        if _pairs(ra["band"]) != _pairs(rb["band"]):
+            problems.append(f"{name}: ground-projector pairs differ")
+        else:
+            max_band = _max_norm_difference(ra["band"], rb["band"], max_band)
+        pa, pb = ra["projector_violations"], rb["projector_violations"]
+        if (pa is None) != (pb is None) or (pa is not None and _pairs(pa) != _pairs(pb)):
+            projector_scans.append(name)
+        if ra["status"] != "ok" or rb["status"] != "ok":
+            if (ra["status"] == "ok") != (rb["status"] == "ok"):
                 one_tree.append(name)
-            print(f"{name}: old {'ok' if ra[0] == 'ok' else ra[1]}, "
-                  f"new {'ok' if rb[0] == 'ok' else rb[1]}")
+            print(f"{name}: old {ra['status']}, new {rb['status']}")
             continue
         both += 1
-        (la, oa, fa, ta), (lb, ob, fb, older_found, tb) = ra[1:4] + ra[5:6], rb[1:6]
-        for color, decomps in la.items():
-            for v, (split, owner, basis) in decomps.items():
-                split_b, owner_b, basis_b = lb[color][v]
-                if (split, owner) != (split_b, owner_b):
-                    problems.append(f"{name} {color} {v}: split or owner differs")
-                elif basis is not None:
-                    max_basis = max(max_basis, float(np.max(np.abs(basis - basis_b))))
-        for a, b in zip(oa, ob):
+        for color, (split, owner, basis) in ra["layers"].items():
+            split_b, owner_b, basis_b = rb["layers"][color]
+            if not (np.array_equal(split, split_b) and np.array_equal(owner, owner_b)):
+                problems.append(f"{name} {color}: split flags or owners differ")
+            elif basis.size:
+                max_basis = max(max_basis, float(np.max(np.abs(basis - basis_b))))
+        for a, b in zip(ra["omegas"], rb["omegas"]):
             compare_log2(name, a, b, "certificate")
             factor_lists += 1
             if [f[:2] for f in a[2]] != [f[:2] for f in b[2]]:
@@ -241,11 +268,12 @@ def diff(old_path: str, new_path: str) -> bool:
                 max_factor = max([max_factor] + [
                     abs(f[2] - g[2]) for f, g in zip(a[2], b[2]) if f[2] != -np.inf
                 ])
+        fa, fb, ta, tb = ra["found"], rb["found"], ra["trajectory"], rb["trajectory"]
         if (fa is None) != (fb is None):
             problems.append(f"{name}: search found a certificate on one tree only")
         elif fa is not None:
-            if older_found is not None:  # the new dump was given the old one
-                compare_log2(name, fa[1], older_found, "old search certificate")
+            if rb["older_found"] is not None:  # the new dump was given the old one
+                compare_log2(name, fa[1], rb["older_found"], "old search certificate")
             compare_log2(name, fa[1], fb[1], "search optimum")
             if fa[0] != fb[0]:
                 ties.append(name)
@@ -259,8 +287,11 @@ def diff(old_path: str, new_path: str) -> bool:
           f"max |norm difference| {max_norm:.3g}")
     for p in scans:
         print("  ", p)
+    print(f"ground-projector pair norms compared: {band_pairs}, max |norm difference| {max_band:.3g}")
+    print(f"ground-projector violation lists: "
+          f"{'identical' if not projector_scans else 'differ on ' + ', '.join(projector_scans)}")
     print(f"models prepared by both: {both} of {len(old)}")
-    print(f"split sets, owners, zero outcomes, factor kinds and keys: "
+    print(f"split flags, owners, zero outcomes, factor kinds and keys: "
           f"{'identical' if not problems else f'{len(problems)} differences'}")
     for p in problems:
         print("  ", p)
@@ -274,7 +305,7 @@ def diff(old_path: str, new_path: str) -> bool:
           f"{searches - len(paths)} of {searches}")
     for p in paths:
         print("  ", p)
-    return bool(scans or one_tree or problems)
+    return bool(scans or projector_scans or one_tree or problems)
 
 
 if __name__ == "__main__":
