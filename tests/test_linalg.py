@@ -427,14 +427,38 @@ def _literal_trace(ops):
     return np.trace(product)
 
 
+def _absorbed_width(ops, order):
+    """Reference: the most wire segments open while the operators are
+    absorbed one at a time in `order`.  A qubit's segments join each user to
+    its next user in product order, the last to the first; a segment is
+    open while exactly one of its ends is absorbed."""
+    users = {}
+    for i, op in enumerate(ops):
+        for label in op.labels:
+            users.setdefault(label, []).append(i)
+    segments = [(u[k], u[(k + 1) % len(u)]) for u in users.values() for k in range(len(u))]
+    absorbed, width = set(), 0
+    for i in order:
+        absorbed.add(i)
+        width = max(width, sum((a in absorbed) != (b in absorbed) for a, b in segments))
+    return width
+
+
 @settings(max_examples=200, deadline=None)
 @given(_labeled_products(), st.data())
 def test_trace_matches_literal_embedding(ops, data):
-    # the absorption order, greedy or given, does not change the network
+    # the absorption order, greedy or given, does not change the network; a
+    # given order that holds more than _MAX_OPEN_WIRES wires open at once
+    # (8 operators on 4 shared qubits, absorbed every other one, hold 26) is
+    # refused, as the wire bound says
     order = data.draw(st.permutations(range(len(ops))))
     expected = _literal_trace(ops)
     assert abs(trace_product_embedded(ops) - expected) <= 1e-9 * max(1.0, abs(expected))
-    assert abs(trace_product_embedded(ops, order) - expected) <= 1e-9 * max(1.0, abs(expected))
+    if _absorbed_width(ops, order) > linalg._MAX_OPEN_WIRES:
+        with pytest.raises(CapExceeded, match="open wires"):
+            trace_product_embedded(ops, order)
+    else:
+        assert abs(trace_product_embedded(ops, order) - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 PLANNERS = {
