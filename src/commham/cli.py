@@ -80,7 +80,7 @@ def cmd_gen(args) -> int:
     else:
         m = model_mod.gen_random(spec, args.seed, args.method)
     serialize.save_model(m, args.output)
-    print(f"wrote {args.output}: {len(m.terms)} terms on {m.n_qubits} qubits")
+    print(f"wrote {args.output}: {len(m.ids)} terms, {len(m.distinct)} distinct, on {m.n_qubits} qubits")
     return EXIT_OK
 
 

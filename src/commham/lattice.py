@@ -68,7 +68,8 @@ def plaquette_color(p: Plaquette) -> str:
     return BLACK if is_black(p) else WHITE
 
 
-def _plaquette_range(spec: LatticeSpec) -> tuple[int, int]:
+def plaquette_range(spec: LatticeSpec) -> tuple[int, int]:
+    """The columns and rows of plaquettes: (x, y) is index y * px + x of `plaquettes`."""
     if spec.boundary == PERIODIC:
         return spec.lx, spec.ly
     return spec.lx - 1, spec.ly - 1
@@ -76,14 +77,14 @@ def _plaquette_range(spec: LatticeSpec) -> tuple[int, int]:
 
 def plaquettes(spec: LatticeSpec) -> list[Plaquette]:
     """All plaquettes in row-major order."""
-    px, py = _plaquette_range(spec)
+    px, py = plaquette_range(spec)
     return [(x, y) for y in range(py) for x in range(px)]
 
 
 def corner_ids(spec: LatticeSpec) -> np.ndarray:
     """The (n_plaquettes, 4) row-major vertex ids y * lx + x of every
     plaquette's corners TL, TR, BR, BL, plaquettes in `plaquettes` order."""
-    px, py = _plaquette_range(spec)
+    px, py = plaquette_range(spec)
     y, x = np.divmod(np.arange(px * py), px)
     x1, y1 = (x + 1) % spec.lx, (y + 1) % spec.ly
     return np.stack([y * spec.lx + x, y * spec.lx + x1, y1 * spec.lx + x1, y1 * spec.lx + x], axis=1)
@@ -98,7 +99,7 @@ def vertices_of(spec: LatticeSpec, ids) -> list[Vertex]:
 def corners(spec: LatticeSpec, p: Plaquette) -> list[Vertex]:
     """The four corner vertices of plaquette p, in order TL, TR, BR, BL."""
     x, y = p
-    px, py = _plaquette_range(spec)
+    px, py = plaquette_range(spec)
     if not (0 <= x < px and 0 <= y < py):
         raise LatticeError(f"plaquette {p} out of range for {spec.lx}x{spec.ly} {spec.boundary}")
     x1, y1 = (x + 1) % spec.lx, (y + 1) % spec.ly  # no wrap on an open lattice, where x < lx - 1
@@ -114,7 +115,7 @@ def incident_plaquettes(spec: LatticeSpec, v: Vertex, color: str | None = None) 
     x, y = v
     if not (0 <= x < spec.lx and 0 <= y < spec.ly):
         raise LatticeError(f"vertex {v} out of range")
-    px, py = _plaquette_range(spec)
+    px, py = plaquette_range(spec)
     # on an open lattice a step off the edge wraps to x = lx - 1 or y = ly - 1, which holds no plaquette
     near = {((x + dx) % spec.lx, (y + dy) % spec.ly) for dx in (-1, 0) for dy in (-1, 0)}
     found = [q for q in near if q[0] < px and q[1] < py and (color is None or plaquette_color(q) == color)]

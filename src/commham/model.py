@@ -1,21 +1,24 @@
 """Plaquette Hamiltonians with mutually commuting terms, and generators.
 
 A model is a lattice plus one Hermitian 16x16 matrix per plaquette, acting
-on the plaquette's corners in the fixed TL, TR, BR, BL order.  Generators
+on the plaquette's corners in the fixed TL, TR, BR, BL order, stored once
+per distinct matrix with one id per plaquette.  Generators
 cover the stabilizer-type model (Z-words on black plaquettes, X-words on
 white), classical Ising models in a field, and three seeded random
 families used for testing.
 """
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import lattice
 from .lattice import LatticeSpec, Plaquette, Vertex, is_black
-from .linalg import COMMUTATION_TOL, HERMITICITY_RTOL, LabeledOp, frob, ground_band
+from .linalg import COMMUTATION_TOL, HERMITICITY_RTOL, LabeledOp, ground_band
 
 # pairs per batched evaluation in either pair kernel; bounds its working set
 _PAIR_CHUNK = 32
@@ -35,31 +38,120 @@ class NonCommutingError(ModelError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True, eq=False)
+class Terms(Mapping):
+    """A model's terms as a read-only mapping from plaquette to 16x16 matrix,
+    in `lattice.plaquettes` order: terms[p] is the row of `distinct` that p's
+    id names, one read-only object per distinct term."""
+
+    def __init__(self, spec: LatticeSpec, ids: np.ndarray, distinct: np.ndarray):
+        self._spec, self._ids, self._rows = spec, ids, list(distinct)
+        self._px, self._py = lattice.plaquette_range(spec)
+
+    def __getitem__(self, p: Plaquette) -> np.ndarray:
+        try:
+            x, y = map(operator.index, p)
+        except (TypeError, ValueError):
+            raise KeyError(p) from None
+        if not (0 <= x < self._px and 0 <= y < self._py):
+            raise KeyError(p)
+        return self._rows[self._ids[y * self._px + x]]
+
+    def __iter__(self) -> Iterator[Plaquette]:
+        return iter(lattice.plaquettes(self._spec))
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
+def _by_first_appearance(ids: np.ndarray, distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ids renumbered by first appearance, with the rows they name: each
+    byte-distinct matrix once, unused rows dropped."""
+    rows: dict[bytes, int] = {}
+    first_equal = np.array([rows.setdefault(m.tobytes(), i) for i, m in enumerate(distinct)])
+    used, first, inverse = np.unique(first_equal[ids], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(used), dtype=np.intp)
+    rank[order] = np.arange(len(used))
+    return rank[inverse], distinct[used[order]]
+
+
+def _check_terms(spec: LatticeSpec, ids: np.ndarray, distinct: np.ndarray) -> None:
+    """ModelError naming the first plaquette whose term has a non-finite
+    entry, else the first whose term is not Hermitian."""
+    bad, what = np.flatnonzero(~np.isfinite(distinct).all(axis=(1, 2))), "has non-finite entries"
+    if not len(bad):  # NaN compares false with everything, so it would pass the Hermiticity check
+        skew = np.linalg.norm(distinct - distinct.conj().transpose(0, 2, 1), axis=(1, 2))
+        bad, what = np.flatnonzero(skew > HERMITICITY_RTOL * np.linalg.norm(distinct, axis=(1, 2))), "is not Hermitian"
+    if len(bad):
+        # rows are numbered by first appearance: the first bad row's first plaquette is the first bad one
+        p = lattice.plaquettes(spec)[int(np.argmax(ids == bad[0]))]
+        raise ModelError(f"term at {p} {what}")
+
+
 class CommutingModel:
-    """Lattice geometry plus one Hermitian plaquette term per plaquette."""
+    """Lattice geometry plus one Hermitian term per plaquette, each distinct
+    term held once: plaquette i of `lattice.plaquettes` has the term
+    distinct[ids[i]].
 
-    spec: LatticeSpec
-    terms: dict[Plaquette, np.ndarray]
+    However the model is built, terms are numbered by first appearance in
+    plaquette order and no two rows of the (D, 16, 16) stack `distinct` are
+    equal bytes; `ids` and `distinct` are read-only, and each distinct term
+    is validated once.  `terms` reads them as a mapping.
 
-    def __post_init__(self) -> None:
-        valid = set(lattice.plaquettes(self.spec))
-        terms = {}
-        for p, m in self.terms.items():
+    `CommutingModel(spec, terms)` takes one matrix per plaquette, keyed by
+    plaquette; terms that are one object, or equal bytes, share a row.
+    `CommutingModel.from_ids(spec, ids, distinct)` takes the arrays.
+    """
+
+    __slots__ = ("spec", "ids", "distinct", "terms")
+
+    def __init__(self, spec: LatticeSpec, terms: Mapping[Plaquette, np.ndarray]):
+        plist = lattice.plaquettes(spec)
+        valid = set(plist)
+        for p in terms:
             if p not in valid:
                 raise ModelError(f"plaquette {p} not on the lattice")
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (16, 16):
-                raise ModelError(f"term at {p} has shape {m.shape}, expected 16x16")
-            if not np.isfinite(m).all():
-                raise ModelError(f"term at {p} has non-finite entries")
-            if frob(m - m.conj().T) > HERMITICITY_RTOL * frob(m):
-                raise ModelError(f"term at {p} is not Hermitian")
-            terms[p] = m
-        missing = valid - set(terms)
+        missing = valid.difference(terms)
         if missing:
             raise ModelError(f"missing terms for plaquettes {sorted(missing)}")
-        object.__setattr__(self, "terms", terms)
+        held = [terms[p] for p in plist]  # keeps every term alive while numbered by id()
+        by_object: dict[int, int] = {}
+        by_bytes: dict[bytes, int] = {}
+        mats = []
+        for p, t in zip(plist, held):
+            if id(t) not in by_object:
+                m = np.asarray(t, dtype=complex)
+                if m.shape != (16, 16):
+                    raise ModelError(f"term at {p} has shape {m.shape}, expected 16x16")
+                row = by_object[id(t)] = by_bytes.setdefault(m.tobytes(), len(mats))
+                if row == len(mats):
+                    mats.append(m)
+        self._build(spec, np.array([by_object[id(t)] for t in held]), np.stack(mats))
+
+    @classmethod
+    def from_ids(cls, spec: LatticeSpec, ids, distinct) -> CommutingModel:
+        """The model whose plaquette i of `lattice.plaquettes` has the term
+        distinct[ids[i]]: `ids` one integer per plaquette, `distinct` a stack
+        (D, 16, 16).  Ids are renumbered by first appearance, equal rows
+        merged and unused rows dropped."""
+        ids, distinct = np.asarray(ids), np.asarray(distinct, dtype=complex)
+        n = math.prod(lattice.plaquette_range(spec))
+        if ids.shape != (n,) or ids.dtype.kind not in "iu":
+            raise ModelError(f"ids have shape {ids.shape} and dtype {ids.dtype}, expected {n} integers")
+        if distinct.ndim != 3 or distinct.shape[1:] != (16, 16):
+            raise ModelError(f"distinct terms have shape {distinct.shape}, expected (D, 16, 16)")
+        if ids.min() < 0 or ids.max() >= len(distinct):
+            raise ModelError(f"ids span [{ids.min()}, {ids.max()}], outside [0, {len(distinct)})")
+        model = cls.__new__(cls)
+        model._build(spec, *_by_first_appearance(ids, distinct))
+        return model
+
+    def _build(self, spec: LatticeSpec, ids: np.ndarray, distinct: np.ndarray) -> None:
+        """Validate and hold fresh arrays already numbered by first appearance."""
+        _check_terms(spec, ids, distinct)
+        ids.flags.writeable = distinct.flags.writeable = False
+        self.spec, self.ids, self.distinct = spec, ids, distinct
+        self.terms = Terms(spec, ids, distinct)
 
     @property
     def n_qubits(self) -> int:
@@ -98,16 +190,6 @@ def _shared_factors(mats: np.ndarray, shared: tuple[int, ...]) -> np.ndarray:
     axes = [0] + [b + k for ks in (own, shared) for b in (1, 5) for k in ks]
     m = mats.reshape((n,) + (2,) * 8).transpose(axes).reshape(n, 4 ** (4 - s), 4**s)
     return (np.linalg.qr(m, mode="r") if s < 2 else m).reshape(n, -1, 2**s, 2**s)
-
-
-def _distinct(spec: LatticeSpec, mats: Mapping[Plaquette, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per plaquette in `plaquettes` order, the row of its matrix among the
-    distinct ones, numbered by first appearance, and those rows stacked:
-    equal terms share work, keyed by one byte string per distinct matrix."""
-    rows: dict[bytes, int] = {}
-    plist = lattice.plaquettes(spec)
-    ids = np.array([rows.setdefault(mats[p].tobytes(), len(rows)) for p in plist])
-    return ids, np.stack([mats[plist[i]] for i in np.unique(ids, return_index=True)[1]])
 
 
 def _traceless(distinct: np.ndarray) -> np.ndarray:
@@ -212,8 +294,7 @@ def check_commuting(model: CommutingModel) -> CommutationReport:
 
     Disjoint pairs commute trivially and are skipped.
     """
-    ids, terms = _distinct(model.spec, model.terms)
-    violations = _violations(model.spec, ids, terms, np.zeros(len(terms)))
+    violations = _violations(model.spec, model.ids, model.distinct, np.zeros(len(model.distinct)))
     return CommutationReport(not violations, violations)
 
 
@@ -228,16 +309,15 @@ def ground_projectors(model: CommutingModel) -> tuple[np.ndarray, np.ndarray]:
     that does not commute, or a degeneracy split by the gap tolerance.  Pair
     norms come from the band frames of the same eigh (`_band_pair_norms`).
     """
-    ids, terms = _distinct(model.spec, model.terms)  # equal terms share one eigendecomposition
-    stack, radius, *band = ground_band(terms)
-    bad = _violations(model.spec, ids, stack, radius, band)
+    stack, radius, *band = ground_band(model.distinct)  # equal terms share one eigendecomposition
+    bad = _violations(model.spec, model.ids, stack, radius, band)
     if bad:
         (p, q, norm), rest = bad[0], bad[1:]
         more = "".join(f"; also at {a} and {b} (norm {n:.2e})" for a, b, n in rest)
         raise NonCommutingError(
             f"ground projectors at {p} and {q} do not commute (norm {norm:.2e}){more}", bad
         )
-    return ids, stack
+    return model.ids, stack
 
 
 def projector_ops(spec: LatticeSpec, ids: np.ndarray, projectors: np.ndarray) -> dict[Plaquette, LabeledOp]:
@@ -262,12 +342,11 @@ def _pauli_word(m2: np.ndarray) -> np.ndarray:
 
 _Z4 = _pauli_word(np.array([[1, 0], [0, -1]], dtype=complex))
 _X4 = _pauli_word(np.array([[0, 1], [1, 0]], dtype=complex))
-# one read-only term per kind, which every plaquette of that kind shares, keyed
-# by is_black (and the sign); -Z4 and -1 * Z4 differ in the signs of their zeros
-_TORIC = {True: -_Z4, False: -_X4}
-_SIGNED = {(black, s): -s * (_Z4 if black else _X4) for black in (True, False) for s in (-1, 1)}
-for _term in (*_TORIC.values(), *_SIGNED.values()):
-    _term.flags.writeable = False
+# one term per kind, stacked: toric rows black, white; signed rows black
+# -1, black +1, white -1, white +1; -Z4 and -1 * Z4 differ in the signs of
+# their zeros
+_TORIC = np.stack([-_Z4, -_X4])
+_SIGNED = np.stack([-s * word for word in (_Z4, _X4) for s in (-1, 1)])
 
 
 def _check_keys(given: Mapping, keys: list, what: str, complete: bool = False) -> None:
@@ -282,8 +361,10 @@ def _check_keys(given: Mapping, keys: list, what: str, complete: bool = False) -
 
 def gen_toric(spec: LatticeSpec) -> CommutingModel:
     """Stabilizer model: h = -Z^(x)4 on black plaquettes, -X^(x)4 on white,
-    one read-only matrix per color."""
-    return CommutingModel(spec, {p: _TORIC[is_black(p)] for p in lattice.plaquettes(spec)})
+    built from the ids of the two colors."""
+    px, py = lattice.plaquette_range(spec)
+    y, x = np.divmod(np.arange(px * py), px)
+    return CommutingModel.from_ids(spec, (x + y) % 2, _TORIC)
 
 
 def gen_signed_toric(
@@ -298,21 +379,20 @@ def gen_signed_toric(
     given sign other than +-1, or at no plaquette of its color, raises
     ModelError.  On a periodic lattice the product of all signs of one color
     must be +1 for a common ground state to exist, so random draws are
-    frustrated half the time.  Terms of one color and sign share one
-    read-only matrix.
+    frustrated half the time.  Terms of one color and sign share one row.
     """
     plist = lattice.plaquettes(spec)
     _check_keys(black_signs or {}, [p for p in plist if is_black(p)], "black plaquette")
     _check_keys(white_signs or {}, [p for p in plist if not is_black(p)], "white plaquette")
     rng = np.random.default_rng(seed)
-    terms = {}
+    rows = []
     for p in plist:
         given = (black_signs if is_black(p) else white_signs) or {}
         s = given[p] if p in given else int(rng.choice((-1, 1)))
         if s not in (-1, 1):
             raise ModelError(f"sign {s!r} at plaquette {p} must be +1 or -1")
-        terms[p] = _SIGNED[is_black(p), int(s)]
-    return CommutingModel(spec, terms)
+        rows.append(2 * (not is_black(p)) + (s == 1))
+    return CommutingModel.from_ids(spec, rows, _SIGNED)
 
 
 def gen_ising(

@@ -1,11 +1,18 @@
 """JSON file formats for models and certificates.
 
-Model files:
+Model files hold each distinct term once, with one id per plaquette:
     {"lattice": {"lx": int, "ly": int, "boundary": "open"|"periodic"},
-     "terms": [{"plaquette": [x, y],
-                "matrix": [[[re, im], ...16], ...16]}, ...]}
-The matrix is row-major on the plaquette's corners in order TL, TR, BR,
-BL with corner 0 as the most significant bit.  Certificate files:
+     "ids": [int, ...],
+     "distinct": [matrix, ...]}
+Plaquette i of `lattice.plaquettes` (row-major) has the term
+distinct[ids[i]]; `save_model` numbers the terms by first appearance.  The
+per-plaquette format, one matrix per plaquette, still loads (equal terms
+are merged on load):
+    {"lattice": {...},
+     "terms": [{"plaquette": [x, y], "matrix": matrix}, ...]}
+A matrix is [[[re, im], ...16], ...16], row-major on the plaquette's
+corners in order TL, TR, BR, BL with corner 0 as the most significant bit.
+Certificate files:
     {"alpha": {"x,y": 0|1, ...}, "beta": {...}}
 Floats serialize as shortest round-trip decimals, so save/load is
 bit-exact.
@@ -13,6 +20,7 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -29,22 +37,14 @@ class FormatError(ValueError):
 
 
 def model_to_dict(model: CommutingModel) -> dict:
-    terms = []
-    for p in lattice.plaquettes(model.spec):
-        m = model.terms[p]
-        terms.append(
-            {
-                "plaquette": [p[0], p[1]],
-                "matrix": [[[float(c.real), float(c.imag)] for c in row] for row in m],
-            }
-        )
     return {
         "lattice": {
             "lx": model.spec.lx,
             "ly": model.spec.ly,
             "boundary": model.spec.boundary,
         },
-        "terms": terms,
+        "ids": model.ids.tolist(),
+        "distinct": [[[[float(c.real), float(c.imag)] for c in row] for row in m] for m in model.distinct],
     }
 
 
@@ -54,29 +54,59 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _matrix(rows, p) -> np.ndarray:
+def _matrix(rows, what: str) -> np.ndarray:
     for i, row in enumerate(rows):
         for j, c in enumerate(row):
             if type(c) is not list or len(c) != 2 or type(c[0]) not in (int, float) or type(c[1]) not in (int, float):
-                raise FormatError(f"plaquette {p} entry ({i}, {j}) = {c!r} is not two real numbers [re, im]")
+                raise FormatError(f"{what} entry ({i}, {j}) = {c!r} is not two real numbers [re, im]")
     return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
 
 
+def _terms(entries) -> dict:
+    terms = {}
+    for entry in entries:
+        x, y = entry["plaquette"]
+        p = (_integer(x, "plaquette x"), _integer(y, "plaquette y"))
+        if p in terms:
+            raise FormatError(f"plaquette {p} is listed twice")
+        terms[p] = _matrix(entry["matrix"], f"plaquette {p}")
+    return terms
+
+
+def _ids_and_distinct(spec: LatticeSpec, ids, distinct) -> tuple[list[int], np.ndarray]:
+    if type(ids) is not list or type(distinct) is not list or not distinct:
+        raise FormatError("ids and distinct must be lists, distinct not empty")
+    n = math.prod(lattice.plaquette_range(spec))
+    if len(ids) != n:
+        raise FormatError(f"ids has {len(ids)} entries, expected {n}, one per plaquette")
+    mats = []
+    for j, rows in enumerate(distinct):
+        mats.append(_matrix(rows, f"distinct term {j}"))
+        if mats[-1].shape != (16, 16):
+            raise FormatError(f"distinct term {j} has shape {mats[-1].shape}, expected 16x16")
+    for k, i in enumerate(ids):
+        if type(i) is not int or not 0 <= i < len(mats):
+            why = "is not an integer" if type(i) is not int else f"is outside [0, {len(mats)})"
+            raise FormatError(f"id {i!r} of plaquette {lattice.plaquettes(spec)[k]} {why}")
+    return ids, np.stack(mats)
+
+
 def model_from_dict(data: dict) -> CommutingModel:
+    """A model from either file format: "ids" and "distinct", or "terms"."""
     try:
         lat = data["lattice"]
         lx, ly = (_integer(lat[k], k) for k in ("lx", "ly"))
         spec = LatticeSpec(lx, ly, str(lat["boundary"]))
-        terms = {}
-        for entry in data["terms"]:
-            x, y = entry["plaquette"]
-            p = (_integer(x, "plaquette x"), _integer(y, "plaquette y"))
-            if p in terms:
-                raise FormatError(f"plaquette {p} is listed twice")
-            terms[p] = _matrix(entry["matrix"], p)
+        per_plaquette = "terms" in data
+        if per_plaquette and ("ids" in data or "distinct" in data):
+            raise FormatError("a model has either terms or ids and distinct, not both")
+        if per_plaquette:
+            terms = _terms(data["terms"])
+        else:
+            ids, distinct = _ids_and_distinct(spec, data["ids"], data["distinct"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise FormatError(f"malformed model data: {exc}") from exc
-    return CommutingModel(spec, terms)
+    return CommutingModel(spec, terms) if per_plaquette else CommutingModel.from_ids(spec, ids, distinct)
 
 
 def certificate_to_dict(cert: Certificate) -> dict:

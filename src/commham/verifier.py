@@ -82,6 +82,9 @@ class Certificate:
 _ID2 = np.eye(2)
 _W4 = np.array([8, 4, 2, 1])  # a left-padded row of four 0/1 labels as a big-endian pattern
 _CHUNK = 4096  # label rows per stack of the layer scan
+# rows per run of the compile's R = U^dag P U: full-size temporaries cost
+# a minor page fault per fresh page on every cold compile
+_SLICE_CHUNK = 128
 
 
 def _corner_kron(mats: np.ndarray) -> np.ndarray:
@@ -107,15 +110,17 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _slice_tables(projs: np.ndarray, frames: np.ndarray, roles: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(norms, blocks) per projector, frame per corner and role per corner
     (0 own-split, 1 other-only, 2 free), batched per tuple of roles, read
-    from R = U^dag P U, U the Kronecker product of the frames.  In it,
-    slicing keeps the rows and columns whose bit at a corner is the label,
-    and tracing out a rank-1 slice keeps that diagonal entry.  norms[b] is
-    the Frobenius norm of the block whose own-split rows and columns equal
-    b, the sliced projector's norm since U is unitary; blocks[own + other]
-    is the diagonal block over all split corners, the effective state on
-    the free corners before pruning."""
-    u = _corner_kron(frames)
-    r = u.conj().transpose(0, 2, 1) @ projs @ u
+    from R = U^dag P U, U the Kronecker product of the frames, built in runs
+    of _SLICE_CHUNK rows.  In R, slicing keeps the rows and columns whose
+    bit at a corner is the label, and tracing out a rank-1 slice keeps that
+    diagonal entry.  norms[b] is the Frobenius norm of the block whose
+    own-split rows and columns equal b, the sliced projector's norm since U
+    is unitary; blocks[own + other] is the diagonal block over all split
+    corners, the effective state on the free corners before pruning."""
+    r = np.empty(projs.shape, dtype=complex)
+    for k in range(0, len(r), _SLICE_CHUNK):
+        u = _corner_kron(frames[k : k + _SLICE_CHUNK])
+        r[k : k + _SLICE_CHUNK] = u.conj().transpose(0, 2, 1) @ projs[k : k + _SLICE_CHUNK] @ u
     first, kind_of = _distinct_rows(roles)
     out: list = [None] * len(roles)
     for g, kind in enumerate(roles[first].tolist()):

@@ -7,9 +7,14 @@
   pruning) and `oracle` (dense products);
 * `slice_basis`, `slice_op`: a vertex's slice basis and slice projectors
   read from a layer's `split`, `basis_row` and `basis` arrays;
+* `bytes_numbering`: per plaquette, its matrix's row among the distinct
+  ones by bytes, numbered by first appearance, against the ids and distinct
+  stack of a `CommutingModel`;
 * `pair_norms`, `band_pair_norms`: `model._distinct_pair_norms` on
   matrices and `model._band_pair_norms` on the terms' ground projectors, per
   plaquette pair, against `commutator_norm`;
+* `per_plaquette_dict`: a model in the per-plaquette file format, one
+  matrix per plaquette, against `serialize.model_from_dict`;
 * `certificates_lex`: one `Certificate` at a time, against the scans of
   `prover` and `oracle` and the stacked `verifier.compute_omega`;
 * `plaquette_table`: one plaquette's corners and slice-pattern norms read
@@ -109,19 +114,42 @@ def commutator_norm(a: LabeledOp, b: LabeledOp) -> float:
     return frob(am @ bm - bm @ am)
 
 
+def bytes_numbering(spec: lattice.LatticeSpec, mats) -> tuple[np.ndarray, np.ndarray]:
+    """Per plaquette in `plaquettes` order, the row of its matrix among the
+    distinct ones, numbered by first appearance and keyed by the matrix's
+    bytes alone, and those rows stacked."""
+    rows: dict[bytes, int] = {}
+    plist = lattice.plaquettes(spec)
+    mats = {p: np.asarray(mats[p], dtype=complex) for p in plist}
+    ids = np.array([rows.setdefault(mats[p].tobytes(), len(rows)) for p in plist])
+    return ids, np.stack([mats[plist[i]] for i in np.unique(ids, return_index=True)[1]])
+
+
 def pair_norms(m: model.CommutingModel, mats) -> model.PairNorms:
     """|[mats[p], mats[q]]| for every intersecting pair, in `_intersecting_pairs` order."""
-    ids, distinct = model._distinct(m.spec, mats)
+    ids, distinct = bytes_numbering(m.spec, mats)
     return model._named(m.spec, *model._distinct_pair_norms(m.spec, ids, model._traceless(distinct)))
 
 
 def band_pair_norms(m: model.CommutingModel, terms) -> tuple[model.PairNorms, dict]:
     """|[P_p, P_q]| from the band frames for every intersecting pair, P the
     ground projectors of `terms`, and those projectors keyed by plaquette."""
-    ids, distinct = model._distinct(m.spec, terms)
+    ids, distinct = bytes_numbering(m.spec, terms)
     proj, _, frame, side = ground_band(distinct)
     projs = {p: proj[i] for p, i in zip(lattice.plaquettes(m.spec), ids.tolist())}
     return model._named(m.spec, *model._band_pair_norms(m.spec, ids, proj, frame, side)), projs
+
+
+def per_plaquette_dict(m: model.CommutingModel) -> dict:
+    """m in the per-plaquette model file format: one "terms" entry per
+    plaquette, in `plaquettes` order, each with its whole matrix."""
+    return {
+        "lattice": {"lx": m.spec.lx, "ly": m.spec.ly, "boundary": m.spec.boundary},
+        "terms": [
+            {"plaquette": list(p), "matrix": [[[float(c.real), float(c.imag)] for c in row] for row in h]}
+            for p, h in m.terms.items()
+        ],
+    }
 
 
 def certificates_lex(f_black: frozenset, f_white: frozenset):

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from commham.serialize import (
     save_certificate,
     save_model,
 )
-from commham.verifier import Certificate, prepare
+from commham.verifier import Certificate, prepare, verify
+
+from reference import per_plaquette_dict
 
 
 # ------------------------------------------------------------ serialization
@@ -54,8 +57,7 @@ def test_malformed_model_file(tmp_path):
 def test_model_duplicate_plaquette_rejected(tmp_path):
     # a second entry for a plaquette must not silently replace the first
     path = tmp_path / "m.json"
-    save_model(gen_toric(LatticeSpec(3, 3)), path)
-    raw = json.loads(path.read_text())
+    raw = per_plaquette_dict(gen_toric(LatticeSpec(3, 3)))
     raw["terms"].append({"plaquette": [0, 0], "matrix": [[[0.0, 0.0]] * 16] * 16})
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(FormatError, match="listed twice"):
@@ -69,8 +71,7 @@ def test_model_duplicate_plaquette_rejected(tmp_path):
 def test_model_non_integer_coordinate_rejected(tmp_path, field, value):
     # int() would truncate 3.7 to 3 and load a different lattice
     path = tmp_path / "m.json"
-    save_model(gen_toric(LatticeSpec(3, 3)), path)
-    raw = json.loads(path.read_text())
+    raw = per_plaquette_dict(gen_toric(LatticeSpec(3, 3)))
     if field in ("lx", "ly"):
         raw["lattice"][field] = value
     else:
@@ -87,14 +88,90 @@ def test_model_non_integer_coordinate_rejected(tmp_path, field, value):
 def test_model_malformed_matrix_entry_rejected(tmp_path, entry):
     # complex(c[0], c[1]) would read [-1, 0, 99] as -1 and [true, false] as 1
     path = tmp_path / "m.json"
-    save_model(gen_toric(LatticeSpec(3, 3)), path)
-    raw = json.loads(path.read_text())
+    raw = per_plaquette_dict(gen_toric(LatticeSpec(3, 3)))
     raw["terms"][1]["matrix"][2][5] = entry
     path.write_text(json.dumps(raw), encoding="utf-8")
     p = tuple(raw["terms"][1]["plaquette"])
     with pytest.raises(FormatError, match=re.escape(f"plaquette {p} entry (2, 5) = {entry!r}")):
         load_model(path)
     assert main(["check", str(path)]) == 2
+
+
+def _write(path, data) -> str:
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda d: d["ids"].pop(), "ids has 8 entries, expected 9, one per plaquette"),
+        (lambda d: d["ids"].append(0), "ids has 10 entries, expected 9"),
+        (lambda d: d["ids"].__setitem__(4, 1.0), r"id 1.0 of plaquette \(1, 1\) is not an integer"),
+        (lambda d: d["ids"].__setitem__(4, True), r"id True of plaquette \(1, 1\) is not an integer"),
+        (lambda d: d["ids"].__setitem__(4, "1"), r"id '1' of plaquette \(1, 1\) is not an integer"),
+        (lambda d: d["ids"].__setitem__(2, 2), r"id 2 of plaquette \(2, 0\) is outside \[0, 2\)"),
+        (lambda d: d["ids"].__setitem__(2, -1), r"id -1 of plaquette \(2, 0\) is outside \[0, 2\)"),
+        (lambda d: d["distinct"][1].pop(), r"distinct term 1 has shape \(15, 16\), expected 16x16"),
+        (lambda d: d["distinct"].__setitem__(0, [[[0.0, 0.0]] * 8] * 8), r"distinct term 0 has shape \(8, 8\)"),
+        (lambda d: d["distinct"][0][3].pop(), "malformed model data"),
+        (lambda d: d["distinct"][0][2].__setitem__(5, [1.0]), r"distinct term 0 entry \(2, 5\) = \[1.0\]"),
+        (lambda d: d.__setitem__("ids", {"0": 0}), "ids and distinct must be lists"),
+        (lambda d: d.__setitem__("distinct", []), "distinct not empty"),
+        (lambda d: d.pop("ids"), "malformed model data"),
+        (lambda d: d.__setitem__("terms", []), "either terms or ids and distinct"),
+    ],
+    ids=[
+        "ids short", "ids long", "id float", "id bool", "id string", "id past the rows", "id negative",
+        "row missing", "matrix 8x8", "ragged matrix", "bad entry", "ids not a list", "no rows", "no ids",
+        "both formats",
+    ],
+)
+def test_model_file_distinct_format_rejected(tmp_path, edit, match):
+    # toric 4x4 open: 9 plaquettes, (1, 1) the fifth, 2 distinct terms
+    data = model_to_dict(gen_toric(LatticeSpec(4, 4)))
+    edit(data)
+    path = _write(tmp_path / "m.json", data)
+    with pytest.raises(FormatError, match=match):
+        load_model(path)
+    assert main(["check", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        gen_toric(LatticeSpec(6, 4, "periodic")),
+        gen_random(LatticeSpec(4, 4, "periodic"), 5, "signed-toric"),
+        gen_random(LatticeSpec(4, 3), 1, "rotated-classical"),
+        gen_random(LatticeSpec(3, 4), 2, "diagonal-field"),
+    ],
+    ids=["toric", "signed-toric", "rotated-classical", "diagonal-field"],
+)
+def test_per_plaquette_file_loads_as_generated(tmp_path, m):
+    # a file with one matrix per plaquette loads to the generated model's
+    # ids, distinct rows and verdict; written back, it holds each term once
+    old = _write(tmp_path / "old.json", per_plaquette_dict(m))
+    loaded = load_model(old)
+    assert loaded.spec == m.spec and loaded.ids.tolist() == m.ids.tolist()
+    assert loaded.distinct.tobytes() == m.distinct.tobytes()
+    prep, prep2 = prepare(m), prepare(loaded)
+    zeros = Certificate(dict.fromkeys(prep.f_black, 0), dict.fromkeys(prep.f_white, 0))
+    a, b = verify(prep, zeros), verify(prep2, zeros)
+    assert (a.accept, a.omega.log2_magnitude) == (b.accept, b.omega.log2_magnitude)
+    new = tmp_path / "new.json"
+    save_model(loaded, new)
+    assert len(json.loads(new.read_text())["distinct"]) == len(m.distinct)
+    assert new.stat().st_size <= Path(old).stat().st_size
+
+
+def test_gen_writes_each_distinct_term_once(tmp_path, capsys):
+    # toric 64x64: two distinct terms and 4096 ids, a file under 100 KB
+    path = tmp_path / "t64.json"
+    assert main(["gen", "--model", "toric", "--lx", "64", "--ly", "64", "--boundary", "periodic", "-o", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}: 4096 terms, 2 distinct, on 4096 qubits\n"
+    assert path.stat().st_size < 100 * 1024
+    m = load_model(path)
+    assert m.ids.tolist() == gen_toric(LatticeSpec(64, 64, "periodic")).ids.tolist() and len(m.distinct) == 2
 
 
 @pytest.mark.parametrize("label", [True, 1.7, 1.0, "1"])
@@ -160,10 +237,8 @@ def test_gen_bad_flags_exit_2(tmp_path):
 
 
 def test_check_noncommuting_exit_3(tmp_path, capsys):
-    m = gen_toric(LatticeSpec(3, 3))
+    raw = per_plaquette_dict(gen_toric(LatticeSpec(3, 3)))
     data_path = tmp_path / "m.json"
-    save_model(m, data_path)
-    raw = json.loads(data_path.read_text())
     # overwrite one term with a single-qubit X, which breaks commutation
     x = np.zeros((16, 16))
     x[:8, 8:] = np.eye(8)
@@ -203,10 +278,13 @@ def test_check_malformed_exit_2(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
-def test_check_non_finite_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("per_plaquette", [False, True], ids=["distinct", "per-plaquette"])
+def test_check_non_finite_exit_2(tmp_path, capsys, per_plaquette):
     # JSON NaN loads as a float; it must not reach "commuting: ok"
-    data = model_to_dict(gen_toric(LatticeSpec(3, 3)))
-    data["terms"][0]["matrix"][0][0] = [float("nan"), 0.0]
+    m = gen_toric(LatticeSpec(3, 3))
+    data = per_plaquette_dict(m) if per_plaquette else model_to_dict(m)
+    matrix = data["terms"][0]["matrix"] if per_plaquette else data["distinct"][0]
+    matrix[0][0] = [float("nan"), 0.0]
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["check", str(path)]) == 2

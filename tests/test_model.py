@@ -27,7 +27,7 @@ from commham.model import (
     gen_toric,
     ground_projectors,
 )
-from reference import band_pair_norms, commutator_norm, kron, pair_norms, projector_map
+from reference import band_pair_norms, bytes_numbering, commutator_norm, kron, pair_norms, projector_map
 
 
 Z4 = kron(PAULI_Z, PAULI_Z, PAULI_Z, PAULI_Z)
@@ -267,6 +267,92 @@ def test_toric_generators_share_one_read_only_term_per_kind():
                 t[0, 0] = 0
 
 
+def _signed_zero_variant(h: np.ndarray) -> np.ndarray:
+    """h with every zero real part negated: equal values, other bytes."""
+    v = np.array(h, dtype=complex)
+    v.real[v.real == 0] = -v.real[v.real == 0]
+    return v
+
+
+_NUMBERING_BASES = [-Z4, -1 * Z4, -X4, np.zeros((16, 16), dtype=complex), np.diag(np.arange(16.0)).astype(complex)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([LatticeSpec(3, 3), LatticeSpec(4, 4, "periodic")]),
+    st.data(),
+)
+def test_constructor_numbers_terms_as_bytes_do(spec, data):
+    # shared objects, byte-equal copies and -0.0 variants of a few terms: the
+    # ids and rows are those of numbering by bytes alone, whatever the objects
+    plist = lattice.plaquettes(spec)
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(_NUMBERING_BASES) - 1), st.sampled_from(["shared", "copy", "signed zero"])),
+        min_size=len(plist), max_size=len(plist),
+    ))
+    variant = {"shared": lambda h: h, "copy": np.copy, "signed zero": _signed_zero_variant}
+    terms = {p: variant[kind](_NUMBERING_BASES[b]) for p, (b, kind) in zip(plist, picks)}
+    m = CommutingModel(spec, terms)
+    ids, distinct = bytes_numbering(spec, terms)
+    assert m.ids.tolist() == ids.tolist() and m.ids.dtype == ids.dtype
+    assert m.distinct.shape == distinct.shape and m.distinct.tobytes() == distinct.tobytes()
+    assert all(m.terms[p].tobytes() == np.asarray(terms[p], dtype=complex).tobytes() for p in plist)
+
+
+def test_distinct_and_terms_are_read_only():
+    for m in (gen_toric(LatticeSpec(4, 4, "periodic")), gen_random(LatticeSpec(3, 3), 0, "rotated-classical")):
+        with pytest.raises(ValueError):
+            m.distinct[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            m.ids[0] = 1
+        for t in m.terms.values():
+            with pytest.raises(ValueError):
+                t[0, 0] = 0
+
+
+def test_terms_view_reads_one_row_object_per_distinct_term():
+    m = gen_signed_toric(LatticeSpec(4, 4, "periodic"), seed=2)
+    assert len(m.terms) == len(m.ids) == 16 and list(m.terms) == lattice.plaquettes(m.spec)
+    assert len({id(t) for t in m.terms.values()}) == len(m.distinct)
+    for p, i in zip(lattice.plaquettes(m.spec), m.ids.tolist()):
+        assert m.terms[p] is m.terms[p] and np.array_equal(m.terms[p], m.distinct[i])
+    for key in [(4, 0), (0, -1), (1,), "ab", None]:
+        assert key not in m.terms
+        with pytest.raises(KeyError):
+            m.terms[key]
+
+
+def test_from_ids_renumbers_merges_and_drops_rows():
+    # the same model whichever numbering, duplicate rows or unused rows it is given
+    spec = LatticeSpec(3, 3)
+    want = CommutingModel(spec, {p: -Z4 if lattice.is_black(p) else -X4 for p in lattice.plaquettes(spec)})
+    white = [0 if lattice.is_black(p) else 1 for p in lattice.plaquettes(spec)]
+    for ids, distinct in [
+        (white, [-Z4, -X4]),
+        ([1 - i for i in white], [-X4, -Z4]),
+        ([2 * i for i in white], [-Z4, np.eye(16), -X4.copy(), -Z4.copy()]),
+        ([3 * (1 - i) for i in white], [-X4, -X4, -X4, -Z4]),
+    ]:
+        m = CommutingModel.from_ids(spec, ids, np.array(distinct))
+        assert m.ids.tolist() == want.ids.tolist() and m.distinct.tobytes() == want.distinct.tobytes()
+
+
+@pytest.mark.parametrize(
+    "ids, distinct, match",
+    [
+        ([0, 0, 0], [-Z4], "expected 4 integers"),
+        ([0.0, 0.0, 0.0, 0.0], [-Z4], "expected 4 integers"),
+        ([0, 0, 0, 1], [-Z4], r"outside \[0, 1\)"),
+        ([0, -1, 0, 0], [-Z4], r"outside \[0, 1\)"),
+        ([0, 0, 0, 0], [np.eye(8)], "expected \\(D, 16, 16\\)"),
+        ([0, 0, 0, 1], [-Z4, np.triu(np.ones((16, 16)))], r"term at \(1, 1\) is not Hermitian"),
+    ],
+)
+def test_from_ids_rejects_bad_arrays(ids, distinct, match):
+    with pytest.raises(ModelError, match=match):
+        CommutingModel.from_ids(LatticeSpec(3, 3), np.array(ids), np.array(distinct))
+
+
 @pytest.mark.parametrize(
     "signs, key",
     [
@@ -392,8 +478,7 @@ def test_band_kernel_on_all_band_and_complement_frames(spec):
     m = gen_random(spec, 0, "rotated-classical")
     rng = np.random.default_rng(5)
     terms = {**m.terms, (1, 1): np.zeros((16, 16), dtype=complex), (2, 1): _banded(rng, 12)}
-    ids, distinct = model._distinct(spec, terms)
-    sides = ground_band(distinct)[3]
+    sides = ground_band(CommutingModel(spec, terms).distinct)[3]
     assert sorted(set(sides.tolist())) == [0, 1, 4]
     assert_band_kernel_matches(CommutingModel(spec, terms), terms)
 
@@ -434,7 +519,7 @@ def test_pair_norms_share_identical_terms(eps):
     h = eps * (g + g.conj().transpose(0, 2, 1)) / 2
     terms = {p: -Z4 + h[0] if lattice.is_black(p) else -X4 + h[1] for p in lattice.plaquettes(spec)}
     m = CommutingModel(spec, terms)
-    assert len(model._distinct(spec, m.terms)[1]) == 2
+    assert len(m.distinct) == 2
     assert_kernel_matches(m, m.terms)
 
 
@@ -490,7 +575,7 @@ def test_ground_projectors_number_the_distinct_terms():
     rot_ids, rot_stack = ground_projectors(rot)
     assert rot_ids.tolist() == list(range(len(rot.terms))) and len(rot_stack) == len(rot.terms)
     for m, want in ((toric, ids), (rot, rot_ids)):
-        copied = CommutingModel(m.spec, {p: h.copy() for p, h in reversed(m.terms.items())})
+        copied = CommutingModel(m.spec, {p: h.copy() for p, h in reversed(list(m.terms.items()))})
         assert np.array_equal(ground_projectors(copied)[0], want)
 
 

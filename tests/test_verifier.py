@@ -982,3 +982,24 @@ def test_concurrent_verification_matches_serial(haar_conjugated):
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert got == want
+
+
+def test_slice_tables_in_chunks_match_one_batch(monkeypatch):
+    # rotated 24x24 has more tables than one run of rows; run by run and
+    # in one batch, the tables are the same bytes
+    m = gen_random(LatticeSpec(24, 24), 0, "rotated-classical")
+    real, seen = verifier._slice_tables, []
+
+    def record(projs, frames, roles):
+        seen.append(roles)
+        return real(projs, frames, roles)
+
+    monkeypatch.setattr(verifier, "_slice_tables", record)
+    chunked = verifier.prepare(m).compiled().shared
+    assert len(seen[0]) > 2 * verifier._SLICE_CHUNK
+    monkeypatch.setattr(verifier, "_SLICE_CHUNK", len(seen[0]))
+    whole = verifier.prepare(m).compiled().shared
+    assert len(chunked) == len(whole)
+    for (n1, b1), (n2, b2) in zip(chunked, whole):
+        assert (n1.shape, b1.shape) == (n2.shape, b2.shape)
+        assert n1.tobytes() == n2.tobytes() and b1.tobytes() == b2.tobytes()

@@ -140,9 +140,8 @@ def band_norms(m):
     from commham import model
     from commham.linalg import ground_band
 
-    ids, distinct = model._distinct(m.spec, m.terms)
-    proj, _, frame, side = ground_band(distinct)
-    return model._named(m.spec, *model._band_pair_norms(m.spec, ids, proj, frame, side))
+    proj, _, frame, side = ground_band(m.distinct)
+    return model._named(m.spec, *model._band_pair_norms(m.spec, m.ids, proj, frame, side))
 
 
 def dump(out: str, older: str | None = None) -> None:
