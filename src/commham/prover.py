@@ -114,7 +114,7 @@ def greedy_search(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     prep = _as_prepared(m)
     c = prep.compiled()
-    n = len(prep.f_black) + len(prep.f_white)
+    n = sum(map(len, prep.label_ids))
     rng = np.random.default_rng(seed)
     evaluated = 0
 

@@ -97,14 +97,25 @@ def _corner_kron(mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _runs(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of a 2-D array starts a run of equal neighbours."""
+    run = np.ones(len(rows), dtype=bool)
+    run[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return run
+
+
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The index of the first of each distinct row of a 2-D array, and each
-    row's number among the distinct rows, numbered in sorted order."""
-    order = np.lexsort(rows.T[::-1])
-    new = np.concatenate([[True], np.any(rows[order[1:]] != rows[order[:-1]], axis=1)])
+    row's number among the distinct rows, numbered in sorted order.  Only
+    the first row of each run of equal neighbours is sorted, so a table of
+    few distinct rows in long runs, as on a torus, sorts a handful."""
+    run = _runs(rows)
+    heads = run.nonzero()[0]
+    order = heads[np.lexsort(rows[heads].T[::-1])]
+    new = _runs(rows[order])
     number = np.empty(len(rows), dtype=np.intp)
-    number[order] = np.cumsum(new) - 1
-    return order[new], number
+    number[order] = new.cumsum() - 1
+    return order[new], number[heads[run.cumsum() - 1]]
 
 
 def _slice_tables(projs: np.ndarray, frames: np.ndarray, roles: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -144,26 +155,33 @@ class CompiledModel:
     and the layer arrays.
 
     Labels form one vector in `label_order` plus a trailing 0 that pads
-    rows of slots to four.  Row j is the plaquette `plaquettes[j]`, black
-    first, each color in row-major order: its free corners' (split in
-    neither layer) vertex ids then -1s, its table `shared[which[j]]`
-    (norms, blocks), its own-split then other-only slots and its table's
-    offset in the state table, where `dead` marks the entries whose
-    own-split bits annihilate it, `scal` holds a scalar state, inf for a
-    state with support or nan until first read, `kept` the pruned state as
-    (kept positions in `free`, matrix) and `code` those positions as a
-    bitmask, 0 for a scalar.
-    The vertices split in both layers, sorted, are `both`; their rows of
-    label slots (padding, padding, black, white) `both_slots` give the
-    pattern 2a + b that, plus `overlap_at[i]` = 4 i, indexes `overlap`,
-    tr[pi_a pibar_b] = |<black a|white b>|^2 of vertex i.  `unsplit` lists
-    the vertices split in neither layer, in vertex order.
+    rows of slots to four.  Row j is plaquette j, black first, each color
+    in row-major order, named by its top-left corner's vertex id
+    `plaquette_ids[j]`: its free corners' (split in neither layer) vertex
+    ids then -1s are row j of the (P, 4) `free_ids`, its table
+    `shared[which[j]]` (norms, blocks), its own-split then other-only slots
+    and its table's offset in the state table, where `dead` marks the
+    entries whose own-split bits annihilate it, `scal` holds a scalar
+    state, inf for a state with support or nan until first read, `kept` the
+    pruned state as (kept positions in `free`, matrix) and `code` those
+    positions as a bitmask, 0 for a scalar.
+    The ids of the vertices split in both layers, x-major, are `both_ids`;
+    their rows of label slots (padding, padding, black, white) `both_slots`
+    give the pattern 2a + b that, plus `overlap_at[i]`, indexes `overlap`,
+    tr[pi_a pibar_b] = |<black a|white b>|^2 of vertex i: `overlap` holds
+    one 2x2 table per run of `both` with equal slice bases, at 4 times
+    its number.
+    `unsplit_ids` lists the vertices split in neither layer, in id order.
+    Evaluation reads only these arrays; the lists that name plaquettes and
+    vertices as (x, y) tuples, `plaquettes`, `free`, `both` and `unsplit`,
+    are built from them the first time a factor, an effective state or an
+    error message names one, and kept.
     """
 
     spec: LatticeSpec
-    plaquettes: list[Plaquette]
+    plaquette_ids: np.ndarray
     n_black: int
-    free: list[list[int]]
+    free_ids: np.ndarray
     which: np.ndarray
     shared: list[tuple[np.ndarray, np.ndarray]]
     split_slots: np.ndarray
@@ -172,11 +190,27 @@ class CompiledModel:
     scal: np.ndarray
     kept: list
     code: np.ndarray
-    both: list[Vertex]
+    both_ids: np.ndarray
     both_slots: np.ndarray
     overlap_at: np.ndarray
     overlap: np.ndarray
-    unsplit: list[Vertex]
+    unsplit_ids: np.ndarray
+
+    @cached_property
+    def plaquettes(self) -> list[Plaquette]:
+        return lattice.vertices_of(self.spec, self.plaquette_ids)
+
+    @cached_property
+    def free(self) -> list[list[int]]:
+        return self.free_ids.tolist()
+
+    @cached_property
+    def both(self) -> list[Vertex]:
+        return lattice.vertices_of(self.spec, self.both_ids)
+
+    @cached_property
+    def unsplit(self) -> list[Vertex]:
+        return lattice.vertices_of(self.spec, self.unsplit_ids)
 
     def entries(self, bx: np.ndarray, rows=slice(None)) -> np.ndarray:
         """The state-table entry of each plaquette of `rows` under the labels
@@ -214,10 +248,10 @@ def _compile(prep: PreparedModel) -> CompiledModel:
     in_black, free = on_black == (roles == 0), roles == 2
     frames = np.concatenate([black.basis, white.basis, np.eye(2)[None]])
     frame = np.where(free, nb + nw, np.where(in_black, black.basis_row[cs], nb + white.basis_row[cs]))
-    # label slots per vertex: `label_order` sorts each layer's split vertices x-major
-    x_major = np.arange(spec.n_vertices).reshape(spec.ly, spec.lx).T.ravel()
+    # label slots per vertex, in `label_order`
+    black_ids, white_ids = prep.label_ids
     sb, sw = np.zeros((2, spec.n_vertices), dtype=np.intp)
-    sb[x_major[black.split[x_major]]], sw[x_major[white.split[x_major]]] = np.arange(nb), nb + np.arange(nw)
+    sb[black_ids], sw[white_ids] = np.arange(nb), nb + np.arange(nw)
     slot = np.where(free, nb + nw, np.where(in_black, sb[cs], sw[cs]))
     # rows with one projector and equal frames in equal roles share a table
     content = _distinct_rows(frames.reshape(-1, 4).view(float))[1]
@@ -229,16 +263,19 @@ def _compile(prep: PreparedModel) -> CompiledModel:
     sizes = np.array([nm.size for nm, _ in shared])
     norms = np.concatenate([nm.ravel() for nm, _ in shared])
     dead = np.repeat(norms <= ZERO_FLOOR, np.repeat(np.diff(state_at) // sizes, sizes))
-    both = x_major[(black.split & white.split)[x_major]]
-    a, b = black.basis[black.basis_row[both]], white.basis[white.basis_row[both]]
+    # one overlap table per run of vertices split in both layers with equal
+    # pairs of slice bases, one run on a torus
+    both = black_ids[white.split[black_ids]]
+    at_black, at_white = black.basis_row[both], white.basis_row[both]
+    run = _runs(np.column_stack([content[at_black], content[nb + at_white]]))
+    a, b = black.basis[at_black[run]], white.basis[at_white[run]]
     return CompiledModel(
-        spec, lattice.vertices_of(spec, cs[:, 0]), int(is_black.sum()),
-        _rows_by(~free, np.where(free, cs, -1)).tolist(), which, shared,
+        spec, cs[:, 0], int(is_black.sum()), _rows_by(~free, np.where(free, cs, -1)), which, shared,
         _rows_by((roles + 1) % 3, slot), state_at[which],
         dead, np.full(state_at[-1], np.nan), [None] * int(state_at[-1]), np.zeros(state_at[-1], dtype=np.uint8),
-        lattice.vertices_of(spec, both), np.column_stack([np.full((len(both), 2), nb + nw), sb[both], sw[both]]),
-        4 * np.arange(len(both)), (np.abs(a.conj().transpose(0, 2, 1) @ b) ** 2).ravel(),
-        lattice.vertices_of(spec, np.flatnonzero(~(black.split | white.split))),
+        both, np.column_stack([np.full((len(both), 2), nb + nw), sb[both], sw[both]]),
+        4 * (run.cumsum() - 1), (np.abs(a.conj().transpose(0, 2, 1) @ b) ** 2).ravel(),
+        np.flatnonzero(~(black.split | white.split)),
     )
 
 
@@ -277,10 +314,19 @@ class PreparedModel:
         return self.white.split_vertices
 
     @cached_property
+    def label_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the black and the white split vertices, each x-major
+        (by x, then y), read from the layers' `split` arrays."""
+        spec = self.model.spec
+        x_major = np.arange(spec.n_vertices).reshape(spec.ly, spec.lx).T.ravel()
+        return x_major[self.black.split[x_major]], x_major[self.white.split[x_major]]
+
+    @cached_property
     def label_order(self) -> tuple[list[Vertex], list[Vertex]]:
-        """The black and the white split vertices, each sorted: the order
-        of a certificate's labels as a vector."""
-        return sorted(self.f_black), sorted(self.f_white)
+        """The black and the white split vertices as (x, y), each x-major,
+        so sorted: the order of a certificate's labels as a vector."""
+        black, white = self.label_ids
+        return lattice.vertices_of(self.model.spec, black), lattice.vertices_of(self.model.spec, white)
 
     @cached_property
     def label_getters(self) -> tuple[Callable[[dict], tuple], ...]:
@@ -411,7 +457,7 @@ def _state_values(c: CompiledModel, idx: np.ndarray) -> np.ndarray:
     if new.size:
         new = new[np.sort(np.unique(flat[new], return_index=True)[1])]
     for k in new.tolist():
-        e, j = flat[k], k % len(c.plaquettes)
+        e, j = flat[k], k % len(c.plaquette_ids)
         blocks = c.shared[c.which[j]][1]
         d = blocks.shape[-1]
         kept, mat = _prune(blocks.reshape(-1, d, d)[e - c.state_at[j]])
@@ -460,7 +506,7 @@ def effective_states(
     c = prep.compiled()
     idx = c.entries(bx)
     _state_values(c, idx)
-    states = _states(c, idx, range(len(c.plaquettes)))
+    states = _states(c, idx, range(len(c.plaquette_ids)))
     overlaps = list(zip(c.both, c.overlaps(bx).tolist()))
     return states[: c.n_black], states[c.n_black :], overlaps
 
@@ -721,12 +767,12 @@ def _live_labels(prep: PreparedModel, max_bits: int):
     CapExceeded above 2**max_bits certificates.  A plaquette reads only its
     own layer's labels, so the surviving white rows are held and paired
     with the black ones as they are scanned."""
-    nb = len(prep.f_black)
-    bits = nb + len(prep.f_white)
+    nb, nw = map(len, prep.label_ids)
+    bits = nb + nw
     if bits > max_bits:
         raise CapExceeded(f"certificate space 2**{bits} exceeds 2**{max_bits}")
     c = prep.compiled()
-    betas = np.concatenate(list(_live_rows(c, nb, bits, bits, range(c.n_black, len(c.plaquettes)))))
+    betas = np.concatenate(list(_live_rows(c, nb, bits, bits, range(c.n_black, len(c.plaquette_ids)))))
     alphas = _live_rows(c, 0, nb, bits, range(c.n_black))
 
     def stacks():

@@ -345,6 +345,108 @@ def test_label_dicts_gather_in_label_order(name, data):
     assert omega_summary(compute_omega(prep, cert)) == omega_summary(compute_omega(prep, np.array(bits)))
 
 
+def _keyed(labels: dict, keys) -> dict:
+    return {v: labels[v] for v in keys}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(LABEL_MODELS)), st.data())
+def test_label_dict_key_order_does_not_matter(name, data):
+    # the same labels with keys in row-major, reversed row-major and shuffled
+    # order give the same vector and Omega; one dropped or one extra key
+    # gives the same message in every order
+    prep = label_prep(name)
+    spec = prep.model.spec
+    black, white = prep.label_order
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(black) + len(white), max_size=len(black) + len(white)))
+    alpha, beta = dict(zip(black, bits)), dict(zip(white, bits[len(black) :]))
+    orders = {
+        "row-major": lambda keys: sorted(keys, key=lambda v: (v[1], v[0])),
+        "reversed": lambda keys: sorted(keys, key=lambda v: (v[1], v[0]), reverse=True),
+        "shuffled": lambda keys: data.draw(st.permutations(list(keys))),
+    }
+    certs = [Certificate(_keyed(alpha, order(alpha)), _keyed(beta, order(beta))) for order in orders.values()]
+    vectors = {tuple(verifier._label_vector(prep, c).tolist()) for c in certs}
+    assert vectors == {(*bits, 0)}
+    results = {omega_summary(compute_omega(prep, c)) for c in certs}
+    assert len(results) == 1
+
+    layer = data.draw(st.sampled_from([n for n, w in (("alpha", black), ("beta", white)) if w]))
+    want = dict(zip(("alpha", "beta"), (black, white)))[layer]
+    if data.draw(st.booleans()):
+        gone, extra = data.draw(st.sampled_from(want)), None
+        message = f"{layer} labels must cover exactly the split vertices; extra=[] missing=[{gone}]"
+    else:
+        gone, extra = None, (spec.lx, 0)  # off the lattice
+        message = f"{layer} labels must cover exactly the split vertices; extra=[{extra}] missing=[]"
+    for c in certs:
+        labels = {v: b for v, b in getattr(c, layer).items() if v != gone}
+        if extra is not None:
+            labels[extra] = 0
+        faulty = Certificate(labels, c.beta) if layer == "alpha" else Certificate(c.alpha, labels)
+        assert domain_message(prep, faulty) == message
+
+
+def sparse_ising(spec: LatticeSpec, seed: int) -> CommutingModel:
+    """Ising terms with seeded zero couplings and fields, so that the two
+    layers split different vertex sets."""
+    rng = np.random.default_rng(seed)
+    couplings = {e: float(rng.choice((0.0, 1.0))) for e in lattice.edges(spec)}
+    return gen_ising(spec, couplings, {v: float(rng.choice((0.0, 0.5))) for v in spec.vertices()})
+
+
+ORDER_MODELS = {
+    "toric 5x4 open": lambda: gen_toric(LatticeSpec(5, 4)),
+    "toric 4x20 open": lambda: gen_toric(LatticeSpec(4, 20)),
+    "toric 6x4 periodic": lambda: gen_toric(LatticeSpec(6, 4, "periodic")),
+    "rotated-classical 5x4": lambda: gen_random(LatticeSpec(5, 4), 1, "rotated-classical"),
+    "rotated-classical 6x4 periodic": lambda: gen_random(LatticeSpec(6, 4, "periodic"), 2, "rotated-classical"),
+    "diagonal-field 4x20": lambda: gen_random(LatticeSpec(4, 20), 3, "diagonal-field"),
+    "diagonal-field 6x4 periodic": lambda: gen_random(LatticeSpec(6, 4, "periodic"), 4, "diagonal-field"),
+    "signed-toric 6x4 periodic": lambda: gen_random(LatticeSpec(6, 4, "periodic"), 5, "signed-toric"),
+    "ising 6x4 periodic": lambda: gen_ising(LatticeSpec(6, 4, "periodic"), 1.0, 0.0),
+    "sparse ising 5x4": lambda: sparse_ising(LatticeSpec(5, 4), 7),
+    "sparse ising 4x20": lambda: sparse_ising(LatticeSpec(4, 20), 7),
+    "sparse ising 6x4 periodic": lambda: sparse_ising(LatticeSpec(6, 4, "periodic"), 7),
+    "own and other-only 4x3": own_and_other_only_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_MODELS))
+def test_label_order_and_compiled_names_follow_the_lattice(name):
+    # label_order, read from the layer arrays, is each layer's split vertices
+    # sorted; the compiled model's lists, built from its id arrays on first
+    # use, are the plaquettes black first, row-major, and the vertices
+    # split in both layers, in neither, and each plaquette's corners in neither
+    prep = prepare(ORDER_MODELS[name]())
+    spec = prep.model.spec
+    assert prep.label_order == (sorted(prep.black.split_vertices), sorted(prep.white.split_vertices))
+    c = prep.compiled()
+    plist = lattice.plaquettes(spec)
+    assert c.plaquettes == [p for p in plist if lattice.is_black(p)] + [p for p in plist if not lattice.is_black(p)]
+    assert c.both == sorted(prep.f_black & prep.f_white)
+    split = prep.f_black | prep.f_white
+    assert c.unsplit == [v for v in spec.vertices() if v not in split]
+    for p, row in zip(c.plaquettes, c.free):
+        free = [y * spec.lx + x for x, y in lattice.corners(spec, p) if (x, y) not in split]
+        assert row == free + [-1] * (4 - len(free))
+    assert c.plaquettes is c.plaquettes and c.free is c.free  # built once per compiled model
+
+
+def test_order_models_split_different_vertex_sets():
+    # the label-order test covers layers that split different vertices, on
+    # open and periodic lattices, with vertices split in both layers and in
+    # neither
+    preps = {name: prepare(make()) for name, make in ORDER_MODELS.items()}
+    assert {name for name, prep in preps.items() if prep.f_black != prep.f_white} == {
+        "ising 6x4 periodic", "sparse ising 5x4", "sparse ising 4x20", "sparse ising 6x4 periodic",
+        "own and other-only 4x3",
+    }
+    for name in ("sparse ising 5x4", "sparse ising 4x20", "sparse ising 6x4 periodic"):
+        c = preps[name].compiled()
+        assert c.both and c.unsplit and preps[name].f_black - preps[name].f_white
+
+
 # ------------------------------------------------------------ overlap graph
 
 
@@ -859,11 +961,45 @@ def test_overlap_table_matches_trace_formula(family, haar_conjugated):
     vertices = prep.compiled()
     assert vertices.both == sorted(prep.f_black & prep.f_white) != []
     for i, v in enumerate(vertices.both):
-        table = vertices.overlap[4 * i : 4 * i + 4].reshape(2, 2)
+        table = vertices.overlap[vertices.overlap_at[i] :][:4].reshape(2, 2)
         for a, b in itertools.product((0, 1), repeat=2):
             pa = slice_op(prep.black, v, a)
             pb = slice_op(prep.white, v, b)
             assert abs(table[a, b] - np.trace(pa @ pb).real) <= 1e-12
+
+
+def test_vertices_with_equal_slice_bases_share_one_overlap_table():
+    # every vertex of the torus has the same two slice bases, so the
+    # compiled model holds one 2x2 table, which every vertex reads
+    prep = prepare(gen_toric(LatticeSpec(8, 8, "periodic")))
+    c = prep.compiled()
+    assert len(c.both_ids) == 64 and c.overlap_at.tolist() == [0] * 64
+    assert np.allclose(c.overlap, 0.5)
+    assert [f.value for f in compute_omega(prep, all_zero_cert(prep)).factors if f.kind == VERTEX_OVERLAP] == [
+        c.overlap[0]
+    ] * 64
+
+
+def _distinct_rows_by_sorting(rows):
+    # the definition: sort all rows, a row is new where it differs from the one before
+    order = np.lexsort(rows.T[::-1])
+    new = np.concatenate([[True], np.any(rows[order[1:]] != rows[order[:-1]], axis=1)])
+    number = np.empty(len(rows), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return order[new], number
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_distinct_rows_sorting_only_run_heads_gives_the_same_numbering(data):
+    # rows in runs of equal neighbours, with signed zeros and nans among floats
+    width = data.draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, -0.0, 1.0, -2.5, np.nan]) if data.draw(st.booleans()) else st.integers(-2, 2)
+    runs = data.draw(st.lists(st.tuples(st.lists(values, min_size=width, max_size=width), st.integers(1, 4)),
+                              min_size=1, max_size=12))
+    rows = np.array([row for row, count in runs for _ in range(count)])
+    got, want = verifier._distinct_rows(rows), _distinct_rows_by_sorting(rows)
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
 
 @pytest.mark.parametrize("check", [compute_omega, verify, apply_certificate])
