@@ -15,9 +15,10 @@ leading singular vector of their blocks side by side) and the qubit *splits*
 into the eigenstates of n.sigma: two rank-1 slices shared by both, labelled
 0 and 1 in a canonical order, so independently produced labellings agree.
 On a slice both act as scalars, so no multiplicity factor survives; that
-keeps everything downstream one-dimensional.  The acting incidences come
-from the lattice's corner table sorted by vertex, each distinct pair of
-blocks gets one axis, and a layer is three arrays over the vertex ids.
+keeps everything downstream one-dimensional.  Each layer vertex's two
+incidences come from the lattice's fixed table (`lattice.layer_incidences`),
+each distinct pair of acting blocks gets one axis, and a layer is three
+arrays over the vertex ids.
 No random numbers are drawn.
 """
 from __future__ import annotations
@@ -93,38 +94,41 @@ def decompose_layers(
     factors, cut = factors.reshape(-1, 3, 3), np.repeat(NOISE_RTOL * norms, 4)
     ranks = np.sum(np.linalg.svd(factors, compute_uv=False) > cut[:, None], axis=-1)
 
-    # the incidences that act (plaquette, block k), sorted by layer vertex:
-    # 0 (black) or 1 (white) times n_vertices plus the vertex id.  A layer
-    # vertex has at most two, which come in plaquette order
-    cs, nv = lattice.corner_ids(spec), spec.n_vertices
-    block = 4 * ids[:, None] + np.arange(4)
-    plaq, corner = np.nonzero(ranks[block] > 0)
-    at = (cs[plaq, 0] % spec.lx + cs[plaq, 0] // spec.lx) % 2 * nv + cs[plaq, corner]
-    by_at = np.argsort(at, kind="stable")
-    plaq, k, at = plaq[by_at], block[plaq, corner][by_at], at[by_at]
-    t = np.flatnonzero(at[1:] == at[:-1])
+    # per layer vertex (0 or 1 for black or white, times n_vertices, plus
+    # its id) its two incidences in plaquette order, as blocks, and which act;
+    # a vertex where both act splits
+    nv = spec.n_vertices
+    plaq, corner = lattice.layer_incidences(spec)
+    block = 4 * np.take(ids, plaq) + corner  # np.take: fancy indexing is slower here
+    acts = (plaq >= 0) & (np.take(ranks, block) > 0)
+    split = acts.all(axis=1)
+    t = np.flatnonzero(split)
+    k = np.take(block, t, axis=0)
     # each distinct pair's axis: the leading left singular vector of its two
     # blocks (so of their factors) side by side; a second direction means they
     # do not commute
     n = len(factors)
-    pairs, pair = np.unique(k[t] * n + k[t + 1], return_inverse=True)
+    pairs, pair = np.unique(k[:, 0] * n + k[:, 1], return_inverse=True)
     a, b = np.divmod(pairs, n)
     u, s, _ = np.linalg.svd(np.concatenate([factors[a], factors[b]], 2))
     one_axis = np.sum(s > np.maximum(cut[a], cut[b])[:, None], axis=1) == 1
     full = np.maximum(ranks[a], ranks[b]) > 1
     bad = np.flatnonzero(full[pair] | ~one_axis[pair])
     if bad.size:
-        where = lattice.vertices_of(spec, at[t[bad[:1]]] % nv)[0]
+        where = lattice.vertices_of(spec, t[bad[:1]] % nv)[0]
         if full[pair[bad[0]]]:
             raise ImpossibleAlgebraPair(f"projectors at {where} act through non-commuting algebras")
         raise BasisMismatch(f"projectors at {where} act along different axes")
 
-    split, owner = np.zeros(2 * nv, dtype=bool), np.full(2 * nv, -1)
-    split[at[t]] = True
-    owner[at[~split[at]]] = cs[plaq[~split[at]], 0]
-    bases, white = _axis_bases(u[:, :, 0])[pair], at[t] >= nv
+    # a vertex where one plaquette acts alone is owned by it: the id of its top-left corner
+    alone = np.flatnonzero(acts[:, 0] != acts[:, 1])
+    px = lattice.plaquette_range(spec)[0]
+    y, x = np.divmod(plaq[alone, acts[alone, 1].astype(np.intp)], px)
+    owner = np.full(len(plaq), -1)
+    owner[alone] = y * spec.lx + x
+    bases, white = np.take(_axis_bases(u[:, :, 0]), pair, axis=0), np.searchsorted(t, nv)
     return (
-        LayerDecomposition(BLACK, spec, split[:nv], owner[:nv], bases[~white]),
-        LayerDecomposition(WHITE, spec, split[nv:], owner[nv:], bases[white]),
+        LayerDecomposition(BLACK, spec, split[:nv], owner[:nv], bases[:white]),
+        LayerDecomposition(WHITE, spec, split[nv:], owner[nv:], bases[white:]),
     )
 

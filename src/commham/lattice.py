@@ -90,6 +90,77 @@ def corner_ids(spec: LatticeSpec) -> np.ndarray:
     return np.stack([y * spec.lx + x, y * spec.lx + x1, y1 * spec.lx + x1, y1 * spec.lx + x], axis=1)
 
 
+# The plaquettes that share corners with plaquette p and come after it in
+# row-major order sit at these offsets (dx, dy); per offset, the corners
+# (a, b) where corner a of p is corner b of its neighbour.
+NEIGHBOUR_OFFSETS = (
+    ((1, 0), ((1, 0), (2, 3))),
+    ((-1, 1), ((3, 1),)),
+    ((0, 1), ((2, 1), (3, 0))),
+    ((1, 1), ((2, 0),)),
+)
+# entry 2 o + w: offset o's alignment bitmask, of (p, neighbour) if w = 0,
+# of (neighbour, p) if w = 1, where the pair wraps around a torus
+_ALIGNMENTS = np.array([sum(1 << 4 * a + b for a, b in pairs) for _, m in NEIGHBOUR_OFFSETS
+                        for pairs in (m, [(b, a) for a, b in m])])
+
+
+def _wrapped_grid(spec: LatticeSpec, ys: range, xs: range) -> np.ndarray:
+    """grid[i, j] is the index into `plaquettes` of the plaquette at (xs[j],
+    ys[i]), read around a periodic lattice, or -1 off an open one."""
+    px, py = plaquette_range(spec)
+    y, x = np.array(ys)[:, None], np.array(xs)
+    if spec.boundary == PERIODIC:
+        return y % py * px + x % px
+    return np.where((y >= 0) & (y < py) & (x >= 0) & (x < px), y * px + x, -1)
+
+
+def neighbour_pairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every two plaquettes that share a corner, once, as indices (first,
+    second) into `plaquettes` with first < second, and each pair's
+    alignment: the bitmask with bit 4 a + b set when corner a of the first
+    is corner b of the second.  Pairs come offset by offset, not in
+    row-major order; a pair that wraps around a periodic lattice, so that
+    p + offset comes first, has the transposed alignment."""
+    px, py = plaquette_range(spec)
+    grid = _wrapped_grid(spec, range(py + 1), range(-1, px + 1))  # grid[y, x + 1]
+    p = grid[:py, 1 : px + 1]
+    # on a torus of side >= 4 no two offsets give one pair
+    q = np.stack([grid[dy : dy + py, 1 + dx : 1 + dx + px] for (dx, dy), _ in NEIGHBOUR_OFFSETS])
+    align = _ALIGNMENTS[2 * np.arange(len(q))[:, None, None] + (q < p)]
+    first, second = np.minimum(p, q), np.maximum(p, q)
+    if spec.boundary == PERIODIC:
+        return first.ravel(), second.ravel(), align.ravel()
+    inside = q >= 0
+    return first[inside], second[inside], align[inside]
+
+
+_LAYER_CORNERS = np.array([[2, 0], [3, 1]])  # the corners of a diagonal pair and of an anti-diagonal one
+
+
+def layer_incidences(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per layer and vertex, the two plaquettes of the layer's color that
+    have the vertex as a corner, as (plaquettes, corners), each of shape
+    (2 n_vertices, 2): row c * n_vertices + i for color c (0 black, 1 white)
+    and vertex id i.  The pairs are (x - 1, y - 1) at corner 2 with (x, y)
+    at corner 0, black where x + y is even, and (x, y - 1) at corner 3 with
+    (x - 1, y) at corner 1, the other color; each row in plaquette order,
+    as indices into `plaquettes`, -1 where an open boundary has none."""
+    nv = spec.n_vertices
+    grid = _wrapped_grid(spec, range(-1, spec.ly), range(-1, spec.lx))  # grid[y + 1, x + 1]
+    diagonal = np.stack([grid[:-1, :-1], grid[1:, 1:]], -1).reshape(nv, 2)
+    anti = np.stack([grid[:-1, 1:], grid[1:, :-1]], -1).reshape(nv, 2)
+    odd = ((np.arange(spec.ly)[:, None] + np.arange(spec.lx)) & 1).reshape(nv)
+    kind = np.concatenate([odd, 1 - odd])  # 0 diagonal, 1 anti-diagonal, per layer vertex
+    plaq = np.take(np.concatenate([diagonal, anti]), kind * nv + np.tile(np.arange(nv), 2), axis=0)
+    corner = np.take(_LAYER_CORNERS, kind, axis=0)
+    if spec.boundary == PERIODIC:  # at y = 0 the pair's plaquette in row ly - 1 comes second
+        for rows in (plaq, corner):
+            top = rows.reshape(2, nv, 2)[:, : spec.lx]
+            top[:] = top[..., ::-1].copy()
+    return plaq, corner
+
+
 def vertices_of(spec: LatticeSpec, ids) -> list[Vertex]:
     """The vertices (x, y) of row-major vertex ids."""
     y, x = np.divmod(np.asarray(ids, dtype=np.int64), spec.lx)

@@ -9,6 +9,7 @@ families used for testing.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Iterator, Mapping
@@ -164,19 +165,28 @@ class CommutationReport:
     violations: PairNorms
 
 
-def _intersecting_pairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plaquette index pairs (first, second) sharing a corner, each once, in
-    row-major order, and each pair's alignment: the bitmask with bit 4 a + b
-    set when corner a of the first is corner b of the second."""
-    cs = lattice.corner_ids(spec)
-    by_vertex = np.argsort(cs.ravel(), kind="stable")  # incidences 4 i + k, plaquettes ascending
-    v = cs.ravel()[by_vertex]
-    # a vertex has at most 4 incidences, so the two ends of a pair sit at most 3 apart
-    ends = [(s, s + d) for d in (1, 2, 3) for s in [np.flatnonzero(v[d:] == v[:-d])]]
-    a, b = (by_vertex[np.concatenate(e)] for e in zip(*ends))
-    keys, pair = np.unique(a // 4 * len(cs) + b // 4, return_inverse=True)
-    align = np.bincount(pair, weights=1 << (4 * (a % 4) + b % 4), minlength=len(keys))
-    return keys // len(cs), keys % len(cs), align.astype(np.int64)
+def _pair_keys(spec: LatticeSpec, ids: np.ndarray, n: int, side: np.ndarray | None = None) -> np.ndarray:
+    """Per pair of `lattice.neighbour_pairs`, the key its norm is evaluated
+    under: (alignment, ids[first], ids[second]) as one integer, or given
+    the band sides, (alignment, swap, r, frame id, other id) as
+    `_band_pair_norms` reads it, the frame member being the one with the
+    smaller side r (the first on a tie)."""
+    first, second, align = lattice.neighbour_pairs(spec)
+    a, b = ids[first], ids[second]
+    if side is None:
+        return (align * n + a) * n + b
+    swap = side[b] < side[a]
+    f, o = np.where(swap, b, a), np.where(swap, a, b)
+    return ((align << 5 | swap << 4 | side[f]) * n + f) * n + o
+
+
+def _key_ids(keys: np.ndarray, n: int, band: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the first and the second member of each `_pair_keys` key."""
+    f, o = keys // n % n, keys % n
+    if not band:
+        return f, o
+    swap = (keys // n**2 >> 4 & 1).astype(bool)
+    return np.where(swap, o, f), np.where(swap, f, o)
 
 
 def _shared_factors(mats: np.ndarray, shared: tuple[int, ...]) -> np.ndarray:
@@ -197,28 +207,31 @@ def _traceless(distinct: np.ndarray) -> np.ndarray:
     return distinct - np.trace(distinct, axis1=1, axis2=2)[:, None, None] / 16 * np.eye(16)
 
 
-def _named(spec: LatticeSpec, first: np.ndarray, second: np.ndarray, norms: np.ndarray) -> PairNorms:
-    plist = lattice.plaquettes(spec)
-    return [(plist[i], plist[j], n) for i, j, n in zip(first.tolist(), second.tolist(), norms.tolist())]
+def _named(
+    spec: LatticeSpec, keys: np.ndarray, evaluated: np.ndarray, norms: np.ndarray, bad: np.ndarray | None = None
+) -> PairNorms:
+    """(p, q, norm) in row-major order for each pair whose key, among the
+    sorted `evaluated` ones with their `norms`, is flagged in `bad`; every
+    pair if `bad` is None."""
+    slot = np.searchsorted(evaluated, keys)
+    at = np.arange(len(keys)) if bad is None else np.flatnonzero(bad[slot])
+    first, second, _ = lattice.neighbour_pairs(spec)
+    at = at[np.lexsort((second[at], first[at]))]
+    plist, pairs = lattice.plaquettes(spec), zip(first[at].tolist(), second[at].tolist(), norms[slot[at]].tolist())
+    return [(plist[i], plist[j], x) for i, j, x in pairs]
 
 
-def _distinct_pair_norms(
-    spec: LatticeSpec, ids: np.ndarray, distinct: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Commutator norm of distinct[ids[i]] and distinct[ids[j]] per
-    intersecting pair (i, j), with the pairs.
+def _distinct_pair_norms(keys: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """Commutator norm of distinct[i] and distinct[j] per sorted key
+    (alignment, i, j) of `_pair_keys`.
 
     With A = sum_i a_i (x) alpha_i and B = sum_j beta_j (x) b_j split at
     the shared corners, a_i and b_j orthonormal, the norm is exactly
     sqrt(sum_ij |alpha_i beta_j - beta_j alpha_i|^2), so no 64x64 or
-    128x128 embedding is formed.  Pairs are batched by alignment (which
-    corners of p meet which of q); equal matrices share one evaluation.
+    128x128 embedding is formed.  Keys are batched by alignment (which
+    corners of p meet which of q).
     """
-    first, second, align = _intersecting_pairs(spec)
-    n = len(distinct)
-    # sorted by alignment, then ids: each alignment's evaluations are one run
-    keys, slot = np.unique((align * n + ids[first]) * n + ids[second], return_inverse=True)
-    norms = np.empty(len(keys))
+    n, norms = len(distinct), np.empty(len(keys))
     starts = np.flatnonzero(np.diff(keys // n**2, prepend=-1)).tolist() + [len(keys)]
     for start, stop in zip(starts, starts[1:]):
         bits = [b for b in range(16) if keys[start] // n**2 >> b & 1]
@@ -234,33 +247,35 @@ def _distinct_pair_norms(
             ab -= ba.reshape(m, -1, d, r, d).transpose(0, 3, 2, 1, 4)
             x = ab.reshape(m, -1).view(float)
             norms[k : k + len(chunk)] = np.sqrt(np.einsum("mi,mi->m", x, x))
-    return first, second, norms[slot]
+    return norms
 
 
-def _band_pair_norms(
-    spec: LatticeSpec, ids: np.ndarray, projectors: np.ndarray, frame: np.ndarray, side: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_distinct_pair_norms` for ground projectors, read from the band frame
-    (`ground_band`) of the member with the smaller side r.  With V its first r
+@functools.lru_cache(maxsize=None)
+def _band_group(group: int) -> tuple:
+    """For one (alignment, swap, r) group of band keys: r, the dimensions of
+    the frame side's own and shared corners, and the axis orders that put
+    the frame's and the other projector's shared corners last and first."""
+    r, step = group & 15, -1 if group & 16 else 1
+    on_f, on_o = ([*c] for c in zip(*[(b // 4, b % 4)[::step] for b in range(16) if group >> 5 >> b & 1]))
+    v_axes = (0, *(1 + c for c in range(4) if c not in on_f), *(1 + c for c in on_f), 5)
+    q_axes = (0, *(b + c for cs in (on_o, [c for c in range(4) if c not in on_o]) for b in (1, 5) for c in cs))
+    return r, 2 ** (4 - len(on_f)), 2 ** len(on_f), v_axes, q_axes
+
+
+def _band_pair_norms(keys: np.ndarray, projectors: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """`_distinct_pair_norms` for ground projectors, per sorted band key of
+    `_pair_keys`, read from the band frame (`ground_band`) of the member with
+    the smaller side r.  With V its first r
     frame columns and Vc the rest, P = V V^dag (or 1 - P, whose commutators are
     -[P, Q]) and [P, Q] = P Q (1 - P) - (1 - P) Q P, two orthogonal blocks that
     are each other's adjoints: |[P, Q]| = sqrt(2) |(V (x) I)^dag (I (x) Q) (Vc (x) I)|
     exactly, nothing subtracted.  Z = V^dag Vc over the frame side's own corners,
     then Z Q over the shared ones; evaluations are grouped by (alignment, frame
-    member, r, id, id), and r = 0 (P = I) gives 0."""
-    first, second, align = _intersecting_pairs(spec)
-    n, swap = len(projectors), side[ids[second]] < side[ids[first]]  # swap: the second is the frame side
-    f, o = np.where(swap, ids[second], ids[first]), np.where(swap, ids[first], ids[second])
-    keys, slot = np.unique(((align << 5 | swap << 4 | side[f]) * n + f) * n + o, return_inverse=True)
-    norms = np.empty(len(keys))
+    member, r), and r = 0 (P = I) gives 0."""
+    n, norms = len(projectors), np.empty(len(keys))
     starts = np.flatnonzero(np.diff(keys // n**2, prepend=-1)).tolist() + [len(keys)]
     for start, stop in zip(starts, starts[1:]):
-        group = int(keys[start] // n**2)
-        r, step = group & 15, -1 if group & 16 else 1
-        on_f, on_o = ([*c] for c in zip(*[(b // 4, b % 4)[::step] for b in range(16) if group >> 5 >> b & 1]))
-        du, ds = 2 ** (4 - len(on_f)), 2 ** len(on_f)  # dimensions of the frame side's own and shared corners
-        v_axes = [0, *(1 + c for c in range(4) if c not in on_f), *(1 + c for c in on_f), 5]
-        q_axes = [0, *(b + c for cs in (on_o, [c for c in range(4) if c not in on_o]) for b in (1, 5) for c in cs)]
+        r, du, ds, v_axes, q_axes = _band_group(int(keys[start] // n**2))
         for k in range(start, stop, _PAIR_CHUNK):
             chunk = keys[k : min(k + _PAIR_CHUNK, stop)]
             m = len(chunk)
@@ -271,22 +286,32 @@ def _band_pair_norms(
             q = projectors[chunk % n].reshape((m,) + (2,) * 8).transpose(q_axes).reshape(m, ds * ds, -1)
             x = (z @ q).reshape(m, -1).view(float)
             norms[k : k + m] = np.sqrt(2 * np.einsum("mi,mi->m", x, x))
-    return first, second, norms[slot]
+    return norms
+
+
+def _pair_norms(spec: LatticeSpec, ids: np.ndarray, mats: np.ndarray, band=()) -> tuple[np.ndarray, ...]:
+    """Every intersecting pair's `_pair_keys` key, in `lattice.neighbour_pairs`
+    order, and the sorted distinct keys with their norms: each evaluated
+    once, by `_band_pair_norms` on projectors given `band`, the (frame,
+    side) of `ground_band`, else by `_distinct_pair_norms`."""
+    keys = _pair_keys(spec, ids, len(mats), band[1] if band else None)
+    ordered = np.sort(keys)  # np.unique(keys) without numpy's hash path, which is slower here
+    evaluated = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+    norms = _band_pair_norms(evaluated, mats, band[0]) if band else _distinct_pair_norms(evaluated, mats)
+    return keys, evaluated, norms
 
 
 def _violations(spec: LatticeSpec, ids: np.ndarray, distinct: np.ndarray, radius: np.ndarray, band=()) -> PairNorms:
     """Intersecting pairs with |[A, B]| > COMMUTATION_TOL |A0| |B0| + 2 (r_A + r_B),
-    A = distinct[ids[p]] and r_A = radius[ids[p]] (a projector's radius).  Given
-    `band`, the (frame, side) of `ground_band`, the rows are projectors and their
-    norms come from `_band_pair_norms`; else from `_distinct_pair_norms`."""
+    A = distinct[ids[p]] and r_A = radius[ids[p]] (a projector's radius),
+    tested once per distinct key and named only where one fails.  Given
+    `band`, the rows are projectors (see `_pair_norms`)."""
     traceless = _traceless(distinct)
     norm = np.linalg.norm(traceless, axis=(1, 2))
-    first, second, norms = (
-        _band_pair_norms(spec, ids, distinct, *band) if band else _distinct_pair_norms(spec, ids, traceless)
-    )
-    a, b = ids[first], ids[second]
+    keys, evaluated, norms = _pair_norms(spec, ids, distinct if band else traceless, band)
+    a, b = _key_ids(evaluated, len(distinct), bool(band))
     bad = norms > COMMUTATION_TOL * norm[a] * norm[b] + 2 * (radius[a] + radius[b])
-    return _named(spec, first[bad], second[bad], norms[bad])
+    return _named(spec, keys, evaluated, norms, bad) if bad.any() else []
 
 
 def check_commuting(model: CommutingModel) -> CommutationReport:

@@ -332,8 +332,20 @@ class PreparedModel:
     def label_getters(self) -> tuple[Callable[[dict], tuple], ...]:
         """Per layer, one C-level gather of a dict's labels in `label_order`,
         as a tuple (which `itemgetter` returns only for two keys or more)."""
-        return tuple(itemgetter(*w) if len(w) > 1 else lambda d, w=w: tuple(map(d.__getitem__, w))
-                     for w in self.label_order)
+        return tuple(map(_gather, self.label_order))
+
+    @cached_property
+    def row_major_labels(self) -> tuple[tuple[list[Vertex], Callable[[tuple], tuple]], ...]:
+        """Per layer, the split vertices in row-major order (by y, then x),
+        the tuples of `label_order`, and the gather that takes labels in
+        that order to `label_order`."""
+        out = []
+        for want, ids in zip(self.label_order, self.label_ids):
+            order = np.argsort(ids)
+            back = np.empty_like(order)
+            back[order] = np.arange(len(order))
+            out.append((list(_gather(order.tolist())(want)), _gather(back.tolist())))
+        return tuple(out)
 
     def compiled(self) -> CompiledModel:
         c = self._compiled
@@ -350,6 +362,31 @@ def prepare(model: CommutingModel) -> PreparedModel:
 
 def _as_prepared(m: CommutingModel | PreparedModel) -> PreparedModel:
     return m if isinstance(m, PreparedModel) else prepare(m)
+
+
+def _gather(keys: list) -> Callable:
+    """itemgetter(*keys), but returning a tuple for one key or none as well."""
+    return itemgetter(*keys) if len(keys) > 1 else lambda d: tuple(map(d.__getitem__, keys))
+
+
+def _in_label_order(prep: PreparedModel, layer: int, labels: dict) -> tuple:
+    """The values of one layer's `labels`, as many as its split vertices,
+    in `label_order`: read in the dict's own order when it is keyed in label
+    order or in row-major order (compared only when its first key is the
+    first of either), else gathered key by key.  Raises KeyError for a key
+    that is not a split vertex."""
+    want = prep.label_order[layer]
+    if not want:
+        return ()
+    first = next(iter(labels))
+    if first == want[0] or first == want[prep.label_ids[layer].argmin()]:
+        keys = list(labels)
+        if keys == want:
+            return tuple(labels.values())
+        row_major, from_row_major = prep.row_major_labels[layer]
+        if keys == row_major:
+            return from_row_major(tuple(labels.values()))
+    return prep.label_getters[layer](labels)
 
 
 def _bad_label(b) -> bool:
@@ -372,10 +409,10 @@ def _label_vector(prep: PreparedModel, cert: Certificate | np.ndarray) -> np.nda
             raise CertificateDomainError(f"a label vector must hold {n} integers 0 or 1")
         return np.concatenate([cert, np.zeros(cert.shape[:-1] + (1,), cert.dtype)], axis=-1)
     values = ()
-    for name, labels, want, get in zip(("alpha", "beta"), (cert.alpha, cert.beta), order, prep.label_getters):
+    for layer, (name, labels, want) in enumerate(zip(("alpha", "beta"), (cert.alpha, cert.beta), order)):
         try:
             if len(labels) == len(want):
-                values += get(labels)
+                values += _in_label_order(prep, layer, labels)
                 continue
         except KeyError:
             pass

@@ -13,6 +13,11 @@
 * `pair_norms`, `band_pair_norms`: `model._distinct_pair_norms` on
   matrices and `model._band_pair_norms` on the terms' ground projectors, per
   plaquette pair, against `commutator_norm`;
+* `intersecting_pairs`, `sorted_violations`, `sorted_layers`: the pairs of
+  plaquettes and the layer incidences found by sorting the corner table,
+  with the commutation test per pair and the layer decomposition built on
+  them, against `lattice.neighbour_pairs`, `model._violations` and
+  `decompose.decompose_layers`, which read them off the lattice;
 * `per_plaquette_dict`: a model in the per-plaquette file format, one
   matrix per plaquette, against `serialize.model_from_dict`;
 * `certificates_lex`: one `Certificate` at a time, against the scans of
@@ -30,8 +35,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from commham import lattice, model
-from commham.linalg import PAULI_Z, LabeledOp, frob, ground_band
+from commham import decompose, lattice, model
+from commham.linalg import (
+    COMMUTATION_TOL, NOISE_RTOL, PAULI_Z, BasisMismatch, LabeledOp, _axis_bases, frob, ground_band,
+)
 from commham.verifier import Certificate
 
 I2 = np.eye(2, dtype=complex)
@@ -126,9 +133,9 @@ def bytes_numbering(spec: lattice.LatticeSpec, mats) -> tuple[np.ndarray, np.nda
 
 
 def pair_norms(m: model.CommutingModel, mats) -> model.PairNorms:
-    """|[mats[p], mats[q]]| for every intersecting pair, in `_intersecting_pairs` order."""
+    """|[mats[p], mats[q]]| for every intersecting pair, in row-major order."""
     ids, distinct = bytes_numbering(m.spec, mats)
-    return model._named(m.spec, *model._distinct_pair_norms(m.spec, ids, model._traceless(distinct)))
+    return model._named(m.spec, *model._pair_norms(m.spec, ids, model._traceless(distinct)))
 
 
 def band_pair_norms(m: model.CommutingModel, terms) -> tuple[model.PairNorms, dict]:
@@ -137,7 +144,84 @@ def band_pair_norms(m: model.CommutingModel, terms) -> tuple[model.PairNorms, di
     ids, distinct = bytes_numbering(m.spec, terms)
     proj, _, frame, side = ground_band(distinct)
     projs = {p: proj[i] for p, i in zip(lattice.plaquettes(m.spec), ids.tolist())}
-    return model._named(m.spec, *model._band_pair_norms(m.spec, ids, proj, frame, side)), projs
+    return model._named(m.spec, *model._pair_norms(m.spec, ids, proj, (frame, side))), projs
+
+
+def intersecting_pairs(spec: lattice.LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plaquette index pairs (first, second) sharing a corner, each once, in
+    row-major order, and each pair's alignment: the bitmask with bit 4 a + b
+    set when corner a of the first is corner b of the second.  Found by
+    sorting the corner incidences by vertex."""
+    cs = lattice.corner_ids(spec)
+    by_vertex = np.argsort(cs.ravel(), kind="stable")  # incidences 4 i + k, plaquettes ascending
+    v = cs.ravel()[by_vertex]
+    # a vertex has at most 4 incidences, so the two ends of a pair sit at most 3 apart
+    ends = [(s, s + d) for d in (1, 2, 3) for s in [np.flatnonzero(v[d:] == v[:-d])]]
+    a, b = (by_vertex[np.concatenate(e)] for e in zip(*ends))
+    keys, pair = np.unique(a // 4 * len(cs) + b // 4, return_inverse=True)
+    align = np.bincount(pair, weights=1 << (4 * (a % 4) + b % 4), minlength=len(keys))
+    return keys // len(cs), keys % len(cs), align.astype(np.int64)
+
+
+def sorted_violations(spec, ids, distinct, radius, band=()) -> model.PairNorms:
+    """`model._violations` on the pairs of `intersecting_pairs`: one key per
+    pair, and the bound tested per pair."""
+    traceless = model._traceless(distinct)
+    norm = np.linalg.norm(traceless, axis=(1, 2))
+    first, second, align = intersecting_pairs(spec)
+    n, a, b = len(distinct), ids[first], ids[second]
+    if band:
+        frame, side = band
+        swap = side[b] < side[a]
+        f, o = np.where(swap, b, a), np.where(swap, a, b)
+        keys, slot = np.unique(((align << 5 | swap << 4 | side[f]) * n + f) * n + o, return_inverse=True)
+        norms = model._band_pair_norms(keys, distinct, frame)[slot]
+    else:
+        keys, slot = np.unique((align * n + a) * n + b, return_inverse=True)
+        norms = model._distinct_pair_norms(keys, traceless)[slot]
+    bad = norms > COMMUTATION_TOL * norm[a] * norm[b] + 2 * (radius[a] + radius[b])
+    plist = lattice.plaquettes(spec)
+    return [(plist[i], plist[j], x) for i, j, x in zip(first[bad].tolist(), second[bad].tolist(), norms[bad].tolist())]
+
+
+def sorted_layers(spec, ids, projectors):
+    """`decompose.decompose_layers` with the acting incidences sorted by
+    layer vertex instead of read from `lattice.layer_incidences`."""
+    chunks = [decompose._bloch_factors(projectors[i : i + decompose._CHUNK])
+              for i in range(0, len(projectors), decompose._CHUNK)]
+    factors, norms = (np.concatenate(parts) for parts in zip(*chunks))
+    factors, cut = factors.reshape(-1, 3, 3), np.repeat(NOISE_RTOL * norms, 4)
+    ranks = np.sum(np.linalg.svd(factors, compute_uv=False) > cut[:, None], axis=-1)
+    # the incidences that act (plaquette, block k), sorted by layer vertex:
+    # 0 (black) or 1 (white) times n_vertices plus the vertex id.  A layer
+    # vertex has at most two, which come in plaquette order
+    cs, nv = lattice.corner_ids(spec), spec.n_vertices
+    block = 4 * ids[:, None] + np.arange(4)
+    plaq, corner = np.nonzero(ranks[block] > 0)
+    at = (cs[plaq, 0] % spec.lx + cs[plaq, 0] // spec.lx) % 2 * nv + cs[plaq, corner]
+    by_at = np.argsort(at, kind="stable")
+    plaq, k, at = plaq[by_at], block[plaq, corner][by_at], at[by_at]
+    t = np.flatnonzero(at[1:] == at[:-1])
+    n = len(factors)
+    pairs, pair = np.unique(k[t] * n + k[t + 1], return_inverse=True)
+    a, b = np.divmod(pairs, n)
+    u, s, _ = np.linalg.svd(np.concatenate([factors[a], factors[b]], 2))
+    one_axis = np.sum(s > np.maximum(cut[a], cut[b])[:, None], axis=1) == 1
+    full = np.maximum(ranks[a], ranks[b]) > 1
+    bad = np.flatnonzero(full[pair] | ~one_axis[pair])
+    if bad.size:
+        where = lattice.vertices_of(spec, at[t[bad[:1]]] % nv)[0]
+        if full[pair[bad[0]]]:
+            raise decompose.ImpossibleAlgebraPair(f"projectors at {where} act through non-commuting algebras")
+        raise BasisMismatch(f"projectors at {where} act along different axes")
+    split, owner = np.zeros(2 * nv, dtype=bool), np.full(2 * nv, -1)
+    split[at[t]] = True
+    owner[at[~split[at]]] = cs[plaq[~split[at]], 0]
+    bases, white = _axis_bases(u[:, :, 0])[pair], at[t] >= nv
+    return (
+        decompose.LayerDecomposition(lattice.BLACK, spec, split[:nv], owner[:nv], bases[~white]),
+        decompose.LayerDecomposition(lattice.WHITE, spec, split[nv:], owner[nv:], bases[white]),
+    )
 
 
 def per_plaquette_dict(m: model.CommutingModel) -> dict:

@@ -92,6 +92,24 @@ def test_corner_ids_match_corners(spec):
     assert lattice.vertices_of(spec, ids[:, 0]) == lattice.plaquettes(spec)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(2, 2), LatticeSpec(2, 7), LatticeSpec(5, 3), LatticeSpec(4, 4, "periodic"),
+     LatticeSpec(6, 4, "periodic")],
+    ids=str,
+)
+def test_layer_incidences_match_incident_plaquettes(spec):
+    # each layer vertex's row holds the plaquettes of its color at that
+    # vertex, in plaquette order, each with the corner it has there
+    plaq, corner = lattice.layer_incidences(spec)
+    plist = lattice.plaquettes(spec)
+    assert plaq.shape == corner.shape == (2 * spec.n_vertices, 2)
+    for row, (color, v) in enumerate((c, v) for c in (BLACK, WHITE) for v in spec.vertices()):
+        at = [(i, k) for i, k in zip(plaq[row].tolist(), corner[row].tolist()) if i >= 0]
+        assert [plist[i] for i, _ in at] == lattice.incident_plaquettes(spec, v, color)
+        assert all(lattice.corners(spec, plist[i])[k] == v for i, k in at)
+
+
 def test_periodic_width_two_rejected():
     with pytest.raises(LatticeError):
         LatticeSpec(2, 4, "periodic")

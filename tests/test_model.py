@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from commham.model import (
     gen_toric,
     ground_projectors,
 )
+import reference
 from reference import band_pair_norms, bytes_numbering, commutator_norm, kron, pair_norms, projector_map
 
 
@@ -90,22 +92,24 @@ def test_non_finite_rejected(value):
         CommutingModel(spec, {(0, 0): bad})
 
 
-def intersecting_pairs(spec):
-    """`model._intersecting_pairs` as plaquettes (p, q) with their alignments
-    as (corner of p, corner of q) pairs."""
+def intersecting_pairs(spec, pairs=None):
+    """`lattice.neighbour_pairs` (or the given (first, second, alignment)
+    arrays) in row-major order, as plaquettes (p, q) with their alignments as
+    (corner of p, corner of q) pairs."""
     plist = lattice.plaquettes(spec)
-    first, second, align = model._intersecting_pairs(spec)
+    first, second, align = lattice.neighbour_pairs(spec) if pairs is None else pairs
+    at = np.lexsort((second, first))
     return [
         (plist[i], plist[j], [(b // 4, b % 4) for b in range(16) if m >> b & 1])
-        for i, j, m in zip(first.tolist(), second.tolist(), align.tolist())
+        for i, j, m in zip(first[at].tolist(), second[at].tolist(), align[at].tolist())
     ]
 
 
 def test_intersecting_pairs_match_all_pairs_scan():
-    # the same pairs in the same order as the scan over all pairs, each with
-    # the corners it shares
-    for spec in (LatticeSpec(2, 2), LatticeSpec(4, 3), LatticeSpec(2, 7), LatticeSpec(4, 4, "periodic"),
-                 LatticeSpec(6, 4, "periodic")):
+    # the same pairs as the scan over all pairs, each once with the corners
+    # it shares, from the offset table and from sorting the corner table
+    for spec in (LatticeSpec(2, 2), LatticeSpec(4, 3), LatticeSpec(2, 7), LatticeSpec(7, 2),
+                 LatticeSpec(4, 4, "periodic"), LatticeSpec(6, 4, "periodic")):
         plist = lattice.plaquettes(spec)
         want = []
         for i, p in enumerate(plist):
@@ -115,6 +119,7 @@ def test_intersecting_pairs_match_all_pairs_scan():
                 if shared:
                     want.append((p, q, shared))
         assert intersecting_pairs(spec) == want
+        assert intersecting_pairs(spec, reference.intersecting_pairs(spec)) == want
 
 
 def test_toric_projectors_match_stabilizers():
@@ -490,7 +495,7 @@ def test_band_kernel_frame_on_either_member():
     rng = np.random.default_rng(6)
     terms = {p: _banded(rng, 1 if p[0] % 2 == 0 else 8) for p in lattice.plaquettes(spec)}
     side = np.array([1 if p[0] % 2 == 0 else 8 for p in lattice.plaquettes(spec)])
-    first, second, align = model._intersecting_pairs(spec)
+    first, second, align = lattice.neighbour_pairs(spec)
     lead, trail = side[first] < side[second], side[second] < side[first]
     assert any(lead[align == a].any() and trail[align == a].any() for a in set(align.tolist()))
     assert_band_kernel_matches(CommutingModel(spec, terms), terms)
@@ -577,6 +582,20 @@ def test_ground_projectors_number_the_distinct_terms():
     for m, want in ((toric, ids), (rot, rot_ids)):
         copied = CommutingModel(m.spec, {p: h.copy() for p, h in reversed(list(m.terms.items()))})
         assert np.array_equal(ground_projectors(copied)[0], want)
+
+
+def test_ground_projectors_temporaries_stay_small():
+    # the pair keys come from the lattice's offset table; sorting the corner
+    # table to find the pairs peaked at 988 KB here
+    m = gen_toric(LatticeSpec(40, 40, "periodic"))
+    ground_projectors(m)
+    tracemalloc.start()
+    try:
+        ground_projectors(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 700 * 1024, f"peak {peak} bytes"
 
 
 def test_ground_projectors_report_every_violation():

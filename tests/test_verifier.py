@@ -345,6 +345,37 @@ def test_label_dicts_gather_in_label_order(name, data):
     assert omega_summary(compute_omega(prep, cert)) == omega_summary(compute_omega(prep, np.array(bits)))
 
 
+@pytest.mark.parametrize("spec", [LatticeSpec(4, 5), LatticeSpec(6, 4, "periodic"), LatticeSpec(3, 3)], ids=str)
+def test_label_and_row_major_dicts_are_read_in_their_own_order(spec, monkeypatch):
+    # a dict keyed in label order or in row-major order is read without the
+    # key-by-key gather, into the same vector; any other order is gathered.
+    # The split vertices fill a 2x3 and a 6x4 block, where going from
+    # row-major to x-major order is no involution, and a single vertex
+    prep = prepare(gen_toric(spec))
+    black, white = prep.label_order
+    bits = [(i * i + 1) // 3 % 2 for i in range(len(black) + len(white))]
+    alpha, beta = dict(zip(black, bits)), dict(zip(white, bits[len(black) :]))
+    want = [*bits, 0]
+    by_row = lambda v: (v[1], v[0])  # noqa: E731
+    row_major = Certificate(_keyed(alpha, sorted(alpha, key=by_row)), _keyed(beta, sorted(beta, key=by_row)))
+    assert list(row_major.alpha) == [v for v in spec.vertices() if v in alpha]
+    assert len(black) == 1 or list(row_major.alpha) != black
+    # equal keys, not the same tuple objects, as a certificate file gives them
+    fresh = Certificate(dict(zip([(x, y) for x, y in black], bits)),
+                        dict(zip([(x, y) for x, y in white], bits[len(black) :])))
+    shuffled = Certificate(_keyed(alpha, reversed(alpha)), _keyed(beta, reversed(beta)))
+
+    def refuse(labels):
+        raise AssertionError("gathered key by key")
+
+    monkeypatch.setitem(prep.__dict__, "label_getters", (refuse, refuse))
+    for cert in (Certificate(alpha, beta), fresh, row_major):
+        assert verifier._label_vector(prep, cert).tolist() == want
+    if len(black) > 1:
+        with pytest.raises(AssertionError, match="key by key"):
+            verifier._label_vector(prep, shuffled)
+
+
 def _keyed(labels: dict, keys) -> dict:
     return {v: labels[v] for v in keys}
 

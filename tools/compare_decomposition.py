@@ -141,7 +141,7 @@ def band_norms(m):
     from commham.linalg import ground_band
 
     proj, _, frame, side = ground_band(m.distinct)
-    return model._named(m.spec, *model._band_pair_norms(m.spec, m.ids, proj, frame, side))
+    return model._named(m.spec, *model._pair_norms(m.spec, m.ids, proj, (frame, side)))
 
 
 def dump(out: str, older: str | None = None) -> None:
